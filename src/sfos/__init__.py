@@ -13,7 +13,7 @@ Submodules:
 
 from .descriptor import (AdmissibilityReport, DescriptorSystem, analyze,
                          analyze_pair, annihilators, decompose,
-                         pencil_polynomial, system_from_dict, system_from_json)
+                         system_from_dict, system_from_json)
 from .errors import (GainRecoverySingular, InputError, LmiNumericalError,
                      NonsingularMatrixError, NotImpulseFreeError,
                      NotMemberError, OutputInjectionInfeasible,
@@ -35,8 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityReport", "DescriptorSystem", "analyze", "analyze_pair",
-    "annihilators", "decompose", "pencil_polynomial", "system_from_dict",
-    "system_from_json",
+    "annihilators", "decompose", "system_from_dict", "system_from_json",
     "SfosError", "InputError", "NonsingularMatrixError", "NotImpulseFreeError",
     "NotMemberError", "RankDeficientError", "LmiNumericalError",
     "SynthesisError", "StateFeedbackInfeasible", "OutputInjectionInfeasible",

@@ -9,11 +9,12 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.special import erfc
 
 from conftest import (BENCH_X0, GAINS_06, GAINS_12, benchmark,
                       random_impulse_free_system)
-from sfos import cli, descriptor, fpdm, lifting, synthesis
+from sfos import cli, fpdm, lifting, synthesis
 from sfos.descriptor import analyze, analyze_pair
 from sfos.lmi import VariableRegistry, block_of, solve_feasibility
 from sfos.simulator import SimConfig, simulate
@@ -133,9 +134,11 @@ def test_criterion_6_lifting_fidelity():
         sysm, _ = random_impulse_free_system(rng, 0.8)
         sysm = sysm.with_matrices(alpha=1.4)
         lsr = lifting.lift(sysm, 2)
-        base_eigs = np.roots(descriptor.pencil_polynomial(sysm.E, sysm.A))
-        lifted_eigs = np.roots(
-            descriptor.pencil_polynomial(lsr.lifted.E, lsr.lifted.A))
+        base_eigs = sla.eigvals(sysm.A, sysm.E)
+        base_eigs = base_eigs[np.isfinite(base_eigs)]
+        lifted_eigs = sla.eigvals(lsr.lifted.A, lsr.lifted.E)
+        lifted_eigs = lifted_eigs[np.isfinite(lifted_eigs)]
+        assert len(lifted_eigs) >= 2 * sysm.r
         for mu in lifted_eigs:
             if abs(mu) < 1e-9:
                 continue

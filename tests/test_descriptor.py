@@ -4,14 +4,30 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from conftest import BENCH_A, BENCH_B, BENCH_C, BENCH_E, benchmark
+from conftest import (BENCH_A, BENCH_B, BENCH_C, BENCH_E, benchmark,
+                      random_impulse_free_system)
 from sfos import descriptor
 from sfos.descriptor import (DescriptorSystem, analyze, analyze_pair,
                              annihilators, decompose, numerical_rank,
-                             pencil_polynomial, system_from_dict)
+                             system_from_dict)
 from sfos.errors import (InputError, NonsingularMatrixError,
                          NotImpulseFreeError)
+
+
+def _matched(got, want):
+    """Largest relative distance under the best one-to-one pairing of two
+    eigenvalue lists; inf when their lengths differ."""
+    got, want = np.asarray(got, dtype=complex), np.asarray(want, dtype=complex)
+    if got.shape != want.shape:
+        return np.inf
+    dist = np.abs(got[:, None] - want[None, :]) / np.maximum(1.0, np.abs(want))
+    rows, cols = linear_sum_assignment(dist)
+    return float(dist[rows, cols].max(initial=0.0))
 
 
 class TestNumericalRank:
@@ -78,38 +94,6 @@ class TestAnnihilators:
             annihilators(np.eye(3))
 
 
-class TestPencilPolynomial:
-    def test_matches_determinant_samples(self, bench06):
-        coeffs = pencil_polynomial(bench06.E, bench06.A)
-        assert len(coeffs) - 1 == 2
-        rng = np.random.default_rng(7)
-        for s in rng.standard_normal(5) + 1j * rng.standard_normal(5):
-            direct = np.linalg.det(s * bench06.E - bench06.A)
-            assert np.polyval(coeffs, s) == pytest.approx(direct, rel=1e-8)
-
-    def test_benchmark_eigenvalues(self, bench06):
-        coeffs = pencil_polynomial(bench06.E, bench06.A)
-        roots = sorted(np.roots(coeffs).real)
-        assert roots == pytest.approx([-5.3129, 0.1129], abs=1e-3)
-
-    def test_nonregular_pair_is_zero(self):
-        E = np.array([[1.0, 0.0], [0.0, 0.0]])
-        A = np.zeros((2, 2))
-        coeffs = pencil_polynomial(E, A)
-        assert list(coeffs) == [0.0]
-
-    def test_random_pairs_match_determinant(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            n = int(rng.integers(1, 5))
-            E, A = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-            coeffs = pencil_polynomial(E, A)
-            for s in rng.standard_normal(3):
-                direct = np.linalg.det(s * E - A)
-                scale = max(abs(direct), 1.0)
-                assert abs(np.polyval(coeffs, s) - direct) < 1e-8 * scale
-
-
 class TestAnalyze:
     def test_benchmark_open_loop(self, bench06):
         rep = analyze(bench06)
@@ -143,6 +127,50 @@ class TestAnalyze:
         E = np.array([[1.0, 0.0], [0.0, 0.0]])
         rep = analyze_pair(E, np.zeros((2, 2)), 0.5)
         assert not rep.regular and not rep.admissible
+
+    def test_column_scaled_pair_stays_regular(self):
+        # Column scaling is a change of coordinates: same spectrum, but the
+        # columns of sE - A now differ in norm by up to six decades.
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            sysm, _ = random_impulse_free_system(rng, 0.7)
+            D = np.diag(10.0 ** rng.uniform(-3, 3, sysm.n))
+            rep = analyze_pair(sysm.E @ D, sysm.A @ D, 0.7)
+            assert rep.regular and rep.impulse_free
+            assert rep.pencil_degree == sysm.r
+            assert _matched(rep.finite_eigenvalues,
+                            np.linalg.eigvals(decompose(sysm).Aa)) < 1e-6
+
+    def test_hidden_singular_pencil(self):
+        # A zero diagonal entry in the fast block of A leaves a zero row in
+        # sE - A for every s; M and N hide it.  QZ alone misses some of these:
+        # its smallest pair |(alpha, beta)| reaches 1e-8 relative here.
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            n, r = 6, 3
+            E0 = np.diag([1.0] * r + [0.0] * (n - r))
+            A0 = np.zeros((n, n))
+            A0[:r, :r] = rng.standard_normal((r, r))
+            A0[r:, r:] = np.diag(np.r_[rng.uniform(0.5, 2.0, n - r - 1), 0.0])
+            M, N = rng.standard_normal((2, n, n))
+            rep = analyze_pair(M @ E0 @ N, M @ A0 @ N, 0.5)
+            assert not rep.regular and not rep.admissible
+            assert rep.pencil_degree == -1
+
+    def test_zero_e_with_nonsingular_a(self):
+        rep = analyze_pair(np.zeros((3, 3)), np.diag([1.0, -2.0, 3.0]), 0.5)
+        assert rep.regular and rep.impulse_free and rep.admissible
+        assert rep.pencil_degree == 0 and rep.finite_eigenvalues == ()
+
+    def test_zero_e_with_singular_a(self):
+        rep = analyze_pair(np.zeros((3, 3)), np.diag([1.0, 0.0, 3.0]), 0.5)
+        assert not rep.regular and not rep.admissible
+
+    def test_report_fields_are_plain_python(self, bench06):
+        rep = analyze(bench06)
+        for name in ("regular", "impulse_free", "stable", "admissible"):
+            assert type(getattr(rep, name)) is bool
+        assert type(rep.pencil_degree) is int
 
     def test_no_finite_eigenvalues_vacuously_stable(self):
         # E nilpotent against identity: det(sE - A) is constant.
@@ -200,12 +228,32 @@ class TestDecompose:
 
 class TestRandomizedAgreement:
     def test_roots_match_slow_eigenvalues(self):
-        from conftest import random_impulse_free_system
         rng = np.random.default_rng(19)
         for _ in range(10):
             sysm, _ = random_impulse_free_system(rng, 0.7)
-            coeffs = pencil_polynomial(sysm.E, sysm.A)
-            roots = np.sort_complex(np.roots(coeffs))
+            roots = np.sort_complex(np.array(analyze(sysm).finite_eigenvalues))
             dec = decompose(sysm)
             eigs = np.sort_complex(np.linalg.eigvals(dec.Aa))
             assert np.allclose(roots, eigs, atol=1e-6 * max(1, np.abs(eigs).max()))
+
+
+class TestBlockDiagonalStacks:
+    """Stacks of random impulse-free blocks, mixed by orthogonal transforms:
+    the oracle is the union of the blocks' slow spectra, each computed on its
+    own small block."""
+
+    @given(seed=st.integers(0, 2**32 - 1), blocks=st.integers(1, 12))
+    def test_verdict_degree_and_spectrum(self, seed, blocks):
+        rng = np.random.default_rng(seed)
+        parts = [random_impulse_free_system(rng, 0.8) for _ in range(blocks)]
+        E = sla.block_diag(*(p.E for p, _ in parts))
+        A = sla.block_diag(*(p.A for p, _ in parts))
+        Q1 = np.linalg.qr(rng.standard_normal(E.shape))[0]
+        Q2 = np.linalg.qr(rng.standard_normal(E.shape))[0]
+        rep = analyze_pair(Q1 @ E @ Q2, Q1 @ A @ Q2, 0.8)
+        want = np.concatenate([np.linalg.eigvals(decompose(p).Aa)
+                               for p, _ in parts])
+        assert rep.regular and rep.impulse_free
+        assert rep.pencil_degree == sum(p.r for p, _ in parts)
+        assert rep.stable == all(stable for _, stable in parts)
+        assert _matched(rep.finite_eigenvalues, want) < 1e-6

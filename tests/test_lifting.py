@@ -2,14 +2,20 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from conftest import GAINS_12, benchmark, random_impulse_free_system
 from sfos import descriptor, lifting, synthesis
-from sfos.descriptor import numerical_rank, pencil_polynomial
+from sfos.descriptor import numerical_rank
 from sfos.errors import InputError
 from sfos.lifting import (admissible_lifted, analyze_lifted_pair, lift,
                           synth_observer_lifted, synth_output_feedback_lifted,
                           transfer_function)
+
+
+def _finite_eigs(E, A):
+    eigs = sla.eigvals(A, E)
+    return eigs[np.isfinite(eigs)]
 
 
 class TestLiftStructure:
@@ -80,13 +86,27 @@ class TestLiftedAnalysis:
             sysm, _ = random_impulse_free_system(rng, 0.9)
             sysm = sysm.with_matrices(alpha=1.3)
             ls = lift(sysm)
-            base_eigs = np.roots(pencil_polynomial(sysm.E, sysm.A))
-            lifted_eigs = np.roots(pencil_polynomial(ls.lifted.E, ls.lifted.A))
+            base_eigs = _finite_eigs(sysm.E, sysm.A)
+            lifted_eigs = _finite_eigs(ls.lifted.E, ls.lifted.A)
+            assert len(lifted_eigs) >= 2 * sysm.r
             for mu in lifted_eigs:
                 if abs(mu) < 1e-9:
                     continue
                 dist = np.min(np.abs(base_eigs - mu ** 2))
                 assert dist < 1e-6 * max(1.0, abs(mu) ** 2)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_open_loop_augmented_pair_at_higher_k(self, k):
+        # The (state, error) pair of the lift has 6k states; its pencil has
+        # degree k * rank = 4k, so the structural threshold is met exactly.
+        ls = lift(benchmark(1.2), k)
+        n = ls.lifted.n
+        Ebar, Abar = synthesis.augmented_pair(ls.lifted, np.zeros((1, n)),
+                                              np.zeros((n, 1)))
+        report = analyze_lifted_pair(Ebar, Abar, 2 * ls.base.r, k, 1.2 / k)
+        assert report.strict.regular
+        assert report.strict.pencil_degree == 4 * k
+        assert report.effective_impulse_free
 
     def test_effective_threshold(self, bench12):
         ls = lift(bench12)
