@@ -215,9 +215,12 @@ def augmented_pair(sys: DescriptorSystem, K, L):
     E_bar = diag(E, E), A_bar = [[A+BK, -BK], [0, A+LC]]: the error dynamics
     decouple, so the loop is admissible iff both diagonal blocks are.
     """
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    L = np.asarray(L, dtype=float).reshape(sys.n, sys.p)
+    K = np.asarray(K, dtype=float)
+    L = np.asarray(L, dtype=float)
     n = sys.n
+    for name, gain, shape in (("K", K, (sys.m, n)), ("L", L, (n, sys.p))):
+        if gain.shape != shape:
+            raise InputError(f"gain {name} has shape {gain.shape}, expected {shape}")
     Ebar = np.block([[sys.E, np.zeros((n, n))], [np.zeros((n, n)), sys.E]])
     BK = sys.B @ K
     Abar = np.block([[sys.A + BK, -BK],

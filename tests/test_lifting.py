@@ -152,6 +152,17 @@ class TestLiftedSynthesis:
             bench12.E, bench12.A + bench12.B @ design.F @ bench12.C, 1.2)
         assert rep.regular and rep.impulse_free and rep.stable
 
+    def test_lifted_designs_at_k3(self, bench12):
+        obs = synth_observer_lifted(bench12, k=3)
+        out = synth_output_feedback_lifted(bench12, k=3, seed=0)
+        assert obs.K.shape == (1, 9) and obs.L.shape == (9, 1)
+        assert obs.closed_loop_report.admissible
+        assert out.closed_loop_report.admissible
+        # the output gain is static on the plant; check it there by QZ
+        eigs = _finite_eigs(bench12.E, bench12.A + bench12.B @ out.F @ bench12.C)
+        assert len(eigs) == bench12.r
+        assert np.all(np.abs(np.angle(eigs)) > 1.2 * np.pi / 2)
+
     def test_sector_cross_check_agrees_on_benchmark(self, bench12):
         # admissible_lifted raises if the two spectral pictures disagree;
         # passing silently is the assertion.

@@ -7,8 +7,8 @@ import pytest
 from scipy.optimize import linprog
 
 from sfos.errors import InputError
-from sfos.lmi import (AffineExpr, VariableRegistry, block_of,
-                      solve_feasibility, sym_of)
+from sfos.lmi import (AffineExpr, LmiBlock, VariableRegistry, _Barrier,
+                      block_of, solve_feasibility, sym_of)
 
 
 class TestVariableRegistry:
@@ -101,6 +101,83 @@ class TestAffineExpr:
         R = self.reg.expr("R")
         with pytest.raises(InputError, match="symmetric"):
             block_of(R + np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestBlockStack:
+    def setup_method(self):
+        # R is registered after S but enters the expression first, so the
+        # coefficient dict is not in slot order.
+        self.reg = VariableRegistry()
+        self.reg.add("S", "symmetric", 3)
+        self.reg.add("W", "skew", 3)
+        self.reg.add("R", "rectangular", 3, 3)
+        rng = np.random.default_rng(11)
+        M1, M2, C = (rng.standard_normal((3, 3)) for _ in range(3))
+        S, W, R = (self.reg.expr(n) for n in ("S", "W", "R"))
+        self.expr = R @ M2 + M1 @ S + 0.5 * W + C
+        self.xs = [rng.standard_normal(self.reg.num_slots) for _ in range(5)]
+
+    def _check_layout(self, blk):
+        assert np.all(np.diff(blk.slots) > 0)
+        assert blk.stack.shape == (len(blk.slots), 3, 3)
+
+    def test_sym_of_matches_expression(self):
+        blk = sym_of(self.expr)
+        self._check_layout(blk)
+        for x in self.xs:
+            e = self.expr.evaluate(x)
+            np.testing.assert_allclose(blk.evaluate(x), e + e.T, rtol=0, atol=1e-12)
+
+    def test_block_of_matches_expression(self):
+        sym = self.expr + self.expr.T
+        for expr in (sym, AffineExpr.constant(np.eye(3))):
+            blk = block_of(expr)
+            self._check_layout(blk)
+            for x in self.xs:
+                np.testing.assert_allclose(blk.evaluate(x), expr.evaluate(x),
+                                           rtol=0, atol=1e-12)
+
+
+class TestBarrierDerivatives:
+    """grad_hess against central differences of the barrier value alone."""
+
+    def _problem(self, rng):
+        # Three blocks over six slots: two overlap on slots 2-3, the third
+        # is constant.
+        def block(dim, slots):
+            def sym():
+                M = rng.standard_normal((dim, dim))
+                return (M + M.T) / 2.0
+            return block_of(AffineExpr((dim, dim), sym(), {s: sym() for s in slots}))
+        blocks = [block(3, [0, 1, 2, 3]), block(4, [2, 3, 4, 5]),
+                  block(2, [])]
+        return _Barrier(blocks, 6, box=5.0)
+
+    def _interior(self, rng, barrier):
+        x = rng.uniform(-1.0, 1.0, barrier.nx)
+        t = max(np.linalg.eigvalsh(b.evaluate(x))[-1] for b in barrier.blocks)
+        return np.append(x, t + rng.uniform(0.5, 2.0))
+
+    def test_against_finite_differences(self):
+        rng = np.random.default_rng(5)
+        barrier = self._problem(rng)
+
+        def f(z):
+            factors = barrier.slacks(z)
+            assert factors is not None
+            return barrier.value(z, factors)
+
+        for _ in range(3):
+            z = self._interior(rng, barrier)
+            g, H = barrier.grad_hess(z, barrier.slacks(z))
+            I = np.eye(len(z))
+            h1, h2 = 1e-5, 1e-4
+            g_fd = np.array([(f(z + h1 * e) - f(z - h1 * e)) / (2 * h1) for e in I])
+            H_fd = np.array([[(f(z + h2 * (ei + ej)) - f(z + h2 * (ei - ej))
+                               - f(z - h2 * (ei - ej)) + f(z - h2 * (ei + ej)))
+                              / (4 * h2 * h2) for ej in I] for ei in I])
+            assert np.abs(g - g_fd).max() <= 1e-6 * np.abs(g).max()
+            assert np.abs(H - H_fd).max() <= 1e-4 * np.abs(H).max()
 
 
 def _lp_problem(rng, num_x, num_rows):
@@ -231,6 +308,10 @@ class TestSolveFeasibility:
                                   {5: np.ones((1, 1))}))
         with pytest.raises(InputError, match="slot"):
             solve_feasibility([bad], reg)
+        twice = LmiBlock(F0=np.zeros((1, 1)), slots=np.array([0, 0]),
+                         stack=np.ones((2, 1, 1)))
+        with pytest.raises(InputError, match="increasing"):
+            solve_feasibility([twice], reg)
 
     def test_nonfinite_coefficients_rejected(self):
         reg = VariableRegistry()

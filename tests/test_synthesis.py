@@ -102,6 +102,13 @@ class TestObserverDesign:
         assert np.allclose(Abar[:3, :3], bench06.A + bench06.B @ K)
         assert np.allclose(Abar[3:, 3:], bench06.A + L @ bench06.C)
 
+    def test_augmented_pair_rejects_misshapen_gains(self, bench06):
+        with pytest.raises(InputError, match="gain K"):
+            augmented_pair(bench06, 0, 0)
+        for L in (0.0, GAINS_06["L"].T):
+            with pytest.raises(InputError, match="gain L"):
+                augmented_pair(bench06, GAINS_06["K"], L)
+
     def test_published_gains_verify(self, bench06):
         rep = verify_state_estimate_loop(bench06, GAINS_06["K"], GAINS_06["L"])
         assert rep.admissible
