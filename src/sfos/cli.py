@@ -203,37 +203,18 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _injected_controller(sysm: DescriptorSystem, gains: dict, k: int):
+def _injected_controller(plant: lifting.LiftedSystem, gains: dict):
     """Controller tuple + verification report for user-supplied gains."""
     if "F" in gains:
-        F = np.array(gains["F"], dtype=float)
-        if sysm.alpha > 1.0:
-            report = lifting._lifted_output_verifier(sysm.r, k)(
-                lifting.lift(sysm, k).lifted, F)
-        else:
-            report = synthesis.verify_static_output_loop(sysm, F)
-        return ("output", F), report
-    if "K" in gains and "L" in gains:
-        K = np.array(gains["K"], dtype=float)
-        L = np.array(gains["L"], dtype=float)
-        if sysm.alpha > 1.0:
-            report = lifting._lifted_observer_verifier(sysm.r, k)(
-                lifting.lift(sysm, k).lifted, K, L)
-        else:
-            report = synthesis.verify_state_estimate_loop(sysm, K, L)
-        return ("observer", K, L), report
-    if "K" in gains:
-        K = np.array(gains["K"], dtype=float)
-        if sysm.alpha > 1.0:
-            ls = lifting.lift(sysm, k)
-            report = lifting.analyze_lifted_pair(
-                ls.lifted.E, ls.lifted.A + ls.lifted.B @ K, sysm.r, k,
-                ls.lifted.alpha, sysm.rank_tol)
-        else:
-            report = descriptor.analyze_pair(sysm.E, sysm.A + sysm.B @ K,
-                                             sysm.alpha, sysm.rank_tol)
-        return ("state", K), report
-    raise InputError("gains block must provide F, K, or K and L")
+        ctrl = ("output", np.array(gains["F"], dtype=float))
+    elif "K" in gains and "L" in gains:
+        ctrl = ("observer", np.array(gains["K"], dtype=float),
+                np.array(gains["L"], dtype=float))
+    elif "K" in gains:
+        ctrl = ("state", np.array(gains["K"], dtype=float))
+    else:
+        raise InputError("gains block must provide F, K, or K and L")
+    return ctrl, lifting.verify_loop(plant, ctrl)
 
 
 def _sim_config(sim_cfg: dict, args) -> simulator.SimConfig:
@@ -257,10 +238,13 @@ def cmd_simulate(args) -> int:
     doc = load_problem(args.problem)
     sysm = descriptor.system_from_dict(doc["system"], rank_tol=args.tol)
     config = _sim_config(doc.get("simulation", {}), args)
+    # The pair verified below is the pair simulated: both come from
+    # synthesis.closed_loop on this one plant.
+    plant = lifting.as_plant(sysm, args.k)
 
     verification = None
     if "gains" in doc:
-        controller, report = _injected_controller(sysm, doc["gains"], args.k)
+        controller, report = _injected_controller(plant, doc["gains"])
         verification = report.to_dict()
         admissible = report.admissible
     elif "synthesis" in doc:
@@ -272,7 +256,7 @@ def cmd_simulate(args) -> int:
         controller = None
         admissible = True
 
-    traj = simulator.simulate(sysm, controller, config)
+    traj = simulator.simulate(plant, controller, config)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     traj.to_csv(os.path.join(out_dir, "trajectory.csv"))
@@ -298,14 +282,16 @@ def _benchmark_system(alpha: float, rank_tol: float) -> DescriptorSystem:
 
 DEMO_X0 = np.array([-0.25, 2.0, 0.25])
 
-#: Spectral-shift margins used by the demo designs.  Plain feasibility
-#: returns weakly stabilizing gains whose slow power-law tails decay too
-#: slowly to showcase the controllers; shifting the drift by gamma*E during
-#: synthesis pushes the closed-loop spectrum left by (roughly) gamma while
-#: verification still runs against the unshifted plant.
+#: Spectral-shift margins used by the demo designs, as a synthesis block.
+#: Plain feasibility returns weakly stabilizing gains whose slow power-law
+#: tails decay too slowly to showcase the controllers; shifting the drift by
+#: gamma*E during synthesis pushes the closed-loop spectrum left by (roughly)
+#: gamma while verification still runs against the unshifted plant.
 DEMO_SHIFTS = {
-    "example1": {"observer": (2.0, 6.0), "output": 2.0},
-    "example2": {"observer": (0.0, 0.0), "output": 1.0},
+    "example1": {"decay_shift_state": 2.0, "decay_shift_injection": 6.0,
+                 "decay_shift": 2.0},
+    "example2": {"decay_shift_state": 0.0, "decay_shift_injection": 0.0,
+                 "decay_shift": 1.0},
 }
 
 
@@ -318,23 +304,12 @@ def _write_columns(path, times, data, names):
 def cmd_demo(args) -> int:
     alpha = 0.6 if args.example == "example1" else 1.2
     sysm = _benchmark_system(alpha, args.tol)
-    shifts = DEMO_SHIFTS[args.example]
     h = args.h if args.h is not None else _env_default("H", float, 1e-3)
     T = args.horizon if args.horizon is not None else _env_default(
         "HORIZON", float, 20.0)
-    seed = args.seed if args.seed is not None else _env_default("SEED", int, 0)
-
-    gk, gl = shifts["observer"]
-    if alpha > 1.0:
-        obs = lifting.synth_observer_lifted(
-            sysm, k=args.k, decay_shift_state=gk, decay_shift_injection=gl)
-        out = lifting.synth_output_feedback_lifted(
-            sysm, k=args.k, decay_shift=shifts["output"], seed=seed)
-    else:
-        obs = synthesis.synth_observer(
-            sysm, decay_shift_state=gk, decay_shift_injection=gl)
-        out = synthesis.synth_output_feedback(
-            sysm, decay_shift=shifts["output"], seed=seed)
+    shifts = DEMO_SHIFTS[args.example]
+    obs = _run_synthesis(sysm, "observer", shifts, args)
+    out = _run_synthesis(sysm, "output", shifts, args)
 
     cfg_obs = simulator.SimConfig(h=h, T=T, x0=DEMO_X0, xhat0=np.zeros(3),
                                   k=args.k, gate_first_input=True)

@@ -20,6 +20,11 @@ rows of Ebar, not from A.  Impulse-freeness of a lifted pair is therefore
 judged against the threshold k*r (degree k*r corresponds exactly to an
 impulse-free pair at the original order), and reports carry both the strict
 and the effective verdict.
+
+This module alone decides whether a plant is handled lifted or as it is, and
+owns that degree threshold: :func:`as_plant` puts any plant into the
+coordinates its criteria hold in (lifted only for orders above 1), and
+:func:`verify_loop` judges a controller's closed loop there.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ __all__ = [
     "LiftedSystem",
     "LiftedReport",
     "lift",
+    "as_plant",
+    "verify_loop",
     "transfer_function",
     "analyze_lifted_pair",
     "admissible_lifted",
@@ -78,6 +85,19 @@ def lift(sys: DescriptorSystem, k: int = DEFAULT_K) -> LiftedSystem:
     lifted = DescriptorSystem(E=Ebar, A=Abar, B=Bbar, C=Cbar,
                               alpha=sys.alpha / k, rank_tol=sys.rank_tol)
     return LiftedSystem(base=sys, k=k, lifted=lifted)
+
+
+def as_plant(sys, k: int = DEFAULT_K) -> LiftedSystem:
+    """The plant in working coordinates: lifted by k above order 1, else as is.
+
+    A :class:`LiftedSystem` is returned unchanged; an order in (0, 1] gives
+    ``LiftedSystem(base=sys, k=1, lifted=sys)``.
+    """
+    if isinstance(sys, LiftedSystem):
+        return sys
+    if sys.alpha <= 1.0:
+        return LiftedSystem(base=sys, k=1, lifted=sys)
+    return lift(sys, k)
 
 
 def transfer_function(sys: DescriptorSystem, s: complex) -> np.ndarray:
@@ -160,8 +180,24 @@ def admissible_lifted(sys: DescriptorSystem, k: int = DEFAULT_K) -> LiftedReport
 
 
 # ---------------------------------------------------------------------------
-# Synthesis in lifted coordinates
+# Closed-loop verification and synthesis in working coordinates
 # ---------------------------------------------------------------------------
+
+def verify_loop(plant: LiftedSystem, controller):
+    """Admissibility of ``synthesis.closed_loop(plant.lifted, controller)``.
+
+    Unlifted plants get the plain pencil analysis.  Lifted ones get the
+    degree threshold copies * k * r, where the observer's (state, error)
+    pair stacks two copies of the plant.
+    """
+    sys = plant.lifted
+    E, A, _ = synthesis.closed_loop(sys, controller)
+    if plant.k == 1:
+        return descriptor.analyze_pair(E, A, sys.alpha, sys.rank_tol)
+    copies = 2 if controller[0] == "observer" else 1
+    return analyze_lifted_pair(E, A, copies * plant.base.r, plant.k,
+                               sys.alpha, sys.rank_tol)
+
 
 def synth_observer_lifted(sys: DescriptorSystem, k: int = DEFAULT_K,
                           **kwargs) -> synthesis.ObserverDesign:
@@ -171,11 +207,12 @@ def synth_observer_lifted(sys: DescriptorSystem, k: int = DEFAULT_K,
     closed-loop report is a :class:`LiftedReport` for the augmented pair in
     lifted coordinates.
     """
-    ls = lift(sys, k)
+    plant = lift(sys, k)
     kwargs.setdefault("accept_marginal", True)
-    design = synthesis.synth_observer(
-        ls.lifted, verifier=_lifted_observer_verifier(sys.r, k), **kwargs)
-    return design
+
+    def verify(_, K, L):
+        return verify_loop(plant, ("observer", K, L))
+    return synthesis.synth_observer(plant.lifted, verifier=verify, **kwargs)
 
 
 def synth_output_feedback_lifted(sys: DescriptorSystem, k: int = DEFAULT_K,
@@ -187,27 +224,9 @@ def synth_output_feedback_lifted(sys: DescriptorSystem, k: int = DEFAULT_K,
     order is itself admissible; that pair is what the returned report's
     strict part would see through the degree threshold.
     """
-    ls = lift(sys, k)
+    plant = lift(sys, k)
     kwargs.setdefault("accept_marginal", True)
-    design = synthesis.synth_output_feedback(
-        ls.lifted, verifier=_lifted_output_verifier(sys.r, k), **kwargs)
-    return design
 
-
-def _lifted_observer_verifier(base_rank: int, k: int):
-    # The augmented pair stacks two copies of the plant, so the base-rank
-    # threshold doubles along with it.
-    def verify(lifted_sys: DescriptorSystem, K, L) -> LiftedReport:
-        Ebar, Abar = synthesis.augmented_pair(lifted_sys, K, L)
-        return analyze_lifted_pair(Ebar, Abar, 2 * base_rank, k,
-                                   lifted_sys.alpha, lifted_sys.rank_tol)
-    return verify
-
-
-def _lifted_output_verifier(base_rank: int, k: int):
-    def verify(lifted_sys: DescriptorSystem, F) -> LiftedReport:
-        F = np.atleast_2d(np.asarray(F, dtype=float))
-        Acl = lifted_sys.A + lifted_sys.B @ F @ lifted_sys.C
-        return analyze_lifted_pair(lifted_sys.E, Acl, base_rank, k,
-                                   lifted_sys.alpha, lifted_sys.rank_tol)
-    return verify
+    def verify(_, F):
+        return verify_loop(plant, ("output", F))
+    return synthesis.synth_output_feedback(plant.lifted, verifier=verify, **kwargs)

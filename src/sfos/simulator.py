@@ -15,11 +15,12 @@ space of E reduce to the algebraic constraint 0 = (A x_s)_row enforced
 exactly by the solve, so no slow/fast splitting is needed (and pairs that
 are not strictly impulse-free, such as lifted representations, integrate
 without special-casing).  Orders in (1, 2) are simulated on their lifted
-chain at order alpha/k.
+chain at order alpha/k (:func:`sfos.lifting.as_plant`).
 
-All closed loops handled here are autonomous: the controller is folded into
-the system matrix, and the physical input u(t) is recovered from the gains
-after each step.
+All closed loops handled here are autonomous: the controller is folded in
+through :func:`sfos.synthesis.closed_loop`, which builds the same pair that
+verification analyzes, and the physical input u(t) is read off the whole
+trajectory afterwards through that function's input readout.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import descriptor, lifting, synthesis
-from .descriptor import DescriptorSystem
 from .errors import InputError
-from .lifting import LiftedSystem
 from .synthesis import ObserverDesign, OutputFeedbackDesign
 
 __all__ = [
@@ -234,10 +233,8 @@ def _normalize_controller(design):
         return ("observer", design.K, design.L)
     if isinstance(design, OutputFeedbackDesign):
         return ("output", design.F)
-    if isinstance(design, tuple):
-        kind = design[0]
-        if kind in ("none", "state", "observer", "output"):
-            return design
+    if isinstance(design, tuple) and design:
+        return design
     raise InputError(f"unrecognized controller specification: {design!r}")
 
 
@@ -250,73 +247,24 @@ def simulate(sys, design, config: SimConfig) -> Trajectory:
     the plant is lifted and the gains must be sized for the lifted state;
     the returned trajectory reports the original-state block.
     """
-    if isinstance(sys, LiftedSystem):
-        base, work, k = sys.base, sys.lifted, sys.k
-    elif isinstance(sys, DescriptorSystem) and sys.alpha > 1.0:
-        ls = lifting.lift(sys, config.k)
-        base, work, k = sys, ls.lifted, ls.k
-    else:
-        base, work, k = sys, sys, 1
-    n, m = base.n, base.m
-    N = work.n
+    plant = lifting.as_plant(sys, config.k)
+    base, work = plant.base, plant.lifted
+    n, N = base.n, work.n
 
     x0 = config.x0
     if x0.size != n:
         raise InputError(f"x0 must have length {n}")
-    z0 = np.zeros(N)
-    z0[:n] = x0
-
     ctrl = _normalize_controller(design)
     kind = ctrl[0]
-    if kind == "none":
-        Acl = work.A
-        full0 = z0
-
-        def read(row):
-            return row[:n], np.zeros(m), None
-    elif kind == "state":
-        K = np.atleast_2d(np.asarray(ctrl[1], dtype=float))
-        if K.shape != (m, N):
-            raise InputError(f"state gain must be {m} x {N}")
-        Acl = work.A + work.B @ K
-        full0 = z0
-
-        def read(row):
-            return row[:n], K @ row, None
-    elif kind == "output":
-        F = np.atleast_2d(np.asarray(ctrl[1], dtype=float))
-        if F.shape != (m, base.p):
-            raise InputError(f"output gain must be {m} x {base.p}")
-        Acl = work.A + work.B @ F @ work.C
-        full0 = z0
-
-        def read(row):
-            return row[:n], F @ work.C @ row, None
-    elif kind == "observer":
-        K = np.atleast_2d(np.asarray(ctrl[1], dtype=float))
-        L = np.asarray(ctrl[2], dtype=float).reshape(N, base.p)
+    E_sim, A_sim, U = synthesis.closed_loop(work, ctrl)
+    # x0 fills the plant block; a lift's auxiliary blocks start at zero.
+    full0 = np.zeros(E_sim.shape[0])
+    full0[:n] = x0
+    if kind == "observer":
         xhat0 = np.zeros(n) if config.xhat0 is None else config.xhat0
         if xhat0.size != n:
             raise InputError(f"xhat0 must have length {n}")
-        e0 = np.zeros(N)
-        e0[:n] = x0 - xhat0
-        # Coordinates (state, error): the error block is autonomous.
-        Ecl = np.block([[work.E, np.zeros((N, N))], [np.zeros((N, N)), work.E]])
-        BK = work.B @ K
-        Acl_full = np.block([[work.A + BK, -BK],
-                             [np.zeros((N, N)), work.A + L @ work.C]])
-        full0 = np.concatenate([z0, e0])
-
-        def read(row):
-            z, e = row[:N], row[N:]
-            return z[:n], K @ (z - e), e[:n]
-    else:
-        raise InputError(f"unknown controller kind {kind!r}")
-
-    if kind == "observer":
-        E_sim, A_sim = Ecl, Acl_full
-    else:
-        E_sim, A_sim = work.E, Acl
+        full0[N:N + n] = x0 - xhat0
 
     full0 = _project_consistent(E_sim, A_sim, full0, base.rank_tol,
                                 config.consistency)
@@ -330,14 +278,10 @@ def simulate(sys, design, config: SimConfig) -> Trajectory:
     Z = _march(E_sim, A_sim, full0, work.alpha, config.h, steps, memory)
 
     times = np.arange(steps + 1) * config.h
-    xs = np.empty((steps + 1, n))
-    us = np.empty((steps + 1, m))
-    es = np.empty((steps + 1, n)) if kind == "observer" else None
-    for s in range(steps + 1):
-        xi, ui, ei = read(Z[s])
-        xs[s], us[s] = xi, np.asarray(ui).ravel()
-        if es is not None:
-            es[s] = ei
+    # Copies, so that the trajectory does not pin the whole marched state.
+    xs = Z[:, :n].copy()
+    us = Z @ U.T
+    es = Z[:, N:N + n].copy() if kind == "observer" else None
     if config.gate_first_input:
         us[0] = 0.0
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import descriptor
+from . import descriptor, fpdm
 from .descriptor import DescriptorSystem, AdmissibilityReport, annihilators
 from .errors import (GainRecoverySingular, InputError, LmiNumericalError,
                      OutputInjectionInfeasible, OutputStageExhausted,
@@ -36,6 +36,7 @@ __all__ = [
     "ObserverDesign",
     "OutputFeedbackDesign",
     "admissible_via_lmi",
+    "closed_loop",
     "synth_observer",
     "synth_output_feedback",
     "verify_state_estimate_loop",
@@ -120,6 +121,8 @@ def _materialize_fpdm(vals: dict, prefix: str, alpha: float,
     identity -- the smallest perturbation that restores strict membership.
     The shift is bounded by the marginal slack, so it is a tiny relative
     change; the design it produces is still re-verified independently.
+    P itself comes from :func:`sfos.fpdm.materialize`, which raises
+    :class:`NotMemberError` for a parameter outside the set.
     """
     X, Y = vals[f"{prefix}_X"], vals[f"{prefix}_Y"]
     if repair:
@@ -129,8 +132,7 @@ def _materialize_fpdm(vals: dict, prefix: str, alpha: float,
         floor = 1e-6 * max(hi, 1.0)
         if lo < floor:
             X = X + (floor - lo) * np.eye(X.shape[0])
-    half = alpha * np.pi / 2.0
-    return np.sin(half) * X + np.cos(half) * Y
+    return fpdm.materialize(fpdm.FpdmParam(X, Y, alpha))
 
 
 def _recover_inverse(M: np.ndarray, what: str, certificate: LmiSolution) -> np.ndarray:
@@ -209,23 +211,47 @@ def _report_to_dict(report):
     return report.to_dict() if hasattr(report, "to_dict") else report
 
 
-def augmented_pair(sys: DescriptorSystem, K, L):
-    """Closed-loop pair for estimated-state feedback in (state, error) coordinates.
+def _gain(name: str, gain, shape: tuple) -> np.ndarray:
+    gain = np.asarray(gain, dtype=float)
+    if gain.shape != shape:
+        raise InputError(f"gain {name} has shape {gain.shape}, expected {shape}")
+    return gain
 
-    E_bar = diag(E, E), A_bar = [[A+BK, -BK], [0, A+LC]]: the error dynamics
-    decouple, so the loop is admissible iff both diagonal blocks are.
+
+def closed_loop(sys: DescriptorSystem, controller):
+    """Closed-loop pair (E, A) and input readout U of a controller on ``sys``.
+
+    ``controller`` is ("none",), ("state", K), ("output", F) or
+    ("observer", K, L), with K exactly m x n, F m x p and L n x p.  The loop
+    state w is x, except for the observer, where it is (x, e) with
+    e = x - xhat: E = diag(E, E), A = [[A+BK, -BK], [0, A+LC]], so the error
+    dynamics decouple and the loop is admissible iff both diagonal blocks
+    are.  The plant input is u = U w.
     """
-    K = np.asarray(K, dtype=float)
-    L = np.asarray(L, dtype=float)
-    n = sys.n
-    for name, gain, shape in (("K", K, (sys.m, n)), ("L", L, (n, sys.p))):
-        if gain.shape != shape:
-            raise InputError(f"gain {name} has shape {gain.shape}, expected {shape}")
-    Ebar = np.block([[sys.E, np.zeros((n, n))], [np.zeros((n, n)), sys.E]])
-    BK = sys.B @ K
-    Abar = np.block([[sys.A + BK, -BK],
-                     [np.zeros((n, n)), sys.A + L @ sys.C]])
-    return Ebar, Abar
+    kind = controller[0]
+    n, m = sys.n, sys.m
+    if kind == "none":
+        return sys.E, sys.A, np.zeros((m, n))
+    if kind == "state":
+        K = _gain("K", controller[1], (m, n))
+        return sys.E, sys.A + sys.B @ K, K
+    if kind == "output":
+        F = _gain("F", controller[1], (m, sys.p))
+        return sys.E, sys.A + sys.B @ F @ sys.C, F @ sys.C
+    if kind == "observer":
+        K = _gain("K", controller[1], (m, n))
+        L = _gain("L", controller[2], (n, sys.p))
+        Z = np.zeros((n, n))
+        BK = sys.B @ K
+        return (np.block([[sys.E, Z], [Z, sys.E]]),
+                np.block([[sys.A + BK, -BK], [Z, sys.A + L @ sys.C]]),
+                np.hstack([K, -K]))
+    raise InputError(f"unknown controller kind {kind!r}")
+
+
+def augmented_pair(sys: DescriptorSystem, K, L):
+    """Closed-loop pair for estimated-state feedback in (state, error) coordinates."""
+    return closed_loop(sys, ("observer", K, L))[:2]
 
 
 def solve_state_feedback(sys: DescriptorSystem,
@@ -309,8 +335,8 @@ def solve_output_injection(sys: DescriptorSystem,
 
 def verify_state_estimate_loop(sys: DescriptorSystem, K, L) -> AdmissibilityReport:
     """Pencil analysis of the augmented (state, error) closed loop."""
-    Ebar, Abar = augmented_pair(sys, K, L)
-    return descriptor.analyze_pair(Ebar, Abar, sys.alpha, sys.rank_tol)
+    E, A, _ = closed_loop(sys, ("observer", K, L))
+    return descriptor.analyze_pair(E, A, sys.alpha, sys.rank_tol)
 
 
 def synth_observer(sys: DescriptorSystem,
@@ -381,9 +407,8 @@ class OutputFeedbackDesign:
 
 def verify_static_output_loop(sys: DescriptorSystem, F) -> AdmissibilityReport:
     """Pencil analysis of {E, A + B F C}."""
-    F = np.atleast_2d(np.asarray(F, dtype=float))
-    return descriptor.analyze_pair(sys.E, sys.A + sys.B @ F @ sys.C,
-                                   sys.alpha, sys.rank_tol)
+    E, A, _ = closed_loop(sys, ("output", F))
+    return descriptor.analyze_pair(E, A, sys.alpha, sys.rank_tol)
 
 
 def _output_stage2(sys: DescriptorSystem, K0, feas_margin, box_bound,

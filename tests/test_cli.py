@@ -121,6 +121,18 @@ class TestSimulate:
         assert cli.main(["simulate", path, "--out",
                          str(tmp_path / "o")]) == cli.EXIT_NOT_ADMISSIBLE
 
+    def test_misshapen_gain_exit_1(self, tmp_path, capsys):
+        cases = [({"K": [[0.5, 0.1]]}, "K"), ({"F": [[1.0, 2.0]]}, "F"),
+                 ({"K": [[0.5]]}, "K")]
+        for alpha in (0.6, 1.2):
+            for gains, name in cases:
+                doc = problem_doc(alpha=alpha, gains=gains,
+                                  simulation={"x0": BENCH_X0.tolist(), "T": 0.1})
+                path = write_problem(tmp_path, doc)
+                assert cli.main(["simulate", path, "--out", str(tmp_path / "o")]
+                                ) == cli.EXIT_ERROR
+                assert f"gain {name}" in capsys.readouterr().err
+
     def test_synthesis_block_drives_simulation(self, tmp_path):
         doc = problem_doc(synthesis={"mode": "output"},
                           simulation={"x0": BENCH_X0.tolist(), "T": 2.0})
@@ -176,6 +188,14 @@ class TestDemo:
         assert summary["example"] == example
         assert np.array(summary["gains"]["K"]).size in (3, 6)
         assert summary["observer"]["final_norm_ratio"] < 1.0
+
+    def test_demo_writes_debug_trace(self, tmp_path):
+        trace = tmp_path / "trace.json"
+        assert cli.main(["demo", "example1", "--out", str(tmp_path / "d"),
+                         "--horizon", "0.1", "--debug-trace", str(trace)]
+                        ) == cli.EXIT_OK
+        doc = json.loads(trace.read_text())
+        assert doc["iterates"] and doc["result"]["status"] == "Feasible"
 
     def test_demo_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -108,6 +108,24 @@ class TestLiftedAnalysis:
         assert report.strict.pencil_degree == 4 * k
         assert report.effective_impulse_free
 
+    def test_as_plant(self, bench06, bench12):
+        assert lifting.as_plant(bench06) == lifting.LiftedSystem(
+            base=bench06, k=1, lifted=bench06)
+        plant = lifting.as_plant(bench12, 3)
+        assert plant.k == 3 and plant.lifted.n == 9
+        assert lifting.as_plant(plant) is plant
+
+    def test_observer_threshold_counts_both_copies(self, bench12):
+        # K = [0, 0, 5] on the plant block makes (E, A + BK) impulsive: the
+        # algebraic row of A + BK then annihilates ker E = span([0, 1, -1]).
+        # The (state, error) pair has degree 2 + 4 = 6 < 2 * k * r = 8.
+        K = np.zeros((1, 6))
+        K[0, 2] = 5.0
+        report = lifting.verify_loop(lifting.as_plant(bench12),
+                                     ("observer", K, np.zeros((6, 1))))
+        assert report.strict.regular and report.strict.pencil_degree == 6
+        assert not report.effective_impulse_free and not report.admissible
+
     def test_effective_threshold(self, bench12):
         ls = lift(bench12)
         report = analyze_lifted_pair(ls.lifted.E, ls.lifted.A, bench12.r, 2,

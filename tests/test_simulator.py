@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import binom, erfc
 
-from conftest import BENCH_X0, GAINS_06, benchmark
+from conftest import BENCH_X0, GAINS_06, GAINS_12, benchmark
 from sfos.descriptor import DescriptorSystem
 from sfos.errors import InputError
 from sfos.simulator import (SimConfig, Trajectory, gl_weights, simulate,
@@ -123,10 +123,19 @@ class TestControllers:
         assert traj.controller == "observer"
 
     def test_state_feedback_input_recovery(self, bench06):
-        K = GAINS_06["K"]
-        cfg = SimConfig(h=1e-2, T=2.0, x0=BENCH_X0)
-        traj = simulate(bench06, ("state", K), cfg)
-        assert np.allclose(traj.u, traj.x @ K.T)
+        K, L, F = GAINS_06["K"], GAINS_06["L"], GAINS_06["F"]
+        bench12 = benchmark(1.2)
+        cfg = SimConfig(h=1e-2, T=2.0, x0=BENCH_X0, xhat0=np.zeros(3))
+        # u = K xhat = K (x - e) for the observer, u = F C x for output
+        # feedback; the lifted output C reads the plant block only.
+        cases = [(bench06, ("state", K), lambda t: t.x @ K.T),
+                 (bench06, ("observer", K, L), lambda t: (t.x - t.e) @ K.T),
+                 (bench06, ("output", F), lambda t: t.x @ (F @ bench06.C).T),
+                 (bench12, ("output", GAINS_12["F"]),
+                  lambda t: t.x @ (GAINS_12["F"] @ bench12.C).T)]
+        for plant, ctrl, expected in cases:
+            traj = simulate(plant, ctrl, cfg)
+            assert np.allclose(traj.u, expected(traj), rtol=1e-12, atol=1e-14)
 
     def test_gate_first_input(self, bench06):
         cfg = SimConfig(h=1e-2, T=1.0, x0=BENCH_X0, gate_first_input=True)
@@ -134,7 +143,6 @@ class TestControllers:
         assert np.all(traj.u[0] == 0.0)
 
     def test_higher_order_auto_lifts(self, bench12):
-        from conftest import GAINS_12
         cfg = SimConfig(h=1e-3, T=5.0, x0=BENCH_X0)
         traj = simulate(bench12, ("output", GAINS_12["F"]), cfg)
         assert traj.x.shape[1] == 3  # original state reported, not the lift
@@ -147,8 +155,20 @@ class TestControllers:
 
     def test_wrong_gain_shape_rejected(self, bench06):
         cfg = SimConfig(h=1e-2, T=1.0, x0=BENCH_X0)
-        with pytest.raises(InputError):
-            simulate(bench06, ("state", np.ones((1, 4))), cfg)
+        for plant, gains in ((bench06, GAINS_06), (benchmark(1.2), GAINS_12)):
+            K, L = gains["K"], gains["L"]
+            cases = [(("state", np.ones((1, 4))), "K"),
+                     (("state", [[0.5, 0.1]]), "K"),
+                     (("state", [[0.5]]), "K"),
+                     (("state", K.ravel()), "K"),
+                     (("output", [[1.0, 2.0]]), "F"),
+                     (("output", 1.0), "F"),
+                     (("observer", 0.5, L), "K"),
+                     (("observer", K, L.T), "L"),
+                     (("observer", K, L.ravel()), "L")]
+            for ctrl, name in cases:
+                with pytest.raises(InputError, match=f"gain {name}"):
+                    simulate(plant, ctrl, cfg)
 
 
 class TestTrajectoryOutputs:

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from conftest import GAINS_06, benchmark, random_impulse_free_system
+from conftest import GAINS_06, GAINS_12, benchmark, random_impulse_free_system
 from sfos import descriptor, synthesis
 from sfos.descriptor import DescriptorSystem, analyze, analyze_pair
 from sfos.errors import InputError, StateFeedbackInfeasible
-from sfos.synthesis import (admissible_via_lmi, augmented_pair,
+from sfos.lifting import lift
+from sfos.synthesis import (admissible_via_lmi, augmented_pair, closed_loop,
                             solve_output_injection, solve_state_feedback,
                             synth_observer, synth_output_feedback,
                             verify_state_estimate_loop,
@@ -103,11 +105,15 @@ class TestObserverDesign:
         assert np.allclose(Abar[3:, 3:], bench06.A + L @ bench06.C)
 
     def test_augmented_pair_rejects_misshapen_gains(self, bench06):
-        with pytest.raises(InputError, match="gain K"):
-            augmented_pair(bench06, 0, 0)
-        for L in (0.0, GAINS_06["L"].T):
-            with pytest.raises(InputError, match="gain L"):
-                augmented_pair(bench06, GAINS_06["K"], L)
+        K, L = GAINS_06["K"], GAINS_06["L"]
+        cases = [(0, 0, "K"), ([[0.5]], L, "K"), (K.ravel(), L, "K"),
+                 (0.5, L, "K"), (K, 0.0, "L"), (K, L.T, "L"),
+                 (K, L.ravel(), "L")]
+        for K_bad, L_bad, name in cases:
+            with pytest.raises(InputError, match=f"gain {name}"):
+                augmented_pair(bench06, K_bad, L_bad)
+            with pytest.raises(InputError, match=f"gain {name}"):
+                verify_state_estimate_loop(bench06, K_bad, L_bad)
 
     def test_published_gains_verify(self, bench06):
         rep = verify_state_estimate_loop(bench06, GAINS_06["K"], GAINS_06["L"])
@@ -149,6 +155,11 @@ class TestOutputFeedback:
         assert rep.admissible
         assert rep.min_angle_margin > 1e-6
 
+    def test_misshapen_gain_rejected(self, bench06):
+        for F in (np.ones((1, 2)), -3.6723, np.ones(1), np.ones((3, 1))):
+            with pytest.raises(InputError, match="gain F"):
+                verify_static_output_loop(bench06, F)
+
     def test_synth_output_feedback(self, bench06):
         design = synth_output_feedback(bench06)
         assert design.F.shape == (1, 1)
@@ -174,6 +185,48 @@ class TestOutputFeedback:
         dead = bench06.with_matrices(B=np.zeros((3, 1)))
         with pytest.raises(StateFeedbackInfeasible):
             synth_output_feedback(dead)
+
+
+def _finite_spectrum(E, A):
+    eigs = sla.eigvals(A, E)
+    return eigs[np.isfinite(eigs)]
+
+
+class TestClosedLoop:
+    @pytest.mark.parametrize("alpha, k", [(0.6, 1), (1.2, 2), (1.2, 3)])
+    def test_observer_spectrum_is_union_of_blocks(self, alpha, k):
+        # Separation: the (state, error) pair's finite spectrum is that of
+        # (E, A + BK) together with that of (E, A + LC), both built here.
+        plant = benchmark(alpha) if k == 1 else lift(benchmark(alpha), k).lifted
+        gains = GAINS_06 if k == 1 else GAINS_12
+        n = plant.n
+        # The published gains, zero-padded to the size of a k = 3 lift.
+        K = np.zeros((1, n))
+        K[:, :gains["K"].shape[1]] = gains["K"]
+        L = np.zeros((n, 1))
+        L[:gains["L"].shape[0]] = gains["L"]
+        E, A, U = closed_loop(plant, ("observer", K, L))
+        assert E.shape == A.shape == (2 * n, 2 * n) and U.shape == (1, 2 * n)
+        expected = list(np.concatenate([
+            _finite_spectrum(plant.E, plant.A + plant.B @ K),
+            _finite_spectrum(plant.E, plant.A + L @ plant.C)]))
+        got = list(_finite_spectrum(E, A))
+        assert len(got) == len(expected) >= 4 * k
+        for lam in expected:
+            dist = np.abs(np.array(got) - lam)
+            assert dist.min() <= 1e-6 * max(1.0, abs(lam))
+            got.pop(int(np.argmin(dist)))
+
+    def test_readouts(self, bench06):
+        K, L, F = GAINS_06["K"], GAINS_06["L"], GAINS_06["F"]
+        assert np.array_equal(closed_loop(bench06, ("none",))[2], np.zeros((1, 3)))
+        assert np.array_equal(closed_loop(bench06, ("state", K))[2], K)
+        assert np.array_equal(closed_loop(bench06, ("output", F))[2],
+                              F @ bench06.C)
+        assert np.array_equal(closed_loop(bench06, ("observer", K, L))[2],
+                              np.hstack([K, -K]))
+        with pytest.raises(InputError, match="unknown controller"):
+            closed_loop(bench06, ("pid", K))
 
 
 class TestMarginalRepair:
