@@ -17,6 +17,15 @@ are not strictly impulse-free, such as lifted representations, integrate
 without special-casing).  Orders in (1, 2) are simulated on their lifted
 chain at order alpha/k (:func:`sfos.lifting.as_plant`).
 
+The history sum is exact (no truncation or kernel approximation) and costs
+O(N log^2 N) over N steps, by the online convolution of Hairer, Lubich &
+Schlichte (SIAM J. Sci. Stat. Comput. 6(3), 1985): the steps are split in
+halves recursively, and once the first half of a range is marched its
+contribution to every step of the second half is added by one FFT
+convolution.  Only lags inside a leaf of at most ``LEAF_STEPS`` steps are
+summed directly.  Short memory zeroes the weights beyond the kept lags and
+runs the same march, so it changes the answer but saves no time.
+
 All closed loops handled here are autonomous: the controller is folded in
 through :func:`sfos.synthesis.closed_loop`, which builds the same pair that
 verification analyzes, and the physical input u(t) is read off the whole
@@ -26,10 +35,12 @@ trajectory afterwards through that function's input readout.
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft as sfft
 import scipy.linalg as sla
 
 from . import descriptor, lifting, synthesis
@@ -57,8 +68,7 @@ def gl_weights(alpha: float, count: int) -> np.ndarray:
         raise InputError("count must be at least 1")
     w = np.empty(count)
     w[0] = 1.0
-    for j in range(1, count):
-        w[j] = (1.0 - (alpha + 1.0) / j) * w[j - 1]
+    w[1:] = np.cumprod(1.0 - (alpha + 1.0) / np.arange(1, count))
     return w
 
 
@@ -66,8 +76,8 @@ def gl_weights(alpha: float, count: int) -> np.ndarray:
 class SimConfig:
     """Step size, horizon, history policy, and initial data.
 
-    ``memory_length`` is "full" (keep the whole history; exact at the cost
-    of O(N^2) work) or an integer short-memory truncation.
+    ``memory_length`` is "full" (keep the whole history) or an integer
+    M >= 1 that keeps only the most recent M lags (short memory).
     ``consistency`` controls inconsistent initial conditions: "project"
     (default; warn and repair the fast components), "warn", or "strict"
     (raise).  ``gate_first_input`` zeroes the reported input at t=0, which
@@ -86,8 +96,13 @@ class SimConfig:
     def __post_init__(self):
         if self.h <= 0 or self.T < self.h:
             raise InputError("need h > 0 and T >= h")
-        if self.memory_length != "full" and int(self.memory_length) < 1:
-            raise InputError("memory_length must be 'full' or a positive integer")
+        memory = self.memory_length
+        if not (isinstance(memory, str) and memory == "full"):
+            if (not isinstance(memory, numbers.Integral)
+                    or isinstance(memory, bool) or memory < 1):
+                raise InputError("memory_length must be 'full' or an integer "
+                                 f">= 1, got {memory!r}")
+            object.__setattr__(self, "memory_length", int(memory))
         if self.consistency not in ("project", "warn", "strict"):
             raise InputError("consistency must be 'project', 'warn' or 'strict'")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).ravel())
@@ -109,7 +124,9 @@ class Trajectory:
 
     ``x`` is N x n (original pseudo-state), ``u`` N x m, ``e`` N x n
     observation error (None without an observer), ``algebraic_residual`` the
-    per-step norm of the plant's algebraic rows evaluated at (x, u).
+    per-step norm of the plant's algebraic rows evaluated at (x, u) as
+    marched (at t=0 with the input the loop applied, even when
+    ``gate_first_input`` reports u[0] = 0).
     """
 
     times: np.ndarray
@@ -161,8 +178,17 @@ class Trajectory:
 # Core integrator
 # ---------------------------------------------------------------------------
 
+#: Longest run of steps whose mutual lags are summed directly (the leaves of
+#: the history recursion :func:`_halve`).
+LEAF_STEPS = 64
+
+
 def _march(E, A, x0, alpha, h, steps, memory):
-    """March the autonomous pair E D^alpha x = A x from x0; returns N+1 x n."""
+    """March the autonomous pair E D^alpha x = A x from x0; returns N+1 x n.
+
+    ``memory`` (None for the whole history) keeps only the most recent lags
+    by zeroing the weights beyond it; the march itself is the same.
+    """
     n = E.shape[0]
     ha = h ** (-alpha)
     step_matrix = ha * E - A
@@ -171,20 +197,63 @@ def _march(E, A, x0, alpha, h, steps, memory):
         raise InputError(
             "implicit step matrix h^-alpha E - A is numerically singular; "
             "try a smaller step size h")
-    lu = sla.lu_factor(step_matrix)
+    lu, piv = sla.lu_factor(step_matrix)
+    # The LAPACK routine behind lu_solve, without its per-call input checks;
+    # finiteness is checked once per leaf instead.
+    getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
     w = gl_weights(alpha, steps + 1)
-    X = np.empty((steps + 1, n))
-    X[0] = x0
-    D = np.zeros((steps + 1, n))      # history of x_j - x0
-    for s in range(1, steps + 1):
-        # conv = sum_{j=1}^{hi} w_j (x_{s-j} - x0), vectorized over history;
-        # short memory truncates to the most recent ``memory`` lags.
-        hi = s if memory is None else min(s, memory)
-        conv = w[1:hi + 1] @ D[s - hi:s][::-1]
-        rhs = ha * (E @ (x0 - conv))
-        X[s] = sla.lu_solve(lu, rhs)
-        D[s] = X[s] - x0
-    return X
+    if memory is not None:
+        w[memory + 1:] = 0.0
+    hE = ha * E
+    hEx0 = hE @ x0
+    # Row j holds x_j - x0 once step j is taken.  Until then it accumulates
+    # the far field of step j: its history sum over the steps before j's leaf.
+    D = np.zeros((steps + 1, n))
+    spectra = {}                      # rfft of w[:size], by node size
+
+    def far_field(lo, mid, hi):
+        # D[s] += sum_{i in [lo, mid)} w_{s-i} D[i] for s in [mid, hi).  A
+        # cyclic length >= hi - lo wraps only onto outputs below mid - lo.
+        size = hi - lo
+        if size not in spectra:
+            length = sfft.next_fast_len(size, real=True)
+            spectra[size] = (length, sfft.rfft(w[:size], length)[:, None])
+        length, wf = spectra[size]
+        f = sfft.rfft(D[lo:mid], length, axis=0)
+        f *= wf
+        D[mid:hi] += sfft.irfft(f, length, axis=0)[mid - lo:size]
+
+    def leaf(lo, hi):
+        for s in range(lo, hi):
+            conv = D[s] + w[s - lo:0:-1] @ D[lo:s]
+            D[s] = getrs(lu, piv, hEx0 - hE @ conv)[0] - x0
+        finite = np.isfinite(D[lo:hi]).all(axis=1)
+        if not finite.all():
+            t = (lo + int(np.argmin(finite))) * h
+            raise InputError(
+                f"the trajectory stopped being finite at t = {t:.6g}; the "
+                f"loop is likely unstable, or the step size h is too large")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        _halve(1, steps + 1, leaf, far_field)
+    D += x0
+    return D
+
+
+def _halve(lo, hi, leaf, far_field):
+    """Run steps [lo, hi): each half, with the first half's far field between.
+
+    Module-level rather than nested in :func:`_march`, so that no closure
+    refers to itself: such a reference cycle would keep the march's arrays
+    alive until the cyclic garbage collector happens to run.
+    """
+    if hi - lo <= LEAF_STEPS:
+        leaf(lo, hi)
+        return
+    mid = (lo + hi) // 2
+    _halve(lo, mid, leaf, far_field)
+    far_field(lo, mid, hi)
+    _halve(mid, hi, leaf, far_field)
 
 
 def _project_consistent(E, A, x0, rank_tol, mode):
@@ -270,7 +339,7 @@ def simulate(sys, design, config: SimConfig) -> Trajectory:
                                 config.consistency)
 
     steps = int(round(config.T / config.h))
-    memory = None if config.memory_length == "full" else int(config.memory_length)
+    memory = None if config.memory_length == "full" else config.memory_length
     if memory is not None:
         warnings.warn(
             "short-memory truncation is in effect; the neglected tail decays "
@@ -282,17 +351,18 @@ def simulate(sys, design, config: SimConfig) -> Trajectory:
     xs = Z[:, :n].copy()
     us = Z @ U.T
     es = Z[:, N:N + n].copy() if kind == "observer" else None
-    if config.gate_first_input:
-        us[0] = 0.0
 
-    # Plant algebraic rows evaluated on the recorded (x, u); exact zero rows
-    # of E reduce to 0 = (A x + B u)_row, resolved by the implicit solve.
+    # Plant algebraic rows evaluated on the marched (x, u), before any input
+    # gating; exact zero rows of E reduce to 0 = (A x + B u)_row, resolved by
+    # the implicit solve.
     if base.r < n:
         ann = descriptor.annihilators(base.E, base.r, base.rank_tol)
         resid = np.linalg.norm(
             (base.A @ xs.T + base.B @ us.T).T @ ann.E_left.T, axis=1)
     else:
         resid = np.zeros(steps + 1)
+    if config.gate_first_input:
+        us[0] = 0.0
 
     return Trajectory(times=times, x=xs, u=us, e=es,
                       algebraic_residual=resid, config=config,

@@ -133,6 +133,15 @@ class TestSimulate:
                                 ) == cli.EXIT_ERROR
                 assert f"gain {name}" in capsys.readouterr().err
 
+    def test_diverging_march_exit_1(self, tmp_path, capsys):
+        doc = {"system": {"E": [[1.0]], "A": [[10.0]], "B": [[0.0]],
+                          "C": [[1.0]], "alpha": 0.5},
+               "simulation": {"x0": [1.0], "h": 1e-3, "T": 20.0}}
+        path = write_problem(tmp_path, doc)
+        assert cli.main(["simulate", path, "--out", str(tmp_path / "o")]
+                        ) == cli.EXIT_ERROR
+        assert "stopped being finite at t = 6." in capsys.readouterr().err
+
     def test_synthesis_block_drives_simulation(self, tmp_path):
         doc = problem_doc(synthesis={"mode": "output"},
                           simulation={"x0": BENCH_X0.tolist(), "T": 2.0})

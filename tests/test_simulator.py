@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
-from scipy.special import binom, erfc
+import scipy.linalg as sla
+from scipy.special import binom, erfc, erfcx
 
 from conftest import BENCH_X0, GAINS_06, GAINS_12, benchmark
 from sfos.descriptor import DescriptorSystem
 from sfos.errors import InputError
 from sfos.simulator import (SimConfig, Trajectory, gl_weights, simulate,
                             tail_decay_exponent)
-from sfos import synthesis
+from sfos import lifting, synthesis
 
 
 def scalar_relaxation(alpha=0.5):
@@ -29,6 +30,15 @@ class TestGlWeights:
         w = gl_weights(alpha, 10)
         expected = [(-1.0) ** j * binom(alpha, j) for j in range(10)]
         assert np.allclose(w, expected, rtol=1e-12)
+        # The vectorised product is the recurrence w_j = (1 - (a+1)/j) w_{j-1}
+        # to the last bit.
+        count = 10 ** 5
+        for alpha in (0.1, 0.7, 0.999):
+            expected = np.empty(count)
+            expected[0] = 1.0
+            for j in range(1, count):
+                expected[j] = (1.0 - (alpha + 1.0) / j) * expected[j - 1]
+            assert np.array_equal(gl_weights(alpha, count), expected)
 
     def test_first_weights(self):
         w = gl_weights(0.5, 3)
@@ -41,6 +51,23 @@ class TestGlWeights:
             gl_weights(1.0, 5)
         with pytest.raises(InputError):
             gl_weights(0.5, 0)
+
+
+class TestSimConfig:
+    def test_validation(self):
+        x0 = np.array([1.0])
+        for h, T in ((0.0, 1.0), (-1e-3, 1.0), (1e-2, 1e-3)):
+            with pytest.raises(InputError, match="h > 0"):
+                SimConfig(h=h, T=T, x0=x0)
+        with pytest.raises(InputError, match="consistency"):
+            SimConfig(h=1e-2, T=1.0, x0=x0, consistency="repair")
+        for memory in (0, -3, 2.5, "10", "abc", True, None, [10]):
+            with pytest.raises(InputError, match="memory_length"):
+                SimConfig(h=1e-2, T=1.0, x0=x0, memory_length=memory)
+        for memory, kept in (("full", "full"), (1, 1), (np.int64(7), 7)):
+            cfg = SimConfig(h=1e-2, T=1.0, x0=x0, memory_length=memory)
+            assert cfg.memory_length == kept
+            assert type(cfg.memory_length) is type(kept)
 
 
 class TestScalarAccuracy:
@@ -92,11 +119,92 @@ class TestDescriptorStepping:
             traj = simulate(bench06, ("output", GAINS_06["F"]), cfg)
         assert traj.algebraic_residual[0] < 1e-8
 
+    def test_diverging_march_raises(self):
+        # D^0.5 x = 10 x grows like exp(100 t); the march overflows at
+        # t = 6.7.  Tier-1 turns a numpy RuntimeWarning into a failure.
+        sysm = DescriptorSystem(E=np.eye(1), A=10.0 * np.eye(1),
+                                B=np.zeros((1, 1)), C=np.eye(1), alpha=0.5)
+        cfg = SimConfig(h=1e-3, T=20.0, x0=np.array([1.0]))
+        with pytest.raises(InputError,
+                           match=r"finite at t = 6\.\d+; .*unstable"):
+            simulate(sysm, None, cfg)
+
     def test_inconsistent_x0_strict_raises(self, bench06):
         cfg = SimConfig(h=1e-2, T=1.0, x0=np.array([1.0, 1.0, 1.0]),
                         consistency="strict")
         with pytest.raises(InputError, match="algebraic"):
             simulate(bench06, ("output", GAINS_06["F"]), cfg)
+
+
+def direct_march(E, A, x0, alpha, h, steps, memory):
+    """Reference march: the O(N^2) history sum over the kept lags, per step."""
+    n = E.shape[0]
+    ha = h ** (-alpha)
+    lu = sla.lu_factor(ha * E - A)
+    w = gl_weights(alpha, steps + 1)
+    X = np.empty((steps + 1, n))
+    X[0] = x0
+    D = np.zeros((steps + 1, n))
+    for s in range(1, steps + 1):
+        hi = s if memory is None else min(s, memory)
+        conv = w[1:hi + 1] @ D[s - hi:s][::-1]
+        X[s] = sla.lu_solve(lu, ha * (E @ (x0 - conv)))
+        D[s] = X[s] - x0
+    return X
+
+
+class TestFastHistory:
+    """The recursive FFT history against the direct sum it replaces."""
+
+    @staticmethod
+    def lifted_observer():
+        plant = lifting.as_plant(benchmark(1.2), 2)
+        return plant, ("observer", GAINS_12["K"], GAINS_12["L"])
+
+    @staticmethod
+    def relaxation():
+        return lifting.as_plant(scalar_relaxation(), 2), ("none",)
+
+    @pytest.mark.parametrize("memory", ["full", 1, 100])
+    @pytest.mark.parametrize("loop", ["lifted_observer", "relaxation"])
+    def test_matches_direct_sum(self, loop, memory):
+        plant, ctrl = getattr(self, loop)()
+        n, N = plant.base.n, plant.lifted.n
+        E, A, _ = synthesis.closed_loop(plant.lifted, ctrl)
+        z0 = np.zeros(E.shape[0])
+        z0[:n] = BENCH_X0[:n]
+        if ctrl[0] == "observer":
+            z0[N:N + n] = BENCH_X0        # e0 = x0 - xhat0 with xhat0 = 0
+        h = 1e-3
+        # Leaf edges (64 steps) and several recursion levels.
+        for steps in (1, 63, 64, 65, 3000):
+            cfg = SimConfig(h=h, T=steps * h, x0=z0[:n], xhat0=np.zeros(n),
+                            memory_length=memory)
+            if memory == "full":
+                traj = simulate(plant, ctrl, cfg)
+            else:
+                with pytest.warns(UserWarning, match="short-memory"):
+                    traj = simulate(plant, ctrl, cfg)
+            ref = direct_march(E, A, z0, plant.lifted.alpha, h, steps,
+                               None if memory == "full" else memory)
+            got, want = [traj.x], [ref[:, :n]]
+            if ctrl[0] == "observer":
+                got.append(traj.e)
+                want.append(ref[:, N:N + n])
+            got, want = np.hstack(got), np.hstack(want)
+            assert got.shape == want.shape == (steps + 1, len(want[0]))
+            scale = np.abs(want).max()
+            assert np.abs(got - want).max() <= 1e-12 * scale, (steps, memory)
+
+    def test_long_relaxation_matches_closed_form(self):
+        # E_{1/2}(-sqrt(t)) = erfcx(sqrt(t)), over 20 000 steps.
+        cfg = SimConfig(h=1e-3, T=20.0, x0=np.array([1.0]))
+        traj = simulate(scalar_relaxation(), None, cfg)
+        assert traj.x.shape == (20001, 1)
+        for t in (1.0, 5.0, 20.0):
+            exact = erfcx(np.sqrt(t))
+            idx = int(round(t / cfg.h))
+            assert abs(traj.x[idx, 0] - exact) <= 1e-3 * exact
 
 
 class TestControllers:
@@ -141,6 +249,12 @@ class TestControllers:
         cfg = SimConfig(h=1e-2, T=1.0, x0=BENCH_X0, gate_first_input=True)
         traj = simulate(bench06, ("output", GAINS_06["F"]), cfg)
         assert np.all(traj.u[0] == 0.0)
+        # The residual is taken on the input the march applied (u = K x0 at
+        # t = 0), not on the gated report.
+        with pytest.warns(UserWarning, match="projected"):
+            traj = simulate(bench06, ("state", GAINS_06["K"]), cfg)
+        assert np.all(traj.u[0] == 0.0)
+        assert traj.algebraic_residual.max() < 1e-9
 
     def test_higher_order_auto_lifts(self, bench12):
         cfg = SimConfig(h=1e-3, T=5.0, x0=BENCH_X0)
