@@ -3,8 +3,9 @@
 Same plant as demos/example1.py, but the order now lies in (1, 2), so the
 synthesis LMIs do not apply directly.  The order-lifting transform rewrites
 the dynamics as an equivalent order-0.6 descriptor system of twice the
-dimension; synthesis then runs in lifted coordinates and the resulting
-gains act on the original plant.  The script also shows why the lifted pair
+dimension.  ``synth_observer`` and ``synth_output_feedback`` lift the plant
+themselves (k = 2) and design in lifted coordinates; the resulting gains act
+on the original plant.  The script also shows why the lifted pair
 can never be impulse-free in the strict sense and how the effective
 criterion accounts for the structural rank deficit.
 
@@ -17,8 +18,7 @@ import sys
 import numpy as np
 
 from sfos import (DescriptorSystem, SimConfig, admissible_lifted, analyze,
-                  lift, simulate, synth_observer_lifted,
-                  synth_output_feedback_lifted)
+                  lift, simulate, synth_observer, synth_output_feedback)
 
 ALPHA = 1.2
 
@@ -57,8 +57,8 @@ def main(out_dir="example2-out"):
     print(f"effective impulse-freeness: {lifted_report.effective_impulse_free}")
 
     banner("Synthesis in lifted coordinates")
-    obs = synth_observer_lifted(PLANT)
-    out = synth_output_feedback_lifted(PLANT, decay_shift=1.0)
+    obs = synth_observer(PLANT, k=2)
+    out = synth_output_feedback(PLANT, k=2, decay_shift=1.0)
     print(f"K (1x6, acts on the lifted state): {np.round(obs.K, 4)}")
     print(f"L (6x1): {np.round(obs.L.ravel(), 4)}")
     print(f"F (static, order-independent): "

@@ -6,7 +6,8 @@ Submodules:
 * :mod:`sfos.fpdm` -- the fractional-order positive-definite matrix set;
 * :mod:`sfos.lmi` -- affine matrix expressions and a dense feasibility solver;
 * :mod:`sfos.synthesis` -- observer-based and static output-feedback design;
-* :mod:`sfos.lifting` -- order reduction for orders in (1, 2);
+* :mod:`sfos.lifting` -- order reduction for orders in (1, 2), and the
+  working coordinates that synthesis and simulation share;
 * :mod:`sfos.simulator` -- implicit Grünwald-Letnikov time stepping;
 * :mod:`sfos.cli` -- command-line front end (``sfos`` entry point).
 """
@@ -21,15 +22,17 @@ from .errors import (GainRecoverySingular, InputError, LmiNumericalError,
                      StateFeedbackInfeasible, SynthesisError,
                      VerificationFailed)
 from .fpdm import FpdmParam, congruence, is_member, materialize
+# synthesis before lifting: synthesis reads lifting.DEFAULT_K when its
+# functions are defined, so lifting must finish loading first, which it does
+# when synthesis is the one that imports it.
+from .synthesis import (ObserverDesign, OutputFeedbackDesign,
+                        admissible_via_lmi, synth_observer,
+                        synth_output_feedback)
 from .lifting import (LiftedReport, LiftedSystem, admissible_lifted, lift,
                       synth_observer_lifted, synth_output_feedback_lifted,
                       transfer_function)
 from .lmi import LmiSolution, VariableRegistry, solve_feasibility
 from .simulator import SimConfig, Trajectory, gl_weights, simulate, tail_decay_exponent
-from .synthesis import (ObserverDesign, OutputFeedbackDesign,
-                        admissible_via_lmi, synth_observer,
-                        synth_output_feedback, verify_state_estimate_loop,
-                        verify_static_output_loop)
 
 __version__ = "0.1.0"
 
@@ -48,7 +51,6 @@ __all__ = [
     "SimConfig", "Trajectory", "gl_weights", "simulate",
     "tail_decay_exponent",
     "ObserverDesign", "OutputFeedbackDesign", "admissible_via_lmi",
-    "synth_observer", "synth_output_feedback", "verify_state_estimate_loop",
-    "verify_static_output_loop",
+    "synth_observer", "synth_output_feedback",
     "__version__",
 ]

@@ -86,9 +86,6 @@ PROBLEM_SCHEMA = {
                 "T": {"type": "number", "exclusiveMinimum": 0},
                 "x0": _VECTOR,
                 "xhat0": _VECTOR,
-                "memory_length": {
-                    "oneOf": [{"const": "full"},
-                              {"type": "integer", "minimum": 1}]},
                 "consistency": {"enum": ["project", "warn", "strict"]},
                 "gate_first_input": {"type": "boolean"},
             },
@@ -172,22 +169,19 @@ def _run_synthesis(sysm: DescriptorSystem, mode: str, synth_cfg: dict, args):
                            _env_default("FEAS_MARGIN", float, DEFAULT_FEAS_MARGIN))
     box_bound = _resolve(args.box_bound, synth_cfg.get("box_bound"),
                          _env_default("BOX_BOUND", float, DEFAULT_BOX_BOUND))
-    kwargs = {"feas_margin": feas_margin, "box_bound": box_bound}
-    if getattr(args, "debug_trace", None):
-        kwargs["debug_trace"] = args.debug_trace
+    kwargs = {"k": args.k, "feas_margin": feas_margin, "box_bound": box_bound,
+              "debug_trace": args.debug_trace or None}
     if mode == "observer":
-        kwargs["decay_shift_state"] = synth_cfg.get("decay_shift_state", 0.0)
-        kwargs["decay_shift_injection"] = synth_cfg.get("decay_shift_injection", 0.0)
-        if sysm.alpha > 1.0:
-            return lifting.synth_observer_lifted(sysm, k=args.k, **kwargs)
-        return synthesis.synth_observer(sysm, **kwargs)
-    kwargs["decay_shift"] = synth_cfg.get("decay_shift", 0.0)
-    kwargs["seed"] = _resolve(args.seed, synth_cfg.get("seed"),
-                              _env_default("SEED", int, 0))
-    kwargs["retries"] = synth_cfg.get("retries", synthesis.DEFAULT_RETRIES)
-    if sysm.alpha > 1.0:
-        return lifting.synth_output_feedback_lifted(sysm, k=args.k, **kwargs)
-    return synthesis.synth_output_feedback(sysm, **kwargs)
+        return synthesis.synth_observer(
+            sysm, decay_shift_state=synth_cfg.get("decay_shift_state", 0.0),
+            decay_shift_injection=synth_cfg.get("decay_shift_injection", 0.0),
+            **kwargs)
+    return synthesis.synth_output_feedback(
+        sysm, decay_shift=synth_cfg.get("decay_shift", 0.0),
+        seed=_resolve(args.seed, synth_cfg.get("seed"),
+                      _env_default("SEED", int, 0)),
+        retries=synth_cfg.get("retries", synthesis.DEFAULT_RETRIES),
+        **kwargs)
 
 
 def cmd_synth(args) -> int:
@@ -228,7 +222,6 @@ def _sim_config(sim_cfg: dict, args) -> simulator.SimConfig:
         h=h, T=T, x0=np.array(sim_cfg["x0"], dtype=float),
         xhat0=(None if "xhat0" not in sim_cfg
                else np.array(sim_cfg["xhat0"], dtype=float)),
-        memory_length=sim_cfg.get("memory_length", "full"),
         k=args.k,
         consistency=sim_cfg.get("consistency", "project"),
         gate_first_input=sim_cfg.get("gate_first_input", False))
@@ -413,9 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # Inside the try: the parser's defaults read SFOS_* variables.
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (StateFeedbackInfeasible, OutputInjectionInfeasible) as exc:
         print(f"error: {exc}", file=sys.stderr)

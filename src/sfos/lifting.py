@@ -24,7 +24,8 @@ and the effective verdict.
 This module alone decides whether a plant is handled lifted or as it is, and
 owns that degree threshold: :func:`as_plant` puts any plant into the
 coordinates its criteria hold in (lifted only for orders above 1), and
-:func:`verify_loop` judges a controller's closed loop there.
+:func:`verify_loop` judges a controller's closed loop there.  Synthesis and
+simulation take a plant of any order and go through these two functions.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def admissible_lifted(sys: DescriptorSystem, k: int = DEFAULT_K) -> LiftedReport
 
 
 # ---------------------------------------------------------------------------
-# Closed-loop verification and synthesis in working coordinates
+# Closed-loop verification in working coordinates
 # ---------------------------------------------------------------------------
 
 def verify_loop(plant: LiftedSystem, controller):
@@ -201,32 +202,18 @@ def verify_loop(plant: LiftedSystem, controller):
 
 def synth_observer_lifted(sys: DescriptorSystem, k: int = DEFAULT_K,
                           **kwargs) -> synthesis.ObserverDesign:
-    """Estimated-state-feedback design for an order-(1,2) plant.
+    """:func:`sfos.synthesis.synth_observer` on an order-(1,2) plant lifted by k.
 
-    Gains act on the lifted state (K is m x kn, L is kn x p); the returned
-    closed-loop report is a :class:`LiftedReport` for the augmented pair in
-    lifted coordinates.
+    Kept for existing callers; :func:`sfos.synthesis.synth_observer` takes
+    the plant and ``k`` itself.
     """
-    plant = lift(sys, k)
-    kwargs.setdefault("accept_marginal", True)
-
-    def verify(_, K, L):
-        return verify_loop(plant, ("observer", K, L))
-    return synthesis.synth_observer(plant.lifted, verifier=verify, **kwargs)
+    return synthesis.synth_observer(lift(sys, k), **kwargs)
 
 
 def synth_output_feedback_lifted(sys: DescriptorSystem, k: int = DEFAULT_K,
                                  **kwargs) -> synthesis.OutputFeedbackDesign:
-    """Static output-feedback design for an order-(1,2) plant.
+    """:func:`sfos.synthesis.synth_output_feedback` on a plant lifted by k.
 
-    A static F in lifted coordinates is static in the original ones too
-    (Cbar reads z1 = x only), so on success {E, A + BFC} at the original
-    order is itself admissible; that pair is what the returned report's
-    strict part would see through the degree threshold.
+    Kept for existing callers, like :func:`synth_observer_lifted`.
     """
-    plant = lift(sys, k)
-    kwargs.setdefault("accept_marginal", True)
-
-    def verify(_, F):
-        return verify_loop(plant, ("output", F))
-    return synthesis.synth_output_feedback(plant.lifted, verifier=verify, **kwargs)
+    return synthesis.synth_output_feedback(lift(sys, k), **kwargs)

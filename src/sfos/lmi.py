@@ -439,7 +439,6 @@ class _Barrier:
 
 def solve_feasibility(blocks, registry, feas_margin: float = DEFAULT_FEAS_MARGIN,
                       box_bound: float = DEFAULT_BOX_BOUND, objective=None,
-                      max_newton: int = MAX_NEWTON_STEPS,
                       debug_trace=None) -> LmiSolution:
     """Decide strict feasibility of F_j(x) < 0 over the registry's slots.
 
@@ -507,7 +506,7 @@ def solve_feasibility(blocks, registry, feas_margin: float = DEFAULT_FEAS_MARGIN
         stalled = False
         last_decrement2 = np.inf
         round_steps = 0
-        while steps < max_newton and round_steps < 100:
+        while steps < MAX_NEWTON_STEPS and round_steps < 100:
             round_steps += 1
             g, H = barrier.grad_hess(z, factors)
             g = g + eta * tilt
@@ -558,7 +557,7 @@ def solve_feasibility(blocks, registry, feas_margin: float = DEFAULT_FEAS_MARGIN
         status, margins, t = classify(z, best_lower)
         if untilted and status != "NumericalFailure":
             break
-        if steps >= max_newton or consecutive_stalls >= 3 \
+        if steps >= MAX_NEWTON_STEPS or consecutive_stalls >= 3 \
                 or barrier.nu / eta <= DUALITY_TOL:
             break
         eta *= 10.0

@@ -23,8 +23,7 @@ Schlichte (SIAM J. Sci. Stat. Comput. 6(3), 1985): the steps are split in
 halves recursively, and once the first half of a range is marched its
 contribution to every step of the second half is added by one FFT
 convolution.  Only lags inside a leaf of at most ``LEAF_STEPS`` steps are
-summed directly.  Short memory zeroes the weights beyond the kept lags and
-runs the same march, so it changes the answer but saves no time.
+summed directly.
 
 All closed loops handled here are autonomous: the controller is folded in
 through :func:`sfos.synthesis.closed_loop`, which builds the same pair that
@@ -35,9 +34,8 @@ trajectory afterwards through that function's input readout.
 from __future__ import annotations
 
 import json
-import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
@@ -74,10 +72,8 @@ def gl_weights(alpha: float, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Step size, horizon, history policy, and initial data.
+    """Step size, horizon, lifting factor, and initial data.
 
-    ``memory_length`` is "full" (keep the whole history) or an integer
-    M >= 1 that keeps only the most recent M lags (short memory).
     ``consistency`` controls inconsistent initial conditions: "project"
     (default; warn and repair the fast components), "warn", or "strict"
     (raise).  ``gate_first_input`` zeroes the reported input at t=0, which
@@ -88,7 +84,6 @@ class SimConfig:
     T: float
     x0: np.ndarray
     xhat0: np.ndarray | None = None
-    memory_length: object = "full"
     k: int = lifting.DEFAULT_K
     consistency: str = "project"
     gate_first_input: bool = False
@@ -96,13 +91,6 @@ class SimConfig:
     def __post_init__(self):
         if self.h <= 0 or self.T < self.h:
             raise InputError("need h > 0 and T >= h")
-        memory = self.memory_length
-        if not (isinstance(memory, str) and memory == "full"):
-            if (not isinstance(memory, numbers.Integral)
-                    or isinstance(memory, bool) or memory < 1):
-                raise InputError("memory_length must be 'full' or an integer "
-                                 f">= 1, got {memory!r}")
-            object.__setattr__(self, "memory_length", int(memory))
         if self.consistency not in ("project", "warn", "strict"):
             raise InputError("consistency must be 'project', 'warn' or 'strict'")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).ravel())
@@ -113,7 +101,7 @@ class SimConfig:
     def to_dict(self) -> dict:
         return {"h": self.h, "T": self.T, "x0": self.x0.tolist(),
                 "xhat0": None if self.xhat0 is None else self.xhat0.tolist(),
-                "memory_length": self.memory_length, "k": self.k,
+                "k": self.k,
                 "consistency": self.consistency,
                 "gate_first_input": self.gate_first_input}
 
@@ -183,12 +171,8 @@ class Trajectory:
 LEAF_STEPS = 64
 
 
-def _march(E, A, x0, alpha, h, steps, memory):
-    """March the autonomous pair E D^alpha x = A x from x0; returns N+1 x n.
-
-    ``memory`` (None for the whole history) keeps only the most recent lags
-    by zeroing the weights beyond it; the march itself is the same.
-    """
+def _march(E, A, x0, alpha, h, steps):
+    """March the autonomous pair E D^alpha x = A x from x0; returns N+1 x n."""
     n = E.shape[0]
     ha = h ** (-alpha)
     step_matrix = ha * E - A
@@ -202,8 +186,6 @@ def _march(E, A, x0, alpha, h, steps, memory):
     # finiteness is checked once per leaf instead.
     getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
     w = gl_weights(alpha, steps + 1)
-    if memory is not None:
-        w[memory + 1:] = 0.0
     hE = ha * E
     hEx0 = hE @ x0
     # Row j holds x_j - x0 once step j is taken.  Until then it accumulates
@@ -339,12 +321,7 @@ def simulate(sys, design, config: SimConfig) -> Trajectory:
                                 config.consistency)
 
     steps = int(round(config.T / config.h))
-    memory = None if config.memory_length == "full" else config.memory_length
-    if memory is not None:
-        warnings.warn(
-            "short-memory truncation is in effect; the neglected tail decays "
-            "only like t^-alpha, so long-horizon accuracy degrades accordingly")
-    Z = _march(E_sim, A_sim, full0, work.alpha, config.h, steps, memory)
+    Z = _march(E_sim, A_sim, full0, work.alpha, config.h, steps)
 
     times = np.arange(steps + 1) * config.h
     # Copies, so that the trajectory does not pin the whole marched state.

@@ -1,7 +1,10 @@
 """LMI assembly, controller synthesis, and closed-loop verification.
 
-All criteria here apply to orders in (0, 1]; callers handle higher orders by
-rewriting the plant through the lifting module first.  Three families:
+The criteria hold at orders in (0, 1].  Synthesis takes a plant of any order
+in (0, 2): :func:`sfos.lifting.as_plant` puts it into working coordinates
+(lifted by k above order 1), the inequalities are solved there, and
+:func:`sfos.lifting.verify_loop` judges the closed loop in the same
+coordinates.  Three families:
 
 * admissibility tests -- one matrix inequality over a fractional-order
   positive-definite variable P and a free multiplier Q attached to a null
@@ -23,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import descriptor, fpdm
-from .descriptor import DescriptorSystem, AdmissibilityReport, annihilators
+from . import fpdm, lifting
+from .descriptor import DescriptorSystem, annihilators
 from .errors import (GainRecoverySingular, InputError, LmiNumericalError,
                      OutputInjectionInfeasible, OutputStageExhausted,
                      StateFeedbackInfeasible, VerificationFailed)
@@ -39,8 +42,6 @@ __all__ = [
     "closed_loop",
     "synth_observer",
     "synth_output_feedback",
-    "verify_state_estimate_loop",
-    "verify_static_output_loop",
 ]
 
 #: Condition-number ceiling for the matrices inverted during gain recovery.
@@ -76,28 +77,18 @@ def _require_fractional_range(alpha: float):
             f"criteria require order in (0, 1]; rewrite order {alpha} via lifting first")
 
 
-def _solve(blocks, reg, feas_margin, box_bound, objective=None,
-           max_newton=None, debug_trace=None) -> LmiSolution:
-    kwargs = {}
-    if max_newton is not None:
-        kwargs["max_newton"] = max_newton
-    return solve_feasibility(blocks, reg, feas_margin=feas_margin,
-                             box_bound=box_bound, objective=objective,
-                             debug_trace=debug_trace, **kwargs)
-
-
 #: Largest positive main-block margin tolerated when a marginal (weakly
 #: feasible) certificate is accepted for independent re-verification.
 MARGINAL_SLACK = 1e-5
 
 
-def _usable_assignment(sol: LmiSolution, accept_marginal: bool):
+def _usable_assignment(sol: LmiSolution, plant: lifting.LiftedSystem):
     """Pick the assignment to recover gains from; returns (assignment, sol).
 
-    A strict certificate always wins.  With ``accept_marginal`` (used for
-    lifted-coordinate synthesis, whose inequalities are only ever weakly
-    feasible because the lift structurally excludes strict impulse-freeness)
-    the final interior iterate is accepted instead, provided no block is
+    A strict certificate always wins.  In lifted coordinates
+    (``plant.k > 1``), whose inequalities are only ever weakly feasible
+    because the lift structurally excludes strict impulse-freeness, the
+    final interior iterate is accepted instead, provided no block is
     violated by more than :data:`MARGINAL_SLACK`; a slightly indefinite
     fractional-PD membership block is repaired afterwards by
     :func:`_materialize_fpdm`, and the recovered design must then pass its
@@ -106,10 +97,24 @@ def _usable_assignment(sol: LmiSolution, accept_marginal: bool):
     """
     if sol.feasible:
         return sol.assignment, sol
-    if accept_marginal and sol.witness is not None:
+    if plant.k > 1 and sol.witness is not None:
         if max(sol.margins) <= MARGINAL_SLACK:
             return sol.witness, dataclasses.replace(sol, status="Marginal")
     return None, sol
+
+
+def _shifted(plant: lifting.LiftedSystem, gamma: float) -> lifting.LiftedSystem:
+    """The working plant with drift A + gamma*E; unchanged for gamma = 0.
+
+    Only the working-coordinate system is shifted: synthesizing against it
+    pushes every closed-loop eigenvalue left by about gamma, while
+    verification still runs against the unshifted plant.
+    """
+    if not gamma:
+        return plant
+    work = plant.lifted
+    return dataclasses.replace(
+        plant, lifted=work.with_matrices(A=work.A + gamma * work.E))
 
 
 def _materialize_fpdm(vals: dict, prefix: str, alpha: float,
@@ -153,7 +158,7 @@ def _recover_inverse(M: np.ndarray, what: str, certificate: LmiSolution) -> np.n
 def admissible_via_lmi(sys: DescriptorSystem, side: str = "right",
                        feas_margin: float = DEFAULT_FEAS_MARGIN,
                        box_bound: float = DEFAULT_BOX_BOUND,
-                       max_newton=None, debug_trace=None):
+                       debug_trace=None):
     """Zero-input admissibility as a feasibility question.
 
     ``side="right"`` tests sym(A P E^T + A E_right Q) < 0 with Q free;
@@ -176,8 +181,8 @@ def admissible_via_lmi(sys: DescriptorSystem, side: str = "right",
     else:
         raise InputError(f"side must be 'right' or 'left', got {side!r}")
     blocks.append(sym_of(expr, label=f"admissibility_{side}"))
-    sol = _solve(blocks, reg, feas_margin, box_bound,
-                 max_newton=max_newton, debug_trace=debug_trace)
+    sol = solve_feasibility(blocks, reg, feas_margin=feas_margin,
+                            box_bound=box_bound, debug_trace=debug_trace)
     if sol.status == "NumericalFailure":
         raise LmiNumericalError(
             f"admissibility LMI ({side}) could not be classified "
@@ -203,12 +208,8 @@ class ObserverDesign:
             "K": self.K.tolist(),
             "L": self.L.tolist(),
             "certificates": {k: v.to_dict() for k, v in self.certificates.items()},
-            "closed_loop_report": _report_to_dict(self.closed_loop_report),
+            "closed_loop_report": self.closed_loop_report.to_dict(),
         }
-
-
-def _report_to_dict(report):
-    return report.to_dict() if hasattr(report, "to_dict") else report
 
 
 def _gain(name: str, gain, shape: tuple) -> np.ndarray:
@@ -249,25 +250,17 @@ def closed_loop(sys: DescriptorSystem, controller):
     raise InputError(f"unknown controller kind {kind!r}")
 
 
-def augmented_pair(sys: DescriptorSystem, K, L):
-    """Closed-loop pair for estimated-state feedback in (state, error) coordinates."""
-    return closed_loop(sys, ("observer", K, L))[:2]
-
-
-def solve_state_feedback(sys: DescriptorSystem,
-                         feas_margin: float = DEFAULT_FEAS_MARGIN,
+def solve_state_feedback(plant, feas_margin: float = DEFAULT_FEAS_MARGIN,
                          box_bound: float = DEFAULT_BOX_BOUND,
-                         A_override=None, objective_seed=None,
-                         accept_marginal: bool = False,
-                         max_newton=None, debug_trace=None):
+                         objective_seed=None, debug_trace=None):
     """Feasibility of sym(A P E^T + A E_right Q + B R) < 0; returns (K, certificate).
 
-    ``A_override`` substitutes a different drift matrix (used for decay
-    shaping by synthesizing against A + gamma*E).  ``objective_seed``
+    ``plant`` is a plant or a :class:`sfos.lifting.LiftedSystem`; the
+    inequality is posed in its working coordinates.  ``objective_seed``
     activates the random tilt used by output-feedback retries.
     """
-    _require_fractional_range(sys.alpha)
-    A = sys.A if A_override is None else np.asarray(A_override, dtype=float)
+    plant = lifting.as_plant(plant)
+    sys = plant.lifted
     ann = annihilators(sys.E, sys.r, sys.rank_tol)
     reg = VariableRegistry()
     blocks: list = []
@@ -275,8 +268,9 @@ def solve_state_feedback(sys: DescriptorSystem,
     Q = reg.expr(reg.add("Q1", "rectangular", sys.n - sys.r, sys.n))
     Rname = reg.add("R1", "rectangular", sys.m, sys.n)
     R = reg.expr(Rname)
-    blocks.append(sym_of(A @ P @ sys.E.T + A @ ann.E_right @ Q + sys.B @ R,
-                         label="state_feedback"))
+    blocks.append(sym_of(
+        sys.A @ P @ sys.E.T + sys.A @ ann.E_right @ Q + sys.B @ R,
+        label="state_feedback"))
 
     objective = None
     if objective_seed is not None:
@@ -286,9 +280,10 @@ def solve_state_feedback(sys: DescriptorSystem,
         objective = {entry.start + i: RETRY_TILT * w
                      for i, w in enumerate(W.ravel())}
 
-    sol = _solve(blocks, reg, feas_margin, box_bound, objective=objective,
-                 max_newton=max_newton, debug_trace=debug_trace)
-    assignment, sol = _usable_assignment(sol, accept_marginal)
+    sol = solve_feasibility(blocks, reg, feas_margin=feas_margin,
+                            box_bound=box_bound, objective=objective,
+                            debug_trace=debug_trace)
+    assignment, sol = _usable_assignment(sol, plant)
     if assignment is None:
         if sol.status == "Infeasible":
             raise StateFeedbackInfeasible(
@@ -301,25 +296,27 @@ def solve_state_feedback(sys: DescriptorSystem,
     return K, sol
 
 
-def solve_output_injection(sys: DescriptorSystem,
-                           feas_margin: float = DEFAULT_FEAS_MARGIN,
+def solve_output_injection(plant, feas_margin: float = DEFAULT_FEAS_MARGIN,
                            box_bound: float = DEFAULT_BOX_BOUND,
-                           A_override=None, accept_marginal: bool = False,
-                           max_newton=None, debug_trace=None):
-    """Feasibility of sym(E^T P A + Q E_left A + R C) < 0; returns (L, certificate)."""
-    _require_fractional_range(sys.alpha)
-    A = sys.A if A_override is None else np.asarray(A_override, dtype=float)
+                           debug_trace=None):
+    """Feasibility of sym(E^T P A + Q E_left A + R C) < 0; returns (L, certificate).
+
+    ``plant`` is taken as by :func:`solve_state_feedback`.
+    """
+    plant = lifting.as_plant(plant)
+    sys = plant.lifted
     ann = annihilators(sys.E, sys.r, sys.rank_tol)
     reg = VariableRegistry()
     blocks: list = []
     P = _fpdm_expr(reg, blocks, "P2", sys.n, sys.alpha)
     Q = reg.expr(reg.add("Q2", "rectangular", sys.n, sys.n - sys.r))
     R = reg.expr(reg.add("R2", "rectangular", sys.n, sys.p))
-    blocks.append(sym_of(sys.E.T @ P @ A + Q @ (ann.E_left @ A) + R @ sys.C,
-                         label="output_injection"))
-    sol = _solve(blocks, reg, feas_margin, box_bound,
-                 max_newton=max_newton, debug_trace=debug_trace)
-    assignment, sol = _usable_assignment(sol, accept_marginal)
+    blocks.append(sym_of(
+        sys.E.T @ P @ sys.A + Q @ (ann.E_left @ sys.A) + R @ sys.C,
+        label="output_injection"))
+    sol = solve_feasibility(blocks, reg, feas_margin=feas_margin,
+                            box_bound=box_bound, debug_trace=debug_trace)
+    assignment, sol = _usable_assignment(sol, plant)
     if assignment is None:
         if sol.status == "Infeasible":
             raise OutputInjectionInfeasible(
@@ -333,46 +330,32 @@ def solve_output_injection(sys: DescriptorSystem,
     return L, sol
 
 
-def verify_state_estimate_loop(sys: DescriptorSystem, K, L) -> AdmissibilityReport:
-    """Pencil analysis of the augmented (state, error) closed loop."""
-    E, A, _ = closed_loop(sys, ("observer", K, L))
-    return descriptor.analyze_pair(E, A, sys.alpha, sys.rank_tol)
-
-
-def synth_observer(sys: DescriptorSystem,
+def synth_observer(sys, k: int = lifting.DEFAULT_K,
                    feas_margin: float = DEFAULT_FEAS_MARGIN,
                    box_bound: float = DEFAULT_BOX_BOUND,
                    decay_shift_state: float = 0.0,
                    decay_shift_injection: float = 0.0,
-                   accept_marginal: bool = False,
-                   max_newton=None, debug_trace=None,
-                   verifier=None) -> ObserverDesign:
+                   debug_trace=None) -> ObserverDesign:
     """Estimated-state-feedback design: solve the two criteria, verify the loop.
 
-    The two problems are fully decoupled (the first never sees C, the second
+    ``sys`` is a plant of any order in (0, 2) or a
+    :class:`sfos.lifting.LiftedSystem`; above order 1 it is lifted by ``k``
+    and the gains act on the lifted state (K is m x kn, L is kn x p).  The
+    two problems are fully decoupled (the first never sees C, the second
     never sees B).  ``decay_shift_*`` > 0 synthesize against A + gamma*E,
     pushing every closed-loop eigenvalue left by gamma for faster transients;
-    admissibility of the result is still verified against the true plant.
-    A verification miss triggers one automatic retry at 10x the margin.
-    ``verifier`` overrides the closed-loop check (callable (sys, K, L) ->
-    report with an ``admissible`` attribute); lifted designs use this to
-    apply the structural degree threshold.
+    admissibility of the result is still verified against the true plant,
+    by :func:`sfos.lifting.verify_loop`.  A verification miss triggers one
+    automatic retry at 10x the margin.
     """
-    if verifier is None:
-        verifier = verify_state_estimate_loop
+    plant = lifting.as_plant(sys, k)
+    work_K = _shifted(plant, decay_shift_state)
+    work_L = _shifted(plant, decay_shift_injection)
     for attempt_margin in (feas_margin, 10.0 * feas_margin):
-        A_k = sys.A + decay_shift_state * sys.E if decay_shift_state else None
-        A_l = sys.A + decay_shift_injection * sys.E if decay_shift_injection else None
-        K, cert_k = solve_state_feedback(sys, attempt_margin, box_bound,
-                                         A_override=A_k,
-                                         accept_marginal=accept_marginal,
-                                         max_newton=max_newton,
+        K, cert_k = solve_state_feedback(work_K, attempt_margin, box_bound,
                                          debug_trace=debug_trace)
-        L, cert_l = solve_output_injection(sys, attempt_margin, box_bound,
-                                           A_override=A_l,
-                                           accept_marginal=accept_marginal,
-                                           max_newton=max_newton)
-        report = verifier(sys, K, L)
+        L, cert_l = solve_output_injection(work_L, attempt_margin, box_bound)
+        report = lifting.verify_loop(plant, ("observer", K, L))
         if report.admissible:
             return ObserverDesign(K=K, L=L,
                                   certificates={"state_feedback": cert_k,
@@ -401,24 +384,17 @@ class OutputFeedbackDesign:
             "K0": self.K0.tolist(),
             "F": self.F.tolist(),
             "certificates": {k: v.to_dict() for k, v in self.certificates.items()},
-            "closed_loop_report": _report_to_dict(self.closed_loop_report),
+            "closed_loop_report": self.closed_loop_report.to_dict(),
         }
 
 
-def verify_static_output_loop(sys: DescriptorSystem, F) -> AdmissibilityReport:
-    """Pencil analysis of {E, A + B F C}."""
-    E, A, _ = closed_loop(sys, ("output", F))
-    return descriptor.analyze_pair(E, A, sys.alpha, sys.rank_tol)
-
-
-def _output_stage2(sys: DescriptorSystem, K0, feas_margin, box_bound,
-                   A_override=None, accept_marginal=False,
-                   max_newton=None, debug_trace=None):
+def _output_stage2(plant: lifting.LiftedSystem, K0, feas_margin, box_bound,
+                   debug_trace=None):
     """Slack-variable stage: find (P, Q, G, H) certifying F = G^{-1}H."""
-    A = sys.A if A_override is None else np.asarray(A_override, dtype=float)
+    sys = plant.lifted
     ann = annihilators(sys.E, sys.r, sys.rank_tol)
     n, m, p = sys.n, sys.m, sys.p
-    Ac = A + sys.B @ K0
+    Ac = sys.A + sys.B @ K0
     reg = VariableRegistry()
     blocks: list = []
     P = _fpdm_expr(reg, blocks, "P", n, sys.alpha)
@@ -430,11 +406,12 @@ def _output_stage2(sys: DescriptorSystem, K0, feas_margin, box_bound,
     expr = AffineExpr.bmat([[phi + phi.T, off],
                             [off.T, -G - G.T]])
     blocks.append(block_of(expr, label="output_feedback"))
-    sol = _solve(blocks, reg, feas_margin, box_bound,
-                 max_newton=max_newton, debug_trace=debug_trace)
-    assignment, sol = _usable_assignment(sol, accept_marginal)
+    sol = solve_feasibility(blocks, reg, feas_margin=feas_margin,
+                            box_bound=box_bound, debug_trace=debug_trace)
+    assignment, sol = _usable_assignment(sol, plant)
     if assignment is None:
-        if sol.status == "NumericalFailure" and not accept_marginal:
+        # Lifted, an unclassified stage 2 only disqualifies this K0.
+        if sol.status == "NumericalFailure" and plant.k == 1:
             raise LmiNumericalError(
                 "output-feedback stage-2 LMI could not be classified")
         return None, sol
@@ -443,17 +420,18 @@ def _output_stage2(sys: DescriptorSystem, K0, feas_margin, box_bound,
     return F, sol
 
 
-def synth_output_feedback(sys: DescriptorSystem,
+def synth_output_feedback(sys, k: int = lifting.DEFAULT_K,
                           retries: int = DEFAULT_RETRIES,
                           seed: int = 0,
                           feas_margin: float = DEFAULT_FEAS_MARGIN,
                           box_bound: float = DEFAULT_BOX_BOUND,
                           decay_shift: float = 0.0,
-                          accept_marginal: bool = False,
-                          max_newton=None, debug_trace=None,
-                          verifier=None) -> OutputFeedbackDesign:
+                          debug_trace=None) -> OutputFeedbackDesign:
     """Two-stage static output-feedback design.
 
+    ``sys`` is taken as by :func:`synth_observer`.  A static F in lifted
+    coordinates is static in the original ones too (the lifted C reads
+    z1 = x only), so the returned F always acts on the plant output.
     Stage 1 solves the state-feedback relaxation for an intermediate gain
     K0; stage 2 searches for a slack pair (G, H) certifying F = G^{-1}H
     against that K0.  Because not every stabilizing K0 admits a stage-2
@@ -461,18 +439,14 @@ def synth_output_feedback(sys: DescriptorSystem,
     stage 1 with a small seeded random objective tilt to land on a
     different K0, up to ``retries`` extra attempts.
     """
-    _require_fractional_range(sys.alpha)
-    if verifier is None:
-        verifier = verify_static_output_loop
-    A_shift = sys.A + decay_shift * sys.E if decay_shift else None
+    plant = lifting.as_plant(sys, k)
+    work = _shifted(plant, decay_shift)
     attempts = []
     for attempt in range(retries + 1):
         objective_seed = None if attempt == 0 else (seed, attempt)
         try:
-            K0, cert1 = solve_state_feedback(
-                sys, feas_margin, box_bound, A_override=A_shift,
-                objective_seed=objective_seed, accept_marginal=accept_marginal,
-                max_newton=max_newton)
+            K0, cert1 = solve_state_feedback(work, feas_margin, box_bound,
+                                             objective_seed=objective_seed)
         except StateFeedbackInfeasible:
             if attempt == 0:
                 raise
@@ -486,10 +460,7 @@ def synth_output_feedback(sys: DescriptorSystem,
             attempts.append({"attempt": attempt, "stage": 1, "status": str(exc)})
             continue
         try:
-            F, cert2 = _output_stage2(sys, K0, feas_margin, box_bound,
-                                      A_override=A_shift,
-                                      accept_marginal=accept_marginal,
-                                      max_newton=max_newton,
+            F, cert2 = _output_stage2(work, K0, feas_margin, box_bound,
                                       debug_trace=debug_trace)
         except GainRecoverySingular as exc:
             attempts.append({"attempt": attempt, "stage": 2, "status": str(exc),
@@ -499,7 +470,7 @@ def synth_output_feedback(sys: DescriptorSystem,
             attempts.append({"attempt": attempt, "stage": 2,
                              "status": "infeasible", "K0": K0.tolist()})
             continue
-        report = verifier(sys, F)
+        report = lifting.verify_loop(plant, ("output", F))
         if not report.admissible:
             attempts.append({"attempt": attempt, "stage": "verify",
                              "status": "closed loop not admissible",

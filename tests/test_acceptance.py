@@ -35,17 +35,17 @@ def test_criterion_1_open_loop_verdict():
 
 def test_criterion_2_published_gain_verification():
     """The published benchmark gains all verify as admissible closed loops."""
-    sys06 = benchmark(0.6)
-    rep_obs = synthesis.verify_state_estimate_loop(sys06, GAINS_06["K"],
-                                                   GAINS_06["L"])
-    rep_out = synthesis.verify_static_output_loop(sys06, GAINS_06["F"])
+    plant06 = lifting.as_plant(benchmark(0.6))
+    rep_obs = lifting.verify_loop(plant06,
+                                  ("observer", GAINS_06["K"], GAINS_06["L"]))
+    rep_out = lifting.verify_loop(plant06, ("output", GAINS_06["F"]))
     assert rep_obs.admissible and rep_obs.min_angle_margin > 1e-6
     assert rep_out.admissible and rep_out.min_angle_margin > 1e-6
 
     sys12 = benchmark(1.2)
     ls = lifting.lift(sys12, 2)
-    Ebar, Abar = synthesis.augmented_pair(ls.lifted, GAINS_12["K"],
-                                          GAINS_12["L"])
+    Ebar, Abar, _ = synthesis.closed_loop(
+        ls.lifted, ("observer", GAINS_12["K"], GAINS_12["L"]))
     rep_obs12 = lifting.analyze_lifted_pair(Ebar, Abar, 2 * sys12.r, 2, 0.6)
     Acl = ls.lifted.A + ls.lifted.B @ GAINS_12["F"] @ ls.lifted.C
     rep_out12 = lifting.analyze_lifted_pair(ls.lifted.E, Acl, sys12.r, 2, 0.6)
@@ -74,9 +74,9 @@ def test_criterion_3_synthesis_soundness():
                       ("output@0.6",
                        lambda: synthesis.synth_output_feedback(sys06)),
                       ("observer@1.2",
-                       lambda: lifting.synth_observer_lifted(benchmark(1.2))),
+                       lambda: synthesis.synth_observer(benchmark(1.2))),
                       ("output@1.2",
-                       lambda: lifting.synth_output_feedback_lifted(
+                       lambda: synthesis.synth_output_feedback(
                            benchmark(1.2)))):
         start = time.perf_counter()
         design = job()

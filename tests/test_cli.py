@@ -51,9 +51,26 @@ class TestAnalyze:
         assert cli.main(["analyze", write_problem(tmp_path, doc)]) == cli.EXIT_ERROR
         err = capsys.readouterr().err
         assert "alpha" in err
+        # The history is always summed in full: a file asking for short
+        # memory is refused by name, not silently run in full.
+        doc = problem_doc(simulation={"x0": BENCH_X0.tolist(),
+                                      "memory_length": 100})
+        assert cli.main(["simulate", write_problem(tmp_path, doc), "--out",
+                         str(tmp_path / "o")]) == cli.EXIT_ERROR
+        assert "memory_length" in capsys.readouterr().err
 
     def test_missing_file_exit_1(self):
         assert cli.main(["analyze", "/nonexistent.json"]) == cli.EXIT_ERROR
+
+    @pytest.mark.parametrize("name, value", [("K", "abc"), ("TOL", "1e-")])
+    def test_malformed_env_var_exit_1(self, tmp_path, monkeypatch, capsys,
+                                      name, value):
+        monkeypatch.setenv(f"SFOS_{name}", value)
+        path = write_problem(tmp_path, problem_doc())
+        assert cli.main(["analyze", path]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"SFOS_{name}" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_report_written_to_out(self, tmp_path, capsys):
         out = tmp_path / "report.json"

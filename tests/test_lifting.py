@@ -9,8 +9,8 @@ from sfos import descriptor, lifting, synthesis
 from sfos.descriptor import numerical_rank
 from sfos.errors import InputError
 from sfos.lifting import (admissible_lifted, analyze_lifted_pair, lift,
-                          synth_observer_lifted, synth_output_feedback_lifted,
                           transfer_function)
+from sfos.synthesis import synth_observer, synth_output_feedback
 
 
 def _finite_eigs(E, A):
@@ -101,8 +101,8 @@ class TestLiftedAnalysis:
         # degree k * rank = 4k, so the structural threshold is met exactly.
         ls = lift(benchmark(1.2), k)
         n = ls.lifted.n
-        Ebar, Abar = synthesis.augmented_pair(ls.lifted, np.zeros((1, n)),
-                                              np.zeros((n, 1)))
+        Ebar, Abar, _ = synthesis.closed_loop(
+            ls.lifted, ("observer", np.zeros((1, n)), np.zeros((n, 1))))
         report = analyze_lifted_pair(Ebar, Abar, 2 * ls.base.r, k, 1.2 / k)
         assert report.strict.regular
         assert report.strict.pencil_degree == 4 * k
@@ -138,8 +138,8 @@ class TestLiftedAnalysis:
 class TestLiftedSynthesis:
     def test_published_gains_verify(self, bench12):
         ls = lift(bench12)
-        Ebar, Abar = synthesis.augmented_pair(ls.lifted, GAINS_12["K"],
-                                              GAINS_12["L"])
+        Ebar, Abar, _ = synthesis.closed_loop(
+            ls.lifted, ("observer", GAINS_12["K"], GAINS_12["L"]))
         report = analyze_lifted_pair(Ebar, Abar, 2 * bench12.r, 2, 0.6)
         assert report.admissible
         assert report.strict.min_angle_margin > 1e-6
@@ -152,7 +152,7 @@ class TestLiftedSynthesis:
         assert report.strict.min_angle_margin > 1e-6
 
     def test_synth_observer_lifted(self, bench12):
-        design = synth_observer_lifted(bench12)
+        design = synth_observer(bench12)
         assert design.K.shape == (1, 6) and design.L.shape == (6, 1)
         assert design.closed_loop_report.admissible
         # certificates are Feasible or Marginal; marginal ones stay within
@@ -162,7 +162,7 @@ class TestLiftedSynthesis:
             assert max(cert.margins) <= synthesis.MARGINAL_SLACK
 
     def test_synth_output_feedback_lifted(self, bench12):
-        design = synth_output_feedback_lifted(bench12)
+        design = synth_output_feedback(bench12)
         assert design.F.shape == (1, 1)
         assert design.closed_loop_report.admissible
         # a static gain in lifted coordinates is static on the plant too
@@ -171,8 +171,8 @@ class TestLiftedSynthesis:
         assert rep.regular and rep.impulse_free and rep.stable
 
     def test_lifted_designs_at_k3(self, bench12):
-        obs = synth_observer_lifted(bench12, k=3)
-        out = synth_output_feedback_lifted(bench12, k=3, seed=0)
+        obs = synth_observer(bench12, k=3)
+        out = synth_output_feedback(bench12, k=3, seed=0)
         assert obs.K.shape == (1, 9) and obs.L.shape == (9, 1)
         assert obs.closed_loop_report.admissible
         assert out.closed_loop_report.admissible

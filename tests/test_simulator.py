@@ -61,13 +61,10 @@ class TestSimConfig:
                 SimConfig(h=h, T=T, x0=x0)
         with pytest.raises(InputError, match="consistency"):
             SimConfig(h=1e-2, T=1.0, x0=x0, consistency="repair")
-        for memory in (0, -3, 2.5, "10", "abc", True, None, [10]):
-            with pytest.raises(InputError, match="memory_length"):
+        # There is no short-memory option; the history is always summed in full.
+        for memory in ("full", 100):
+            with pytest.raises(TypeError, match="memory_length"):
                 SimConfig(h=1e-2, T=1.0, x0=x0, memory_length=memory)
-        for memory, kept in (("full", "full"), (1, 1), (np.int64(7), 7)):
-            cfg = SimConfig(h=1e-2, T=1.0, x0=x0, memory_length=memory)
-            assert cfg.memory_length == kept
-            assert type(cfg.memory_length) is type(kept)
 
 
 class TestScalarAccuracy:
@@ -86,16 +83,6 @@ class TestScalarAccuracy:
             traj = simulate(scalar_relaxation(), None, cfg)
             errs.append(abs(traj.x[-1, 0] - mittag_leffler_half(1.0)))
         assert errs[0] > errs[1] > errs[2]
-
-    def test_short_memory_warns_and_stays_close(self):
-        cfg = SimConfig(h=1e-2, T=2.0, x0=np.array([1.0]), memory_length=100)
-        with pytest.warns(UserWarning, match="short-memory"):
-            traj = simulate(scalar_relaxation(), None, cfg)
-        full = simulate(scalar_relaxation(), None,
-                        SimConfig(h=1e-2, T=2.0, x0=np.array([1.0])))
-        # the neglected tail decays only like t^-alpha, so the truncation
-        # error is visible but bounded
-        assert np.abs(traj.x - full.x).max() < 5e-2
 
 
 class TestDescriptorStepping:
@@ -136,8 +123,8 @@ class TestDescriptorStepping:
             simulate(bench06, ("output", GAINS_06["F"]), cfg)
 
 
-def direct_march(E, A, x0, alpha, h, steps, memory):
-    """Reference march: the O(N^2) history sum over the kept lags, per step."""
+def direct_march(E, A, x0, alpha, h, steps):
+    """Reference march: the O(N^2) history sum over all lags, per step."""
     n = E.shape[0]
     ha = h ** (-alpha)
     lu = sla.lu_factor(ha * E - A)
@@ -146,8 +133,7 @@ def direct_march(E, A, x0, alpha, h, steps, memory):
     X[0] = x0
     D = np.zeros((steps + 1, n))
     for s in range(1, steps + 1):
-        hi = s if memory is None else min(s, memory)
-        conv = w[1:hi + 1] @ D[s - hi:s][::-1]
+        conv = w[1:s + 1] @ D[:s][::-1]
         X[s] = sla.lu_solve(lu, ha * (E @ (x0 - conv)))
         D[s] = X[s] - x0
     return X
@@ -165,9 +151,8 @@ class TestFastHistory:
     def relaxation():
         return lifting.as_plant(scalar_relaxation(), 2), ("none",)
 
-    @pytest.mark.parametrize("memory", ["full", 1, 100])
     @pytest.mark.parametrize("loop", ["lifted_observer", "relaxation"])
-    def test_matches_direct_sum(self, loop, memory):
+    def test_matches_direct_sum(self, loop):
         plant, ctrl = getattr(self, loop)()
         n, N = plant.base.n, plant.lifted.n
         E, A, _ = synthesis.closed_loop(plant.lifted, ctrl)
@@ -178,15 +163,9 @@ class TestFastHistory:
         h = 1e-3
         # Leaf edges (64 steps) and several recursion levels.
         for steps in (1, 63, 64, 65, 3000):
-            cfg = SimConfig(h=h, T=steps * h, x0=z0[:n], xhat0=np.zeros(n),
-                            memory_length=memory)
-            if memory == "full":
-                traj = simulate(plant, ctrl, cfg)
-            else:
-                with pytest.warns(UserWarning, match="short-memory"):
-                    traj = simulate(plant, ctrl, cfg)
-            ref = direct_march(E, A, z0, plant.lifted.alpha, h, steps,
-                               None if memory == "full" else memory)
+            cfg = SimConfig(h=h, T=steps * h, x0=z0[:n], xhat0=np.zeros(n))
+            traj = simulate(plant, ctrl, cfg)
+            ref = direct_march(E, A, z0, plant.lifted.alpha, h, steps)
             got, want = [traj.x], [ref[:, :n]]
             if ctrl[0] == "observer":
                 got.append(traj.e)
@@ -194,7 +173,7 @@ class TestFastHistory:
             got, want = np.hstack(got), np.hstack(want)
             assert got.shape == want.shape == (steps + 1, len(want[0]))
             scale = np.abs(want).max()
-            assert np.abs(got - want).max() <= 1e-12 * scale, (steps, memory)
+            assert np.abs(got - want).max() <= 1e-12 * scale, steps
 
     def test_long_relaxation_matches_closed_form(self):
         # E_{1/2}(-sqrt(t)) = erfcx(sqrt(t)), over 20 000 steps.

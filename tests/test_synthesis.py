@@ -1,19 +1,25 @@
-"""Admissibility-via-LMI and controller synthesis at orders in (0, 1]."""
+"""Admissibility-via-LMI and controller synthesis at orders in (0, 2)."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from conftest import GAINS_06, GAINS_12, benchmark, random_impulse_free_system
-from sfos import descriptor, synthesis
+from sfos import lifting, synthesis
 from sfos.descriptor import DescriptorSystem, analyze, analyze_pair
 from sfos.errors import InputError, StateFeedbackInfeasible
 from sfos.lifting import lift
-from sfos.synthesis import (admissible_via_lmi, augmented_pair, closed_loop,
+from sfos.synthesis import (admissible_via_lmi, closed_loop,
                             solve_output_injection, solve_state_feedback,
-                            synth_observer, synth_output_feedback,
-                            verify_state_estimate_loop,
-                            verify_static_output_loop)
+                            synth_observer, synth_output_feedback)
+
+
+def verify(sysm, controller):
+    return lifting.verify_loop(lifting.as_plant(sysm), controller)
 
 
 def stable_singular_system(alpha=0.6):
@@ -71,7 +77,7 @@ class TestStateFeedback:
     def test_decay_shift_moves_spectrum_left(self, bench06):
         K0, _ = solve_state_feedback(bench06)
         Ks, _ = solve_state_feedback(
-            bench06, A_override=bench06.A + 3.0 * bench06.E)
+            bench06.with_matrices(A=bench06.A + 3.0 * bench06.E))
         def max_real(K):
             rep = analyze_pair(bench06.E, bench06.A + bench06.B @ K, 0.6)
             return max(ev.real for ev in rep.finite_eigenvalues)
@@ -97,7 +103,7 @@ class TestOutputInjection:
 class TestObserverDesign:
     def test_augmented_pair_structure(self, bench06):
         K, L = GAINS_06["K"], GAINS_06["L"]
-        Ebar, Abar = augmented_pair(bench06, K, L)
+        Ebar, Abar, _ = closed_loop(bench06, ("observer", K, L))
         assert np.allclose(Ebar[:3, :3], bench06.E)
         assert np.allclose(Ebar[3:, 3:], bench06.E)
         assert np.allclose(Abar[3:, :3], 0.0)
@@ -111,12 +117,12 @@ class TestObserverDesign:
                  (K, L.ravel(), "L")]
         for K_bad, L_bad, name in cases:
             with pytest.raises(InputError, match=f"gain {name}"):
-                augmented_pair(bench06, K_bad, L_bad)
+                closed_loop(bench06, ("observer", K_bad, L_bad))
             with pytest.raises(InputError, match=f"gain {name}"):
-                verify_state_estimate_loop(bench06, K_bad, L_bad)
+                verify(bench06, ("observer", K_bad, L_bad))
 
     def test_published_gains_verify(self, bench06):
-        rep = verify_state_estimate_loop(bench06, GAINS_06["K"], GAINS_06["L"])
+        rep = verify(bench06, ("observer", GAINS_06["K"], GAINS_06["L"]))
         assert rep.admissible
         assert rep.min_angle_margin > 1e-6
 
@@ -151,14 +157,14 @@ class TestObserverDesign:
 
 class TestOutputFeedback:
     def test_published_gain_verifies(self, bench06):
-        rep = verify_static_output_loop(bench06, GAINS_06["F"])
+        rep = verify(bench06, ("output", GAINS_06["F"]))
         assert rep.admissible
         assert rep.min_angle_margin > 1e-6
 
     def test_misshapen_gain_rejected(self, bench06):
         for F in (np.ones((1, 2)), -3.6723, np.ones(1), np.ones((3, 1))):
             with pytest.raises(InputError, match="gain F"):
-                verify_static_output_loop(bench06, F)
+                verify(bench06, ("output", F))
 
     def test_synth_output_feedback(self, bench06):
         design = synth_output_feedback(bench06)
@@ -172,7 +178,7 @@ class TestOutputFeedback:
         plain = synth_output_feedback(bench06)
         shifted = synth_output_feedback(bench06, decay_shift=2.0)
         def max_real(F):
-            rep = verify_static_output_loop(bench06, F)
+            rep = verify(bench06, ("output", F))
             return max(ev.real for ev in rep.finite_eigenvalues)
         assert max_real(shifted.F) < max_real(plain.F)
 
@@ -227,6 +233,37 @@ class TestClosedLoop:
                               np.hstack([K, -K]))
         with pytest.raises(InputError, match="unknown controller"):
             closed_loop(bench06, ("pid", K))
+
+
+class TestAnyOrder:
+    """One synthesis entry per design, for plants of any order in (0, 2)."""
+
+    @pytest.mark.parametrize("module", ["sfos.synthesis", "sfos.lifting",
+                                        "sfos.simulator", "sfos.cli"])
+    def test_module_imports_first(self, module):
+        # synthesis and lifting import each other; whichever a program
+        # imports first must load.
+        import sfos
+        root = os.path.dirname(os.path.dirname(os.path.abspath(sfos.__file__)))
+        env = dict(os.environ, PYTHONPATH=root)
+        proc = subprocess.run([sys.executable, "-c", f"import {module}"],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_lifted_designs_equal_the_lifted_wrappers(self, bench12):
+        obs = synth_observer(bench12, k=2)
+        ref = lifting.synth_observer_lifted(bench12, k=2)
+        assert np.array_equal(obs.K, ref.K) and np.array_equal(obs.L, ref.L)
+        assert obs.K.shape == (1, 6) and obs.closed_loop_report.admissible
+        out = synth_output_feedback(bench12, k=2, seed=0)
+        ref = lifting.synth_output_feedback_lifted(bench12, k=2, seed=0)
+        assert np.array_equal(out.K0, ref.K0) and np.array_equal(out.F, ref.F)
+        assert out.F.shape == (1, 1) and out.closed_loop_report.admissible
+
+    def test_no_lift_by_one_above_order_one(self, bench12):
+        for design in (synth_observer, synth_output_feedback):
+            with pytest.raises(InputError, match="k must be at least 2"):
+                design(bench12, k=1)
 
 
 class TestMarginalRepair:
