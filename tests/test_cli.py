@@ -159,6 +159,17 @@ class TestSimulate:
                         ) == cli.EXIT_ERROR
         assert "stopped being finite at t = 6." in capsys.readouterr().err
 
+    def test_non_finite_setting_exit_1(self, tmp_path, capsys):
+        doc = problem_doc(simulation={"x0": BENCH_X0.tolist(), "T": 1.0})
+        path = write_problem(tmp_path, doc)
+        for flag, name in (("--h", "h"), ("--horizon", "T")):
+            for value in ("nan", "inf"):
+                assert cli.main(["simulate", path, flag, value, "--out",
+                                 str(tmp_path / "o")]) == cli.EXIT_ERROR
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: {name} must be finite")
+                assert err.count("\n") == 1
+
     def test_synthesis_block_drives_simulation(self, tmp_path):
         doc = problem_doc(synthesis={"mode": "output"},
                           simulation={"x0": BENCH_X0.tolist(), "T": 2.0})

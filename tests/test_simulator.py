@@ -10,7 +10,7 @@ from sfos.descriptor import DescriptorSystem
 from sfos.errors import InputError
 from sfos.simulator import (SimConfig, Trajectory, gl_weights, simulate,
                             tail_decay_exponent)
-from sfos import lifting, synthesis
+from sfos import descriptor, lifting, simulator, synthesis
 
 
 def scalar_relaxation(alpha=0.5):
@@ -61,6 +61,22 @@ class TestSimConfig:
                 SimConfig(h=h, T=T, x0=x0)
         with pytest.raises(InputError, match="consistency"):
             SimConfig(h=1e-2, T=1.0, x0=x0, consistency="repair")
+        # Non-finite settings are refused by name, not left to fail in the
+        # march with a bare ValueError or OverflowError.
+        nan, inf = float("nan"), float("inf")
+        for h, T, name in ((nan, 1.0, "h"), (1e-2, nan, "T"),
+                           (1e-2, inf, "T"), (inf, 1.0, "h")):
+            with pytest.raises(InputError, match=f"^{name} must be finite"):
+                SimConfig(h=h, T=T, x0=x0)
+        for start in ([nan], [inf], [1.0, -inf]):
+            with pytest.raises(InputError, match="^x0 must be finite"):
+                SimConfig(h=1e-2, T=1.0, x0=start)
+            with pytest.raises(InputError, match="^xhat0 must be finite"):
+                SimConfig(h=1e-2, T=1.0, x0=x0, xhat0=start)
+        for k in (2.5, 2.0, "2", True, None):
+            with pytest.raises(InputError, match="^k must be an integer"):
+                SimConfig(h=1e-2, T=1.0, x0=x0, k=k)
+        assert SimConfig(h=1e-2, T=1.0, x0=x0, k=np.int64(3)).k == 3
         # There is no short-memory option; the history is always summed in full.
         for memory in ("full", 100):
             with pytest.raises(TypeError, match="memory_length"):
@@ -106,6 +122,25 @@ class TestDescriptorStepping:
             traj = simulate(bench06, ("output", GAINS_06["F"]), cfg)
         assert traj.algebraic_residual[0] < 1e-8
 
+    def test_projection_skipped_when_not_impulse_free(self, monkeypatch):
+        # E = [[0, 1], [0, 0]] with A = I is regular but impulsive: the fast
+        # block cannot be solved for, so an inconsistent x0 is kept as given.
+        sysm = DescriptorSystem(E=[[0.0, 1.0], [0.0, 0.0]], A=np.eye(2),
+                                B=np.zeros((2, 1)), C=np.ones((1, 2)),
+                                alpha=0.5)
+        cfg = SimConfig(h=1e-2, T=1.0, x0=np.array([1.0, 1.0]))
+        with pytest.warns(UserWarning, match="projection skipped"):
+            traj = simulate(sysm, None, cfg)
+        assert np.array_equal(traj.x[0], [1.0, 1.0])
+        assert np.isfinite(traj.x).all()
+        # Only a pair that cannot be decomposed skips the projection; any
+        # other failure of the decomposition propagates.
+        def broken(*args):
+            raise TypeError("broken decomposition")
+        monkeypatch.setattr(descriptor, "_decompose_pair", broken)
+        with pytest.raises(TypeError, match="broken"):
+            simulate(sysm, None, cfg)
+
     def test_diverging_march_raises(self):
         # D^0.5 x = 10 x grows like exp(100 t); the march overflows at
         # t = 6.7.  Tier-1 turns a numpy RuntimeWarning into a failure.
@@ -145,25 +180,59 @@ class TestFastHistory:
     @staticmethod
     def lifted_observer():
         plant = lifting.as_plant(benchmark(1.2), 2)
-        return plant, ("observer", GAINS_12["K"], GAINS_12["L"])
+        return plant, ("observer", GAINS_12["K"], GAINS_12["L"]), BENCH_X0
 
     @staticmethod
     def relaxation():
-        return lifting.as_plant(scalar_relaxation(), 2), ("none",)
+        return lifting.as_plant(scalar_relaxation(), 2), ("none",), BENCH_X0[:1]
 
-    @pytest.mark.parametrize("loop", ["lifted_observer", "relaxation"])
+    @staticmethod
+    def output_loop():
+        # Unlifted, on the singular paper plant.
+        plant = lifting.as_plant(benchmark(0.6))
+        return plant, ("output", GAINS_06["F"]), BENCH_X0
+
+    @staticmethod
+    def lifted_observer_k3():
+        # 18 closed-loop states: the published k = 2 gains, zero-padded.
+        plant = lifting.as_plant(benchmark(1.2), 3)
+        K, L = np.zeros((1, 9)), np.zeros((9, 1))
+        K[:, :6], L[:6] = GAINS_12["K"], GAINS_12["L"]
+        return plant, ("observer", K, L), BENCH_X0
+
+    @staticmethod
+    def block_plant():
+        # 48 states: 18 stable 2 x 2 slow blocks and 12 algebraic rows,
+        # mixed by orthogonal transforms; x0 is consistent.
+        rng = np.random.default_rng(48)
+        slow = [[[-1.0, b], [-b, -1.0]] for b in rng.uniform(0.0, 1.5, 18)]
+        A = sla.block_diag(*slow, np.diag(-rng.uniform(0.5, 2.0, 12)))
+        E = np.diag([1.0] * 36 + [0.0] * 12)
+        Q1, Q2 = (np.linalg.qr(rng.standard_normal((48, 48)))[0]
+                  for _ in range(2))
+        sysm = DescriptorSystem(E=Q1 @ E @ Q2, A=Q1 @ A @ Q2,
+                                B=np.ones((48, 1)), C=np.ones((1, 48)),
+                                alpha=0.7)
+        x0 = Q2.T @ np.concatenate([rng.standard_normal(36), np.zeros(12)])
+        return lifting.as_plant(sysm), ("none",), x0
+
+    @pytest.mark.parametrize("loop", ["lifted_observer", "relaxation",
+                                      "output_loop", "lifted_observer_k3",
+                                      "block_plant"])
     def test_matches_direct_sum(self, loop):
-        plant, ctrl = getattr(self, loop)()
+        plant, ctrl, x0 = getattr(self, loop)()
         n, N = plant.base.n, plant.lifted.n
         E, A, _ = synthesis.closed_loop(plant.lifted, ctrl)
         z0 = np.zeros(E.shape[0])
-        z0[:n] = BENCH_X0[:n]
+        z0[:n] = x0
         if ctrl[0] == "observer":
-            z0[N:N + n] = BENCH_X0        # e0 = x0 - xhat0 with xhat0 = 0
+            z0[N:N + n] = x0              # e0 = x0 - xhat0 with xhat0 = 0
         h = 1e-3
-        # Leaf edges (64 steps) and several recursion levels.
-        for steps in (1, 63, 64, 65, 3000):
-            cfg = SimConfig(h=h, T=steps * h, x0=z0[:n], xhat0=np.zeros(n))
+        # One step, both sides of this loop's leaf length, and several
+        # recursion levels.
+        leaf = simulator._leaf_steps(E.shape[0])
+        for steps in (1, leaf - 1, leaf, leaf + 1, 3000):
+            cfg = SimConfig(h=h, T=steps * h, x0=x0, xhat0=np.zeros(n))
             traj = simulate(plant, ctrl, cfg)
             ref = direct_march(E, A, z0, plant.lifted.alpha, h, steps)
             got, want = [traj.x], [ref[:, :n]]
@@ -174,6 +243,7 @@ class TestFastHistory:
             assert got.shape == want.shape == (steps + 1, len(want[0]))
             scale = np.abs(want).max()
             assert np.abs(got - want).max() <= 1e-12 * scale, steps
+            assert traj.algebraic_residual.max() <= 1e-12 * scale, steps
 
     def test_long_relaxation_matches_closed_form(self):
         # E_{1/2}(-sqrt(t)) = erfcx(sqrt(t)), over 20 000 steps.
