@@ -21,14 +21,15 @@ The history sum is exact (no truncation or kernel approximation) and costs
 O(N log^2 N) over N steps, by the online convolution of Hairer, Lubich &
 Schlichte (SIAM J. Sci. Stat. Comput. 6(3), 1985): the steps are split in
 halves recursively, and once the first half of a range is marched its
-contribution to every step of the second half is added by one FFT
-convolution.  The lags inside a leaf of at most m steps (64 for up to 6
-states, down to 8 at 48 states and more) form a block lower-triangular
-Toeplitz system.  Its inverse is built once per march as one (m*n) x (m*n)
-kernel, so a whole leaf is taken by one matrix-vector product, at about
-m*n^2 flops a step.  On one core of an x86-64 host, a 20 000-step march
-costs about 1 us a step for 1 state, 2 us for 6, 4 us for 12 and 20 us for
-48, the FFT far field taking most of it from 12 states on.
+contribution to every step of the second half (its far field) is added at
+once, by one FFT convolution or, for ranges of at most ``DIRECT_STEPS``
+steps, where the FFT's fixed cost dominates, by one product with a block of
+the weights.  The lags inside a leaf of at most m steps (64 up to 6 states,
+32 at 12, 8 from 48 on) form a block lower-triangular Toeplitz system with
+identity diagonal blocks.  Its inverse is built once per march as one
+(m*n) x (m*n) kernel, so a whole leaf is taken by one matrix-vector
+product, at about m*n^2 flops a step.  On one core of an x86-64 host a
+20 000-step march costs SWEEP_PLACEHOLDER.
 
 All closed loops handled here are autonomous: the controller is folded in
 through :func:`sfos.synthesis.closed_loop`, which builds the same pair that
@@ -182,6 +183,9 @@ class Trajectory:
 
 #: Rows of the leaf kernel the leaf length aims at (see :func:`_leaf_steps`).
 KERNEL_ROWS = 384
+#: Far fields of recursion nodes up to this many steps are summed by one
+#: direct product, which costs less than the FFT's fixed overhead there.
+DIRECT_STEPS = 64
 
 
 def _leaf_steps(n: int) -> int:
@@ -214,16 +218,23 @@ def _march(E, A, x0, alpha, h, steps):
     # Row j holds x_j - x0 once step j is taken.  Until then it accumulates
     # the far field of step j: its history sum over the steps before j's leaf.
     D = np.zeros((steps + 1, n))
-    spectra = {}                      # rfft of w[:size], by node size
+    node_weights = {}                 # by node size: w by lag for a direct
+                                      # product, or the rfft of w[:size]
 
     def far_field(lo, mid, hi):
-        # D[s] += sum_{i in [lo, mid)} w_{s-i} D[i] for s in [mid, hi).  A
-        # cyclic length >= hi - lo wraps only onto outputs below mid - lo.
+        # D[s] += sum_{i in [lo, mid)} w_{s-i} D[i] for s in [mid, hi).
         size = hi - lo
-        if size not in spectra:
+        if size <= DIRECT_STEPS:
+            if size not in node_weights:
+                node_weights[size] = w[(mid - lo) + np.arange(hi - mid)[:, None]
+                                  - np.arange(mid - lo)]
+            D[mid:hi] += node_weights[size] @ D[lo:mid]
+            return
+        # A cyclic length >= hi - lo wraps only onto outputs below mid - lo.
+        if size not in node_weights:
             length = sfft.next_fast_len(size, real=True)
-            spectra[size] = (length, sfft.rfft(w[:size], length)[:, None])
-        length, wf = spectra[size]
+            node_weights[size] = (length, sfft.rfft(w[:size], length)[:, None])
+        length, wf = node_weights[size]
         f = sfft.rfft(D[lo:mid], length, axis=0)
         f *= wf
         D[mid:hi] += sfft.irfft(f, length, axis=0)[mid - lo:size]
