@@ -28,8 +28,9 @@ the weights.  The lags inside a leaf of at most m steps (64 up to 6 states,
 32 at 12, 8 from 48 on) form a block lower-triangular Toeplitz system with
 identity diagonal blocks.  Its inverse is built once per march as one
 (m*n) x (m*n) kernel, so a whole leaf is taken by one matrix-vector
-product, at about m*n^2 flops a step.  On one core of an x86-64 host a
-20 000-step march costs SWEEP_PLACEHOLDER.
+product, at about m*n^2 flops a step.  On one core of a 2-CPU x86-64 host
+a 20 000-step march costs about 1.4 us a step at 1 state, 2.4 us at 6,
+3.9 us at 12, 5.6 us at 24 and 14 us at 48 (``scripts/march_sweep.py``).
 
 All closed loops handled here are autonomous: the controller is folded in
 through :func:`sfos.synthesis.closed_loop`, which builds the same pair that
@@ -94,10 +95,9 @@ class SimConfig:
     gate_first_input: bool = False
 
     def __post_init__(self):
-        for name in ("h", "T"):
-            if not np.isfinite(getattr(self, name)):
-                raise InputError(f"{name} must be finite, "
-                                 f"got {getattr(self, name)}")
+        for name, value in (("h", self.h), ("T", self.T)):
+            if not np.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value}")
         if self.h <= 0 or self.T < self.h:
             raise InputError("need h > 0 and T >= h")
         if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
