@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Run the benchmark on a parent commit and on this checkout, in pairs.
 
-    python3 scripts/bench_pairs.py --out BENCH_<n>.json [--parent REV]
+    python3 scripts/bench_pairs.py --out BENCH_<n>.json --parent REV
         [--workload march --workload screen ...] [--seeds 801-810]
-        [--seconds 36]
 
-The parent revision (default ``HEAD~1``) is exported with ``git archive``
-into a temporary directory, so that it runs from exactly its committed
-files and the repository's own git state is left as it was.  The change is
+The parent revision is exported with ``git archive`` into a temporary
+directory, so that it runs from exactly its committed files and the
+repository's own git state is left as it was.  The change is
 this checkout as it stands.  For every workload and seed, both sides run
-``perfbench/run.py --trace 0`` as a subprocess, each from its own root;
-which side runs first alternates from seed to seed.
+``perfbench/run.py --trace 0`` as a subprocess, each from its own root,
+for the ``run_seconds`` of ``BENCHMARK.json``; which side runs first
+alternates from seed to seed.
 
 The output file holds every run's result line, and for each end-to-end
 metric named in ``BENCHMARK.json``: both sides' median and quartiles, and
@@ -99,18 +99,16 @@ def summarize(runs, metrics):
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True, help="JSON file to write")
-    p.add_argument("--parent", default="HEAD~1", help="parent revision")
+    p.add_argument("--parent", required=True, help="parent revision")
     p.add_argument("--workload", action="append",
                    choices=("design", "march", "screen"),
                    help="workload to run (repeatable; default: all)")
     p.add_argument("--seeds", type=seed_range, default=seed_range("801-810"))
-    p.add_argument("--seconds", type=float, default=None,
-                   help="run length (default: run_seconds of BENCHMARK.json)")
     args = p.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     record = {

@@ -20,17 +20,21 @@ chain at order alpha/k (:func:`sfos.lifting.as_plant`).
 The history sum is exact (no truncation or kernel approximation) and costs
 O(N log^2 N) over N steps, by the online convolution of Hairer, Lubich &
 Schlichte (SIAM J. Sci. Stat. Comput. 6(3), 1985): the steps are split in
-halves recursively, and once the first half of a range is marched its
-contribution to every step of the second half (its far field) is added at
-once, by one FFT convolution or, for ranges of at most ``DIRECT_STEPS``
-steps, where the FFT's fixed cost dominates, by one product with a block of
-the weights.  The lags inside a leaf of at most m steps (64 up to 6 states,
-32 at 12, 8 from 48 on) form a block lower-triangular Toeplitz system with
-identity diagonal blocks.  Its inverse is built once per march as one
-(m*n) x (m*n) kernel, so a whole leaf is taken by one matrix-vector
-product, at about m*n^2 flops a step.  On one core of a 2-CPU x86-64 host
-a 20 000-step march costs about 1.4 us a step at 1 state, 2.4 us at 6,
-3.9 us at 12, 5.6 us at 24 and 14 us at 48 (``scripts/march_sweep.py``).
+two recursively, after a whole number of leaves, and once the first part of
+a range is marched its contribution to every step of the second (its far
+field) is added at once, by one FFT convolution or, for ranges of at most
+``DIRECT_STEPS`` steps, where the FFT's fixed cost dominates, by one product
+with a block of the weights.  The lags inside a leaf of at most m steps (64
+up to 6 states, 32 at 12, 8 at 48, 2 at 192, 1 from 385 on) form a block
+lower-triangular Toeplitz system with identity diagonal blocks.  Its
+inverse is built once per march as one (m*n) x (m*n) kernel of at most
+``KERNEL_ROWS`` rows (n rows from 385 states on), so a whole leaf is taken
+by one matrix-vector product, at about m*n^2 flops a step.  On one core of
+a 2-CPU x86-64 host a 20 000-step march costs about 0.7 us a step at 1
+state, 1.8 us at 6, 3.6 us at 12, 7.1 us at 24 and 13 us at 48; from 96
+states on, where a leaf holds 4 steps or fewer, it costs about as much as
+one LU solve a step: 27 us at 96 and 65 us at 192
+(``scripts/march_sweep.py``).
 
 All closed loops handled here are autonomous: the controller is folded in
 through :func:`sfos.synthesis.closed_loop`, which builds the same pair that
@@ -181,7 +185,8 @@ class Trajectory:
 # Core integrator
 # ---------------------------------------------------------------------------
 
-#: Rows of the leaf kernel the leaf length aims at (see :func:`_leaf_steps`).
+#: Most rows of the leaf kernel, 1.2 MB, up to 384 states (see
+#: :func:`_leaf_steps`).
 KERNEL_ROWS = 384
 #: Far fields of recursion nodes up to this many steps are summed by one
 #: direct product, which costs less than the FFT's fixed overhead there.
@@ -192,10 +197,11 @@ def _leaf_steps(n: int) -> int:
     """Longest run of steps taken as one leaf of :func:`_halve` for n states.
 
     A leaf costs about m*n^2 flops a step through the (m*n) x (m*n) kernel,
-    so the leaf length m shrinks as n grows, keeping the kernel near
-    ``KERNEL_ROWS`` rows (1.2 MB) between 8 and 64 steps.
+    so the leaf length m shrinks as n grows: at most 64 steps, and never
+    more than ``KERNEL_ROWS`` kernel rows while n <= ``KERNEL_ROWS``.  From
+    there on m = 1, and the kernel is the n x n identity.
     """
-    return min(64, max(8, KERNEL_ROWS // n))
+    return min(64, max(1, KERNEL_ROWS // n))
 
 
 def _march(E, A, x0, alpha, h, steps):
@@ -218,23 +224,24 @@ def _march(E, A, x0, alpha, h, steps):
     # Row j holds x_j - x0 once step j is taken.  Until then it accumulates
     # the far field of step j: its history sum over the steps before j's leaf.
     D = np.zeros((steps + 1, n))
-    node_weights = {}                 # by node size: w by lag for a direct
-                                      # product, or the rfft of w[:size]
+    spectra = {}                      # rfft of w[:size], by node size
+    lag_weights = {}                  # w by lag, by node size (a node splits
+                                      # at a point set by its size)
 
     def far_field(lo, mid, hi):
         # D[s] += sum_{i in [lo, mid)} w_{s-i} D[i] for s in [mid, hi).
         size = hi - lo
         if size <= DIRECT_STEPS:
-            if size not in node_weights:
-                node_weights[size] = w[(mid - lo) + np.arange(hi - mid)[:, None]
-                                  - np.arange(mid - lo)]
-            D[mid:hi] += node_weights[size] @ D[lo:mid]
+            if size not in lag_weights:
+                lag_weights[size] = w[(mid - lo) + np.arange(hi - mid)[:, None]
+                                      - np.arange(mid - lo)]
+            D[mid:hi] += lag_weights[size] @ D[lo:mid]
             return
         # A cyclic length >= hi - lo wraps only onto outputs below mid - lo.
-        if size not in node_weights:
+        if size not in spectra:
             length = sfft.next_fast_len(size, real=True)
-            node_weights[size] = (length, sfft.rfft(w[:size], length)[:, None])
-        length, wf = node_weights[size]
+            spectra[size] = (length, sfft.rfft(w[:size], length)[:, None])
+        length, wf = spectra[size]
         f = sfft.rfft(D[lo:mid], length, axis=0)
         f *= wf
         D[mid:hi] += sfft.irfft(f, length, axis=0)[mid - lo:size]
@@ -281,15 +288,17 @@ def _leaf_kernel(G, w):
 def _halve(lo, hi, leaf_steps, leaf, far_field):
     """Run steps [lo, hi): each half, with the first half's far field between.
 
-    Ranges of at most ``leaf_steps`` steps are leaves.  Module-level rather
-    than nested in :func:`_march`, so that no closure refers to itself: such
-    a reference cycle would keep the march's arrays alive until the cyclic
-    garbage collector happens to run.
+    Ranges of at most ``leaf_steps`` steps are leaves.  Longer ranges split
+    after a whole number of leaves, so that every leaf but the last of the
+    march is full.  Module-level rather than nested in :func:`_march`, so
+    that no closure refers to itself: such a reference cycle would keep the
+    march's arrays alive until the cyclic garbage collector happens to run.
     """
     if hi - lo <= leaf_steps:
         leaf(lo, hi)
         return
-    mid = (lo + hi) // 2
+    leaves = -(-(hi - lo) // leaf_steps)
+    mid = lo + leaf_steps * ((leaves + 1) // 2)
     _halve(lo, mid, leaf_steps, leaf, far_field)
     far_field(lo, mid, hi)
     _halve(mid, hi, leaf_steps, leaf, far_field)

@@ -215,9 +215,19 @@ class TestFastHistory:
         x0 = Q2.T @ np.concatenate([rng.standard_normal(36), np.zeros(12)])
         return lifting.as_plant(sysm), ("none",), x0
 
+    @staticmethod
+    def wide_plant():
+        # 96 states, past the size where the leaf length leaves 8 steps.
+        rng = np.random.default_rng(96)
+        Q = np.linalg.qr(rng.standard_normal((96, 96)))[0]
+        A = Q @ np.diag(-rng.uniform(0.5, 2.0, 96)) @ Q.T
+        sysm = DescriptorSystem(E=np.eye(96), A=A, B=np.ones((96, 1)),
+                                C=np.ones((1, 96)), alpha=0.7)
+        return lifting.as_plant(sysm), ("none",), rng.standard_normal(96)
+
     @pytest.mark.parametrize("loop", ["lifted_observer", "relaxation",
                                       "output_loop", "lifted_observer_k3",
-                                      "block_plant"])
+                                      "block_plant", "wide_plant"])
     def test_matches_direct_sum(self, loop):
         plant, ctrl, x0 = getattr(self, loop)()
         n, N = plant.base.n, plant.lifted.n
