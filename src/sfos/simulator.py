@@ -27,14 +27,14 @@ field) is added at once, by one FFT convolution or, for ranges of at most
 with a block of the weights.  The lags inside a leaf of at most m steps (64
 up to 6 states, 32 at 12, 8 at 48, 2 at 192, 1 from 385 on) form a block
 lower-triangular Toeplitz system with identity diagonal blocks.  Its
-inverse is built once per march as one (m*n) x (m*n) kernel of at most
-``KERNEL_ROWS`` rows (n rows from 385 states on), so a whole leaf is taken
-by one matrix-vector product, at about m*n^2 flops a step.  On one core of
-a 2-CPU x86-64 host a 20 000-step march costs about 0.7 us a step at 1
-state, 1.8 us at 6, 3.6 us at 12, 7.1 us at 24 and 13 us at 48; from 96
-states on, where a leaf holds 4 steps or fewer, it costs about as much as
-one LU solve a step: 27 us at 96 and 65 us at 192
-(``scripts/march_sweep.py``).
+inverse times the step matrix is built once per march as one (m*n) x (m*n)
+kernel of at most ``KERNEL_ROWS`` rows (n rows from 385 states on), so a
+whole leaf is taken from its far fields by one matrix-vector product, at
+about m*n^2 flops a step.  On one core of a 2-CPU x86-64 host a 20 000-step
+march costs about 0.8 us a step at 1 state, 1.9 us at 6, 4 us at 12, 8.5 us
+at 24 and 15 us at 48; from 96 states on, where a leaf holds 4 steps or
+fewer, about 30 us at 96 and 62 us at 192, no more than one LU solve a step
+costs (``scripts/march_sweep.py``).
 
 All closed loops handled here are autonomous: the controller is folded in
 through :func:`sfos.synthesis.closed_loop`, which builds the same pair that
@@ -199,7 +199,7 @@ def _leaf_steps(n: int) -> int:
     A leaf costs about m*n^2 flops a step through the (m*n) x (m*n) kernel,
     so the leaf length m shrinks as n grows: at most 64 steps, and never
     more than ``KERNEL_ROWS`` kernel rows while n <= ``KERNEL_ROWS``.  From
-    there on m = 1, and the kernel is the n x n identity.
+    there on m = 1, and the kernel is the n x n step matrix G itself.
     """
     return min(64, max(1, KERNEL_ROWS // n))
 
@@ -217,10 +217,9 @@ def _march(E, A, x0, alpha, h, steps):
     # Step s solves D[s] = b - G (F[s] + sum_{lo<=i<s} w_{s-i} D[i]) inside a
     # leaf [lo, hi), with F[s] its far field.
     G = np.linalg.solve(step_matrix, ha * E)
-    b = G @ x0 - x0
     m = _leaf_steps(n)
     w = gl_weights(alpha, max(steps + 1, m))
-    kernel = _leaf_kernel(G, w[:m])
+    kernel, c = _leaf_kernel(G, G @ x0 - x0, w[:m])
     # Row j holds x_j - x0 once step j is taken.  Until then it accumulates
     # the far field of step j: its history sum over the steps before j's leaf.
     D = np.zeros((steps + 1, n))
@@ -247,11 +246,12 @@ def _march(E, A, x0, alpha, h, steps):
         D[mid:hi] += sfft.irfft(f, length, axis=0)[mid - lo:size]
 
     def leaf(lo, hi):
-        # The leaf's steps at once: the kernel's leading block inverts the
-        # leaf's own lags exactly, since it is block lower triangular.
+        # The leaf's steps at once, from their far fields: the leading blocks
+        # of c and the kernel solve a shorter leaf exactly, since the leaf's
+        # system is block lower triangular.
         rows = (hi - lo) * n
-        rhs = b - D[lo:hi] @ G.T
-        D[lo:hi] = (kernel[:rows, :rows] @ rhs.ravel()).reshape(hi - lo, n)
+        D[lo:hi] = (c[:rows] - kernel[:rows, :rows] @ D[lo:hi].ravel()
+                    ).reshape(hi - lo, n)
         finite = np.isfinite(D[lo:hi]).all(axis=1)
         if not finite.all():
             t = (lo + int(np.argmin(finite))) * h
@@ -265,24 +265,31 @@ def _march(E, A, x0, alpha, h, steps):
     return D
 
 
-def _leaf_kernel(G, w):
-    """Inverse of a leaf's step system, as one (m*n) x (m*n) matrix.
+def _leaf_kernel(G, b, w):
+    """A leaf's steps as one affine map of their far fields.
 
-    With lags inside a leaf of m = len(w) steps, the steps solve the block
-    lower-triangular Toeplitz system with blocks I and G w_k.  Its inverse is
-    block Toeplitz too, with blocks Q_0 = I and
-    Q_k = -G sum_{j=1..k} w_j Q_{k-j}; block (t, j) of the kernel is Q_{t-j}.
+    Inside a leaf of m = len(w) steps, step t solves
+    D_t = b - G (F_t + sum_{j=1..t} w_j D_{t-j}), with F_t its far field: a
+    block lower-triangular Toeplitz system with blocks I and G w_j.  Its
+    inverse is block Toeplitz too, with blocks Q_0 = I and
+    Q_k = -G sum_{j=1..k} w_j Q_{k-j}.  So D = c - K F, where c (m*n) solves
+    the leaf with no far field and block (t, j) of the (m*n) x (m*n) kernel
+    K is R_{t-j} = Q_{t-j} G, that is R_0 = G and
+    R_k = -G sum_{j=1..k} w_j R_{k-j}.  Returns (K, c).
     """
     m, n = len(w), G.shape[0]
-    Q = np.empty((m, n, n))
-    Q[0] = np.eye(n)
+    R = np.empty((m, n, n))
+    R[0] = G
+    c = np.empty((m, n))
+    c[0] = b
     for k in range(1, m):
-        Q[k] = -G @ np.tensordot(w[k:0:-1], Q[:k], axes=1)
+        R[k] = -G @ np.tensordot(w[k:0:-1], R[:k], axes=1)
+        c[k] = b - G @ (w[k:0:-1] @ c[:k])
     kernel = np.zeros((m * n, m * n))
     blocks = kernel.reshape(m, n, m, n)
     for t in range(m):
-        blocks[t, :, :t + 1] = Q[t::-1].transpose(1, 0, 2)
-    return kernel
+        blocks[t, :, :t + 1] = R[t::-1].transpose(1, 0, 2)
+    return kernel, c.ravel()
 
 
 def _halve(lo, hi, leaf_steps, leaf, far_field):
