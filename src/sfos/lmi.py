@@ -11,6 +11,19 @@ Expressions are slot -> matrix dicts; each block stacks its coefficients as an
 matrix of L^-1 F_i L^-T, t I - F(x) = L L^T) and the dual bound are a few
 contractions per block.  Problems are desk-scale (a few hundred slots, blocks
 of a few dozen rows), so dense factorizations throughout are deliberate.
+
+At this size a Newton step costs more in per-call overhead than in
+arithmetic, so the barrier builds, once per solve and for each block, what
+does not depend on the iterate: the identity, the operand (-I, F_1, ...,
+F_m), the stack flattened to (m, d^2), the slot index with t first and the
+flat positions of the block's Hessian entries.  Evaluation is one np.dot
+with the flattened stack, the Hessian is scattered by flat index, and the
+Cholesky factor comes from LAPACK's dpotrf directly (scipy's wrapper costs
+several times the factorization on a few rows).  Each of these computes
+exactly what np.tensordot, np.ix_ and scipy.linalg.cholesky did before, so
+the iterates are the same bit for bit (tests/test_lmi.py keeps that
+per-call arithmetic as a reference).  ``python3 scripts/lmi_sweep.py``
+times the admissibility LMI alone, in Newton steps and ms a step.
 """
 
 from __future__ import annotations
@@ -286,7 +299,17 @@ class LmiBlock:
         return self.F0.shape[0]
 
     def evaluate(self, assignment: np.ndarray) -> np.ndarray:
-        return self.F0 + np.tensordot(assignment[self.slots], self.stack, 1)
+        d = self.dim
+        return self.F0 + _combine(assignment[self.slots], self.stack.reshape(-1, d * d), d)
+
+
+def _combine(coef, stack2d, d):
+    """sum_i coef[i] F_i from the (m, d*d) stack, as a d x d matrix.
+
+    One np.dot of a row with the flattened stack: the product that
+    np.tensordot(coef, stack, 1) forms, bit for bit, without its set-up.
+    """
+    return np.dot(coef[None], stack2d).reshape(d, d)
 
 
 def sym_of(expr: AffineExpr, label: str = "") -> LmiBlock:
@@ -362,10 +385,21 @@ class LmiSolution:
 # ---------------------------------------------------------------------------
 
 def _chol_or_none(S):
-    try:
-        return sla.cholesky(S, lower=True, check_finite=False)
-    except sla.LinAlgError:
-        return None
+    # LAPACK directly: what sla.cholesky(S, lower=True) computes, bit for bit,
+    # without its wrapper's checks and exception.
+    L, info = sla.lapack.dpotrf(S, lower=1, clean=1)
+    return L if info == 0 else None
+
+
+@dataclass(frozen=True)
+class _Operands:
+    """What the barrier needs of one block that does not depend on z."""
+
+    eye: np.ndarray         # (d, d) identity
+    G: np.ndarray           # (m+1, d, d): -I, then the stack (t first)
+    stack2d: np.ndarray     # (m, d*d) stack, for evaluation
+    idx: np.ndarray         # (m+1,) positions in z = (x, t): t, then the slots
+    flat: np.ndarray        # ((m+1)^2,) positions of the block's Hessian entries
 
 
 class _Barrier:
@@ -377,6 +411,15 @@ class _Barrier:
         self.box = box
         # Barrier parameter: block dims plus two log terms per box slot.
         self.nu = sum(b.dim for b in blocks) + 2 * num_slots
+        self.ops = []
+        for b in blocks:
+            eye = np.eye(b.dim)
+            idx = np.concatenate([[num_slots], b.slots])
+            self.ops.append(_Operands(
+                eye=eye, G=np.concatenate([-eye[None], b.stack]),
+                stack2d=b.stack.reshape(-1, b.dim ** 2), idx=idx,
+                flat=(idx[:, None] * (num_slots + 1) + idx).ravel()))
+        self.diag = np.arange(num_slots) * (num_slots + 2)
 
     def slacks(self, z):
         """Cholesky factors of t*I - F_j(x), or None if not interior."""
@@ -384,8 +427,9 @@ class _Barrier:
         if np.abs(x).max(initial=0.0) >= self.box:
             return None
         factors = []
-        for b in self.blocks:
-            L = _chol_or_none(t * np.eye(b.dim) - b.evaluate(x))
+        for b, op in zip(self.blocks, self.ops):
+            F = b.F0 + _combine(x[b.slots], op.stack2d, b.dim)
+            L = _chol_or_none(t * op.eye - F)
             if L is None:
                 return None
             factors.append(L)
@@ -393,26 +437,28 @@ class _Barrier:
 
     def value(self, z, factors):
         x = z[:-1]
-        logdet = sum(2.0 * np.sum(np.log(np.diag(L))) for L in factors)
-        return -logdet - (np.sum(np.log(self.box - x)) + np.sum(np.log(self.box + x)))
+        # ndarray methods rather than np.sum and np.diag: the same reductions,
+        # without the wrappers (the line search calls this several times a step).
+        logdet = sum(2.0 * np.log(L.diagonal()).sum() for L in factors)
+        return -logdet - (np.log(self.box - x).sum() + np.log(self.box + x).sum())
 
     def grad_hess(self, z, factors):
         x = z[:-1]
         g, H = np.zeros(self.nx + 1), np.zeros((self.nx + 1, self.nx + 1))
-        for b, L in zip(self.blocks, factors):
+        for op, L in zip(self.ops, factors):
             # S = t I - F(x) = L L^T.  With G = (-I, F_1, ..., F_m), t first, and
             # W_i = L^-1 G_i L^-T: g_i = tr(S^-1 G_i) = tr(W_i), H_ij = <W_i, W_j>.
             # trtri, not solve_triangular: the latter's BLAS threads contend with
             # numpy's (k = 3 lifted designs ran ~20x slower on a 2-CPU host).
             Linv = sla.lapack.dtrtri(L, lower=1)[0]
-            W = Linv @ np.concatenate([-np.eye(b.dim)[None], b.stack]) @ Linv.T
+            W = Linv @ op.G @ Linv.T
             Wf = W.reshape(len(W), -1)
-            idx = np.concatenate([[self.nx], b.slots])
-            g[idx] += np.trace(W, axis1=1, axis2=2)
-            H[np.ix_(idx, idx)] += Wf @ Wf.T
+            g[op.idx] += W.trace(axis1=1, axis2=2)
+            # The slot indices are distinct, so this adds each entry once.
+            H.reshape(-1)[op.flat] += (Wf @ Wf.T).ravel()
         up, dn = 1.0 / (self.box - x), 1.0 / (self.box + x)
         g[:-1] += up - dn
-        H[np.arange(self.nx), np.arange(self.nx)] += up ** 2 + dn ** 2
+        H.reshape(-1)[self.diag] += up ** 2 + dn ** 2
         return g, H
 
     def dual_lower_bound(self, factors, tilt_x):
@@ -478,9 +524,22 @@ def solve_feasibility(blocks, registry, feas_margin: float = DEFAULT_FEAS_MARGIN
 
     barrier = _Barrier(blocks, nx, box_bound)
     z = np.zeros(nx + 1)
-    z[-1] = max(float(np.linalg.eigvalsh(b.F0)[-1]) for b in blocks) + 1.0
-    factors = barrier.slacks(z)
-    assert factors is not None  # t was chosen strictly above every lambda_max
+    lams = [float(np.linalg.eigvalsh(b.F0)[-1]) for b in blocks]
+    # The margin is relative too: past |lambda_max| ~ 1e16 a margin of 1
+    # rounds away, and t I - F0 would be singular.
+    t0 = max(lams) + max(1.0, 1e-6 * abs(max(lams)))
+    z[-1] = t0
+    factors = barrier.slacks(z) if np.isfinite(t0) else None
+    if factors is None:
+        if np.isfinite(t0):
+            bad = next(b for b in blocks
+                       if _chol_or_none(t0 * np.eye(b.dim) - b.F0) is None)
+        else:
+            bad = blocks[int(np.argmax(lams))]
+        raise LmiNumericalError(f"no interior starting point: t I - F0 of block "
+                                f"{bad.label!r} does not factor at t = {t0:.6g}")
+    phi = barrier.value(z, factors)
+    ident = np.eye(nx + 1)
 
     trace = [] if debug_trace is not None else None
     eta = 1.0
@@ -510,7 +569,7 @@ def solve_feasibility(blocks, registry, feas_margin: float = DEFAULT_FEAS_MARGIN
             round_steps += 1
             g, H = barrier.grad_hess(z, factors)
             g = g + eta * tilt
-            Hr = H + np.eye(nx + 1) * (1e-14 * max(np.trace(H) / (nx + 1), 1.0))
+            Hr = H + ident * (1e-14 * max(np.trace(H) / (nx + 1), 1.0))
             try:
                 step = -np.linalg.solve(Hr, g)
             except np.linalg.LinAlgError:
@@ -520,20 +579,22 @@ def solve_feasibility(blocks, registry, feas_margin: float = DEFAULT_FEAS_MARGIN
             if decrement2 <= 0:
                 break
             # Backtracking line search: stay interior, Armijo decrease.
-            base = eta * float(tilt @ z) + barrier.value(z, factors)
+            # phi is the barrier value at z, kept from the step that accepted z.
+            base = eta * float(tilt @ z) + phi
             size = 1.0
             for _ in range(60):
                 z_new = z + size * step
                 f_new = barrier.slacks(z_new)
                 if f_new is not None:
-                    val = eta * float(tilt @ z_new) + barrier.value(z_new, f_new)
+                    phi_new = barrier.value(z_new, f_new)
+                    val = eta * float(tilt @ z_new) + phi_new
                     if val <= base - 0.01 * size * decrement2:
                         break
                 size *= 0.5
             else:
-                z_new, f_new = z, factors
+                z_new, f_new, phi_new = z, factors, phi
                 size = 0.0
-            z, factors = z_new, f_new
+            z, factors, phi = z_new, f_new, phi_new
             last_decrement2 = decrement2
             if trace is not None:
                 trace.append({"eta": eta, "t": float(z[-1]),

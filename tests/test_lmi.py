@@ -4,9 +4,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.optimize import linprog
 
-from sfos.errors import InputError
+from sfos.errors import InputError, LmiNumericalError
 from sfos.lmi import (AffineExpr, LmiBlock, VariableRegistry, _Barrier,
                       block_of, solve_feasibility, sym_of)
 
@@ -180,6 +181,106 @@ class TestBarrierDerivatives:
             assert np.abs(H - H_fd).max() <= 1e-4 * np.abs(H).max()
 
 
+
+def _reference_slacks(barrier, z):
+    """Cholesky factors of t I - F_j(x) as the barrier first computed them."""
+    x, t = z[:-1], z[-1]
+    if np.abs(x).max(initial=0.0) >= barrier.box:
+        return None
+    factors = []
+    for b in barrier.blocks:
+        F = b.F0 + np.tensordot(x[b.slots], b.stack, 1)
+        try:
+            factors.append(sla.cholesky(t * np.eye(b.dim) - F, lower=True,
+                                        check_finite=False))
+        except sla.LinAlgError:
+            return None
+    return factors
+
+
+def _reference_value(barrier, z, factors):
+    x = z[:-1]
+    logdet = sum(2.0 * np.sum(np.log(np.diag(L))) for L in factors)
+    return -logdet - (np.sum(np.log(barrier.box - x))
+                      + np.sum(np.log(barrier.box + x)))
+
+
+def _reference_grad_hess(barrier, z, factors):
+    x, nx = z[:-1], barrier.nx
+    g, H = np.zeros(nx + 1), np.zeros((nx + 1, nx + 1))
+    for b, L in zip(barrier.blocks, factors):
+        Linv = sla.lapack.dtrtri(L, lower=1)[0]
+        W = Linv @ np.concatenate([-np.eye(b.dim)[None], b.stack]) @ Linv.T
+        Wf = W.reshape(len(W), -1)
+        idx = np.concatenate([[nx], b.slots])
+        g[idx] += np.trace(W, axis1=1, axis2=2)
+        H[np.ix_(idx, idx)] += Wf @ Wf.T
+    up, dn = 1.0 / (barrier.box - x), 1.0 / (barrier.box + x)
+    g[:-1] += up - dn
+    H[np.arange(nx), np.arange(nx)] += up ** 2 + dn ** 2
+    return g, H
+
+
+class TestBarrierMatchesReference:
+    """The barrier's operands, built once per solve, change no bit.
+
+    The reference functions above are the per-call arithmetic the barrier
+    used before (tensordot, scipy's Cholesky wrapper, np.ix_ scatter); every
+    quantity must be bitwise equal to it, not merely close.
+    """
+
+    def _problem(self, rng):
+        nx = int(rng.integers(6, 12))
+
+        def block(dim, num):
+            slots = np.sort(rng.choice(nx, size=num, replace=False))
+
+            def sym():
+                M = rng.standard_normal((dim, dim))
+                return (M + M.T) / 2.0
+            return block_of(AffineExpr((dim, dim), sym(), {s: sym() for s in slots}))
+        # Slots are drawn from one pool, so blocks share some; one block is
+        # constant and one is 1 x 1.
+        blocks = [block(int(rng.integers(2, 6)), int(rng.integers(2, nx)))
+                  for _ in range(int(rng.integers(1, 3)))]
+        blocks += [block(int(rng.integers(1, 4)), 0), block(1, int(rng.integers(1, nx)))]
+        blocks.insert(int(rng.integers(0, len(blocks))),
+                      block(int(rng.integers(2, 5)), int(rng.integers(1, nx))))
+        return _Barrier(blocks, nx, box=float(rng.uniform(2.0, 10.0)))
+
+    def test_bitwise_equal_to_reference(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            barrier = self._problem(rng)
+            x = rng.uniform(-1.0, 1.0, barrier.nx)
+            lam = max(np.linalg.eigvalsh(b.evaluate(x))[-1] for b in barrier.blocks)
+            z = np.append(x, lam + rng.uniform(0.1, 2.0))
+            for b in barrier.blocks:
+                assert np.array_equal(b.evaluate(x),
+                                      b.F0 + np.tensordot(x[b.slots], b.stack, 1))
+            factors, ref = barrier.slacks(z), _reference_slacks(barrier, z)
+            assert len(factors) == len(ref) == len(barrier.blocks)
+            for L, R in zip(factors, ref):
+                assert np.array_equal(L, R)
+            assert np.array_equal(barrier.value(z, factors),
+                                  _reference_value(barrier, z, ref))
+            g, H = barrier.grad_hess(z, factors)
+            g_ref, H_ref = _reference_grad_hess(barrier, z, ref)
+            assert np.array_equal(g, g_ref)
+            assert np.array_equal(H, H_ref)
+
+    def test_non_interior_points(self):
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            barrier = self._problem(rng)
+            x = rng.uniform(-1.0, 1.0, barrier.nx)
+            lam = max(np.linalg.eigvalsh(b.evaluate(x))[-1] for b in barrier.blocks)
+            outside = x.copy()
+            outside[int(rng.integers(barrier.nx))] = barrier.box
+            for z in (np.append(x, lam - 1e-3), np.append(outside, lam + 1.0)):
+                assert barrier.slacks(z) is None
+                assert _reference_slacks(barrier, z) is None
+
 def _lp_problem(rng, num_x, num_rows):
     """Random diagonal (LP-shaped) feasibility problem and its data."""
     A = rng.standard_normal((num_rows, num_x))
@@ -295,6 +396,33 @@ class TestSolveFeasibility:
         blk = block_of(np.eye(1) + 0.0 * reg.expr("x"), label="constant")
         sol = solve_feasibility([blk], reg, objective={0: 1.0})
         assert sol.status == "NumericalFailure"
+
+    def test_badly_scaled_start(self):
+        # lambda_max(F0) = 1e17, where a start margin of 1 rounds away and
+        # t I - F0 is singular; a relative margin starts inside.
+        reg = VariableRegistry()
+        x = reg.expr(reg.add("x", "symmetric", 1))
+        zero = AffineExpr.constant([[0.0]])
+        blk = block_of(np.diag([1e17, -1.0]) + AffineExpr.bmat([[x, zero], [zero, x]]),
+                       label="scaled")
+        sol = solve_feasibility([blk], reg)
+        assert sol.status == "Infeasible"
+        assert sol.lower_bound > -sol.feas_margin
+
+    def test_unfactorable_start_refused(self):
+        reg = VariableRegistry()
+        reg.add("x", "symmetric", 1)
+        benign = LmiBlock(F0=-np.eye(1), slots=np.array([0]),
+                          stack=np.ones((1, 1, 1)), label="benign")
+        # lambda_max = 0 exactly, but t I - F0 at t = 1 rounds to a matrix
+        # with no Cholesky factor; and a lambda_max at which t overflows.
+        stiff = LmiBlock(F0=-5e15 * np.ones((2, 2)), slots=np.array([0]),
+                         stack=np.eye(2)[None], label="stiff")
+        huge = LmiBlock(F0=np.diag([np.finfo(float).max, -1.0]), slots=np.array([0]),
+                        stack=np.eye(2)[None], label="huge")
+        for blk in (stiff, huge):
+            with pytest.raises(LmiNumericalError, match=f"block '{blk.label}'"):
+                solve_feasibility([benign, blk], reg)
 
     def test_input_validation(self):
         reg = VariableRegistry()
