@@ -20,10 +20,11 @@ flat positions of the block's Hessian entries.  Evaluation is one np.dot
 with the flattened stack, the Hessian is scattered by flat index, and the
 Cholesky factor comes from LAPACK's dpotrf directly (scipy's wrapper costs
 several times the factorization on a few rows).  Each of these computes
-exactly what np.tensordot, np.ix_ and scipy.linalg.cholesky did before, so
-the iterates are the same bit for bit (tests/test_lmi.py keeps that
-per-call arithmetic as a reference).  ``python3 scripts/lmi_sweep.py``
-times the admissibility LMI alone, in Newton steps and ms a step.
+exactly what np.tensordot, an np.ix_ scatter and scipy.linalg.cholesky
+compute, bit for bit (tests/test_lmi.py keeps that arithmetic as a
+reference), so the speed costs no change in any iterate.
+``python3 scripts/lmi_sweep.py`` times the admissibility LMI alone, in
+Newton steps and ms a step.
 """
 
 from __future__ import annotations
