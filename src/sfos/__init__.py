@@ -14,7 +14,7 @@ Submodules:
 
 from .descriptor import (AdmissibilityReport, DescriptorSystem, analyze,
                          analyze_pair, annihilators, decompose,
-                         system_from_dict, system_from_json)
+                         system_from_dict)
 from .errors import (GainRecoverySingular, InputError, LmiNumericalError,
                      NonsingularMatrixError, NotImpulseFreeError,
                      NotMemberError, OutputInjectionInfeasible,
@@ -38,7 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityReport", "DescriptorSystem", "analyze", "analyze_pair",
-    "annihilators", "decompose", "system_from_dict", "system_from_json",
+    "annihilators", "decompose", "system_from_dict",
     "SfosError", "InputError", "NonsingularMatrixError", "NotImpulseFreeError",
     "NotMemberError", "RankDeficientError", "LmiNumericalError",
     "SynthesisError", "StateFeedbackInfeasible", "OutputInjectionInfeasible",

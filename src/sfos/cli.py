@@ -7,14 +7,21 @@ Subcommands::
     sfos simulate problem.json --out d   closed-loop trajectory CSV + summary
     sfos demo     example1|example2 --out d   one-command benchmark runs
 
+Each subcommand takes only the flags it reads: ``--tol`` and ``--out`` on
+all four; ``--k``, ``--seed`` and ``--debug-trace`` on ``synth``,
+``simulate`` and ``demo``; ``--mode`` on ``synth``; ``--h`` and
+``--horizon`` on ``simulate`` and ``demo``.  The LMI solver's margin and box
+are its own constants, not options.
+
 Exit codes are a stable contract: 0 success / admissible, 1 error (bad
-input, I/O, numerical failure), 2 analyzed and not admissible, 3 synthesis
-certified infeasible, 4 synthesis retries exhausted.
+input, including a usage error on the command line, I/O, numerical
+failure), 2 analyzed and not admissible, 3 synthesis certified infeasible,
+4 synthesis retries exhausted.
 
 Numeric options resolve in the order: explicit command-line flag, then
 problem-file value (where the file has a slot for it), then environment
-variable ``SFOS_<NAME>`` (e.g. ``SFOS_FEAS_MARGIN``), then the module
-default.
+variable ``SFOS_<NAME>`` (``SFOS_TOL``, ``SFOS_K``, ``SFOS_H``,
+``SFOS_HORIZON``, ``SFOS_SEED``), then the module default.
 """
 
 from __future__ import annotations
@@ -24,19 +31,14 @@ import json
 import os
 import sys
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover - jsonschema is a hard dependency
-    jsonschema = None
 
 from . import descriptor, lifting, simulator, synthesis
 from .descriptor import DescriptorSystem
 from .errors import (InputError, OutputInjectionInfeasible,
                      OutputStageExhausted, SfosError, StateFeedbackInfeasible,
                      VerificationFailed)
-from .lmi import DEFAULT_BOX_BOUND, DEFAULT_FEAS_MARGIN
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -69,10 +71,7 @@ PROBLEM_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "mode": {"enum": ["observer", "output"]},
-                "retries": {"type": "integer", "minimum": 0},
                 "seed": {"type": "integer"},
-                "feas_margin": {"type": "number", "exclusiveMinimum": 0},
-                "box_bound": {"type": "number", "exclusiveMinimum": 0},
                 "decay_shift": {"type": "number", "minimum": 0},
                 "decay_shift_state": {"type": "number", "minimum": 0},
                 "decay_shift_injection": {"type": "number", "minimum": 0},
@@ -121,13 +120,12 @@ def load_problem(path) -> dict:
         raise InputError(
             f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno}): "
             f"{exc.msg}") from exc
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(doc, PROBLEM_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise InputError(
-                f"{path} fails schema validation at {exc.json_path}: "
-                f"{exc.message}") from exc
+    try:
+        jsonschema.validate(doc, PROBLEM_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        raise InputError(
+            f"{path} fails schema validation at {exc.json_path}: "
+            f"{exc.message}") from exc
     for field in ("E", "A", "B", "C"):
         M = np.array(doc["system"][field], dtype=float)
         if M.ndim != 2 or not np.all(np.isfinite(M)):
@@ -165,12 +163,7 @@ def _resolve(flag_value, file_value, fallback):
 
 
 def _run_synthesis(sysm: DescriptorSystem, mode: str, synth_cfg: dict, args):
-    feas_margin = _resolve(args.feas_margin, synth_cfg.get("feas_margin"),
-                           _env_default("FEAS_MARGIN", float, DEFAULT_FEAS_MARGIN))
-    box_bound = _resolve(args.box_bound, synth_cfg.get("box_bound"),
-                         _env_default("BOX_BOUND", float, DEFAULT_BOX_BOUND))
-    kwargs = {"k": args.k, "feas_margin": feas_margin, "box_bound": box_bound,
-              "debug_trace": args.debug_trace or None}
+    kwargs = {"k": args.k, "debug_trace": args.debug_trace or None}
     if mode == "observer":
         return synthesis.synth_observer(
             sysm, decay_shift_state=synth_cfg.get("decay_shift_state", 0.0),
@@ -180,7 +173,6 @@ def _run_synthesis(sysm: DescriptorSystem, mode: str, synth_cfg: dict, args):
         sysm, decay_shift=synth_cfg.get("decay_shift", 0.0),
         seed=_resolve(args.seed, synth_cfg.get("seed"),
                       _env_default("SEED", int, 0)),
-        retries=synth_cfg.get("retries", synthesis.DEFAULT_RETRIES),
         **kwargs)
 
 
@@ -273,7 +265,9 @@ def _benchmark_system(alpha: float, rank_tol: float) -> DescriptorSystem:
         alpha=alpha, rank_tol=rank_tol)
 
 
-DEMO_X0 = np.array([-0.25, 2.0, 0.25])
+#: The demos' simulation block: both loops start the plant from the same
+#: x0 and gate the first input; the observer adds xhat0 = 0.
+DEMO_SIMULATION = {"x0": [-0.25, 2.0, 0.25], "gate_first_input": True}
 
 #: Spectral-shift margins used by the demo designs, as a synthesis block.
 #: Plain feasibility returns weakly stabilizing gains whose slow power-law
@@ -297,17 +291,11 @@ def _write_columns(path, times, data, names):
 def cmd_demo(args) -> int:
     alpha = 0.6 if args.example == "example1" else 1.2
     sysm = _benchmark_system(alpha, args.tol)
-    h = args.h if args.h is not None else _env_default("H", float, 1e-3)
-    T = args.horizon if args.horizon is not None else _env_default(
-        "HORIZON", float, 20.0)
+    cfg_obs = _sim_config(dict(DEMO_SIMULATION, xhat0=[0.0, 0.0, 0.0]), args)
+    cfg_out = _sim_config(DEMO_SIMULATION, args)
     shifts = DEMO_SHIFTS[args.example]
     obs = _run_synthesis(sysm, "observer", shifts, args)
     out = _run_synthesis(sysm, "output", shifts, args)
-
-    cfg_obs = simulator.SimConfig(h=h, T=T, x0=DEMO_X0, xhat0=np.zeros(3),
-                                  k=args.k, gate_first_input=True)
-    cfg_out = simulator.SimConfig(h=h, T=T, x0=DEMO_X0, k=args.k,
-                                  gate_first_input=True)
     traj_obs = simulator.simulate(sysm, obs, cfg_obs)
     traj_out = simulator.simulate(sysm, ("output", out.F), cfg_out)
 
@@ -354,60 +342,80 @@ def cmd_demo(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes no abbreviations and reports misuse as bad input.
+
+    Usage errors raise :class:`InputError`, so that they end like any other
+    bad input: one ``error:`` line and exit code 1.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sfos",
         description="Analysis, synthesis, and simulation for singular "
                     "fractional-order systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_help):
+    def tol_and_out(p, out_help):
         p.add_argument("--tol", type=float,
                        default=_env_default("TOL", float,
                                             descriptor.DEFAULT_RANK_TOL),
                        help="numerical rank tolerance")
-        p.add_argument("--feas-margin", type=float, default=None,
-                       help="LMI strict-feasibility margin")
-        p.add_argument("--box-bound", type=float, default=None,
-                       help="LMI variable box bound")
+        p.add_argument("--out", default=None, help=out_help)
+
+    def design(p):
         p.add_argument("--k", type=int,
                        default=_env_default("K", int, lifting.DEFAULT_K),
                        help="lifting factor for orders in (1, 2)")
-        p.add_argument("--h", type=float, default=None, help="simulation step")
-        p.add_argument("--horizon", type=float, default=None,
-                       help="simulation final time")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for synthesis retry tilts")
-        p.add_argument("--out", default=None, help=out_help)
         p.add_argument("--debug-trace", default=None,
                        help="write solver iterate trace JSON to this path")
 
+    def march(p):
+        p.add_argument("--h", type=float, default=None, help="simulation step")
+        p.add_argument("--horizon", type=float, default=None,
+                       help="simulation final time")
+
     p = sub.add_parser("analyze", help="admissibility report for a problem file")
     p.add_argument("problem")
-    common(p, "write the report JSON here instead of stdout")
+    tol_and_out(p, "write the report JSON here instead of stdout")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("synth", help="controller synthesis")
     p.add_argument("problem")
     p.add_argument("--mode", choices=["observer", "output"], default=None)
-    common(p, "write the design JSON here instead of stdout")
+    tol_and_out(p, "write the design JSON here instead of stdout")
+    design(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("simulate", help="closed-loop simulation")
     p.add_argument("problem")
-    common(p, "output directory (default: current directory)")
+    tol_and_out(p, "output directory (default: current directory)")
+    design(p)
+    march(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("demo", help="reproduce a benchmark example end to end")
     p.add_argument("example", choices=["example1", "example2"])
-    common(p, "output directory (default: the example name)")
+    tol_and_out(p, "output directory (default: the example name)")
+    design(p)
+    march(p)
     p.set_defaults(func=cmd_demo)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        # Inside the try: the parser's defaults read SFOS_* variables.
+        # Inside the try: the parser's defaults read SFOS_* variables, and
+        # its usage errors raise InputError.
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (StateFeedbackInfeasible, OutputInjectionInfeasible) as exc:

@@ -33,7 +33,6 @@ __all__ = [
     "analyze",
     "decompose",
     "system_from_dict",
-    "system_from_json",
 ]
 
 #: Default relative tolerance for numerical rank decisions.
@@ -148,11 +147,6 @@ def system_from_dict(doc: dict, rank_tol: float = DEFAULT_RANK_TOL) -> Descripto
         )
     except KeyError as exc:
         raise InputError(f"system document is missing field {exc}") from exc
-
-
-def system_from_json(path, rank_tol: float = DEFAULT_RANK_TOL) -> DescriptorSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return system_from_dict(json.load(fh), rank_tol=rank_tol)
 
 
 @dataclass(frozen=True)

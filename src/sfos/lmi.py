@@ -85,10 +85,6 @@ class VariableRegistry:
     def num_slots(self) -> int:
         return self._num_slots
 
-    @property
-    def names(self):
-        return list(self._entries)
-
     def add(self, name: str, kind: str, rows: int, cols: int | None = None) -> str:
         if name in self._entries:
             raise InputError(f"variable {name!r} already registered")

@@ -4,18 +4,27 @@ The criteria hold at orders in (0, 1].  Synthesis takes a plant of any order
 in (0, 2): :func:`sfos.lifting.as_plant` puts it into working coordinates
 (lifted by k above order 1), the inequalities are solved there, and
 :func:`sfos.lifting.verify_loop` judges the closed loop in the same
-coordinates.  Three families:
+coordinates.
 
-* admissibility tests -- one matrix inequality over a fractional-order
-  positive-definite variable P and a free multiplier Q attached to a null
-  space basis of E (a right-sided and a left-sided variant);
-* observer-based synthesis -- two independent inequalities (state feedback
-  and output injection), gains recovered by inverting the certificate;
-* static output feedback -- a two-stage scheme: a state-feedback-like stage
-  produces an intermediate gain K0, then a slack-variable inequality in
-  (P, Q, G, H) yields F = G^{-1} H.  Stage 2 is not guaranteed solvable for
-  every stage-1 K0, so infeasibility triggers re-sampling of K0 through a
-  small random linear tilt on the stage-1 objective.
+One criterion, posed on two sides by :func:`_criterion`, over a
+fractional-order positive-definite variable P and a free multiplier Q
+attached to a null-space basis of E:
+
+* right: sym(A P E^T + A E_right Q) < 0;
+* left:  sym(E^T P A + Q E_left A) < 0.
+
+Alone it is the admissibility test.  With a gain variable R it gives the
+two observer-based problems: the right side plus B R is the state-feedback
+LMI, the left side plus R C the output-injection LMI; their gains are
+recovered by inverting the certificate.  Static output feedback is a
+two-stage scheme: the state-feedback LMI produces an intermediate gain K0,
+then a slack-variable inequality in (P, Q, G, H) yields F = G^{-1} H.
+Stage 2 is not guaranteed solvable for every stage-1 K0, so infeasibility
+triggers re-sampling of K0 through a small random linear tilt on the
+stage-1 objective.  Every solve runs :func:`sfos.lmi.solve_feasibility` at
+its default box and margin, but for the observer's one retry at 10x the
+margin; the gain solves and stage 2 accept a certificate by one rule, in
+:func:`_solve`.
 """
 
 from __future__ import annotations
@@ -32,8 +41,7 @@ from .errors import (GainRecoverySingular, InputError, LmiNumericalError,
                      OutputInjectionInfeasible, OutputStageExhausted,
                      StateFeedbackInfeasible, VerificationFailed)
 from .lmi import (AffineExpr, LmiSolution, VariableRegistry, block_of,
-                  solve_feasibility, sym_of, DEFAULT_BOX_BOUND,
-                  DEFAULT_FEAS_MARGIN)
+                  solve_feasibility, sym_of, DEFAULT_FEAS_MARGIN)
 
 __all__ = [
     "ObserverDesign",
@@ -50,11 +58,12 @@ RECOVERY_COND_LIMIT = 1e12
 #: Magnitude of the random stage-1 objective tilt used by output-feedback retries.
 RETRY_TILT = 1e-3
 
-DEFAULT_RETRIES = 8
+#: Extra stage-1 samples of K0 that output feedback tries after the first.
+RETRIES = 8
 
 
 # ---------------------------------------------------------------------------
-# Shared assembly helpers
+# The criterion and its solve
 # ---------------------------------------------------------------------------
 
 def _fpdm_expr(reg: VariableRegistry, blocks: list, prefix: str, n: int, alpha: float):
@@ -71,6 +80,44 @@ def _fpdm_expr(reg: VariableRegistry, blocks: list, prefix: str, n: int, alpha: 
     return np.sin(half) * X + np.cos(half) * Y
 
 
+#: Block label of each side's criterion with its gain term.
+_GAIN_LABELS = {"right": "state_feedback", "left": "output_injection"}
+
+
+def _criterion(sys: DescriptorSystem, side: str, suffix: str = "",
+               gain: bool = False):
+    """Pose the criterion on ``side``; returns (blocks, registry, annihilators).
+
+    right: sym(A P E^T + A E_right Q [+ B R]) < 0;
+    left:  sym(E^T P A + Q E_left A [+ R C]) < 0,
+    with the gain term R only when ``gain`` is set.  The variables are
+    P<suffix> (fractional-PD, as X then Y), Q<suffix> and R<suffix>,
+    registered in that order.
+    """
+    if side not in _GAIN_LABELS:
+        raise InputError(f"side must be 'right' or 'left', got {side!r}")
+    ann = annihilators(sys.E, sys.r, sys.rank_tol)
+    n, r = sys.n, sys.r
+    reg = VariableRegistry()
+    blocks: list = []
+    P = _fpdm_expr(reg, blocks, f"P{suffix}", n, sys.alpha)
+    if side == "right":
+        Q = reg.expr(reg.add(f"Q{suffix}", "rectangular", n - r, n))
+        expr = sys.A @ P @ sys.E.T + sys.A @ ann.E_right @ Q
+        if gain:
+            R = reg.expr(reg.add(f"R{suffix}", "rectangular", sys.m, n))
+            expr = expr + sys.B @ R
+    else:
+        Q = reg.expr(reg.add(f"Q{suffix}", "rectangular", n, n - r))
+        expr = sys.E.T @ P @ sys.A + Q @ (ann.E_left @ sys.A)
+        if gain:
+            R = reg.expr(reg.add(f"R{suffix}", "rectangular", n, sys.p))
+            expr = expr + R @ sys.C
+    label = _GAIN_LABELS[side] if gain else f"admissibility_{side}"
+    blocks.append(sym_of(expr, label=label))
+    return blocks, reg, ann
+
+
 def _require_fractional_range(alpha: float):
     if not 0.0 < alpha <= 1.0:
         raise InputError(
@@ -82,8 +129,10 @@ def _require_fractional_range(alpha: float):
 MARGINAL_SLACK = 1e-5
 
 
-def _usable_assignment(sol: LmiSolution, plant: lifting.LiftedSystem):
-    """Pick the assignment to recover gains from; returns (assignment, sol).
+def _solve(blocks, reg: VariableRegistry, plant: lifting.LiftedSystem,
+           margin: float = DEFAULT_FEAS_MARGIN, objective=None,
+           debug_trace=None):
+    """Solve, then pick the values to recover gains from; returns (values, sol).
 
     A strict certificate always wins.  In lifted coordinates
     (``plant.k > 1``), whose inequalities are only ever weakly feasible
@@ -93,13 +142,16 @@ def _usable_assignment(sol: LmiSolution, plant: lifting.LiftedSystem):
     fractional-PD membership block is repaired afterwards by
     :func:`_materialize_fpdm`, and the recovered design must then pass its
     own independent closed-loop verification.  Marginal acceptances are
-    relabeled status "Marginal".
+    relabeled status "Marginal".  ``values`` is None when neither holds.
     """
+    sol = solve_feasibility(blocks, reg, feas_margin=margin,
+                            objective=objective, debug_trace=debug_trace)
     if sol.feasible:
-        return sol.assignment, sol
-    if plant.k > 1 and sol.witness is not None:
-        if max(sol.margins) <= MARGINAL_SLACK:
-            return sol.witness, dataclasses.replace(sol, status="Marginal")
+        return reg.materialize_all(sol.assignment), sol
+    if (plant.k > 1 and sol.witness is not None
+            and max(sol.margins) <= MARGINAL_SLACK):
+        return (reg.materialize_all(sol.witness),
+                dataclasses.replace(sol, status="Marginal"))
     return None, sol
 
 
@@ -156,8 +208,6 @@ def _recover_inverse(M: np.ndarray, what: str, certificate: LmiSolution) -> np.n
 # ---------------------------------------------------------------------------
 
 def admissible_via_lmi(sys: DescriptorSystem, side: str = "right",
-                       feas_margin: float = DEFAULT_FEAS_MARGIN,
-                       box_bound: float = DEFAULT_BOX_BOUND,
                        debug_trace=None):
     """Zero-input admissibility as a feasibility question.
 
@@ -167,22 +217,8 @@ def admissible_via_lmi(sys: DescriptorSystem, side: str = "right",
     :class:`LmiNumericalError` rather than counting as infeasible.
     """
     _require_fractional_range(sys.alpha)
-    ann = annihilators(sys.E, sys.r, sys.rank_tol)
-    n = sys.n
-    reg = VariableRegistry()
-    blocks: list = []
-    P = _fpdm_expr(reg, blocks, "P", n, sys.alpha)
-    if side == "right":
-        Q = reg.expr(reg.add("Q", "rectangular", n - sys.r, n))
-        expr = sys.A @ P @ sys.E.T + sys.A @ ann.E_right @ Q
-    elif side == "left":
-        Q = reg.expr(reg.add("Q", "rectangular", n, n - sys.r))
-        expr = sys.E.T @ P @ sys.A + Q @ (ann.E_left @ sys.A)
-    else:
-        raise InputError(f"side must be 'right' or 'left', got {side!r}")
-    blocks.append(sym_of(expr, label=f"admissibility_{side}"))
-    sol = solve_feasibility(blocks, reg, feas_margin=feas_margin,
-                            box_bound=box_bound, debug_trace=debug_trace)
+    blocks, reg, _ = _criterion(sys, side)
+    sol = solve_feasibility(blocks, reg, debug_trace=debug_trace)
     if sol.status == "NumericalFailure":
         raise LmiNumericalError(
             f"admissibility LMI ({side}) could not be classified "
@@ -250,9 +286,8 @@ def closed_loop(sys: DescriptorSystem, controller):
     raise InputError(f"unknown controller kind {kind!r}")
 
 
-def solve_state_feedback(plant, feas_margin: float = DEFAULT_FEAS_MARGIN,
-                         box_bound: float = DEFAULT_BOX_BOUND,
-                         objective_seed=None, debug_trace=None):
+def solve_state_feedback(plant, objective_seed=None, debug_trace=None,
+                         _margin=DEFAULT_FEAS_MARGIN):
     """Feasibility of sym(A P E^T + A E_right Q + B R) < 0; returns (K, certificate).
 
     ``plant`` is a plant or a :class:`sfos.lifting.LiftedSystem`; the
@@ -261,69 +296,41 @@ def solve_state_feedback(plant, feas_margin: float = DEFAULT_FEAS_MARGIN,
     """
     plant = lifting.as_plant(plant)
     sys = plant.lifted
-    ann = annihilators(sys.E, sys.r, sys.rank_tol)
-    reg = VariableRegistry()
-    blocks: list = []
-    P = _fpdm_expr(reg, blocks, "P1", sys.n, sys.alpha)
-    Q = reg.expr(reg.add("Q1", "rectangular", sys.n - sys.r, sys.n))
-    Rname = reg.add("R1", "rectangular", sys.m, sys.n)
-    R = reg.expr(Rname)
-    blocks.append(sym_of(
-        sys.A @ P @ sys.E.T + sys.A @ ann.E_right @ Q + sys.B @ R,
-        label="state_feedback"))
-
+    blocks, reg, ann = _criterion(sys, "right", "1", gain=True)
     objective = None
     if objective_seed is not None:
         rng = np.random.default_rng(objective_seed)
         W = rng.standard_normal((sys.m, sys.n))
-        entry = reg.entry(Rname)
+        entry = reg.entry("R1")
         objective = {entry.start + i: RETRY_TILT * w
                      for i, w in enumerate(W.ravel())}
-
-    sol = solve_feasibility(blocks, reg, feas_margin=feas_margin,
-                            box_bound=box_bound, objective=objective,
-                            debug_trace=debug_trace)
-    assignment, sol = _usable_assignment(sol, plant)
-    if assignment is None:
+    vals, sol = _solve(blocks, reg, plant, _margin, objective, debug_trace)
+    if vals is None:
         if sol.status == "Infeasible":
             raise StateFeedbackInfeasible(
                 "state-feedback LMI certified infeasible: no stabilizing gain exists")
         raise LmiNumericalError("state-feedback LMI could not be classified")
-    vals = reg.materialize_all(assignment)
     Pm = _materialize_fpdm(vals, "P1", sys.alpha, repair=sol.status == "Marginal")
     S = Pm @ sys.E.T + ann.E_right @ vals["Q1"]
     K = vals["R1"] @ _recover_inverse(S, "P E^T + E_right Q", sol)
     return K, sol
 
 
-def solve_output_injection(plant, feas_margin: float = DEFAULT_FEAS_MARGIN,
-                           box_bound: float = DEFAULT_BOX_BOUND,
-                           debug_trace=None):
+def solve_output_injection(plant, debug_trace=None, _margin=DEFAULT_FEAS_MARGIN):
     """Feasibility of sym(E^T P A + Q E_left A + R C) < 0; returns (L, certificate).
 
     ``plant`` is taken as by :func:`solve_state_feedback`.
     """
     plant = lifting.as_plant(plant)
     sys = plant.lifted
-    ann = annihilators(sys.E, sys.r, sys.rank_tol)
-    reg = VariableRegistry()
-    blocks: list = []
-    P = _fpdm_expr(reg, blocks, "P2", sys.n, sys.alpha)
-    Q = reg.expr(reg.add("Q2", "rectangular", sys.n, sys.n - sys.r))
-    R = reg.expr(reg.add("R2", "rectangular", sys.n, sys.p))
-    blocks.append(sym_of(
-        sys.E.T @ P @ sys.A + Q @ (ann.E_left @ sys.A) + R @ sys.C,
-        label="output_injection"))
-    sol = solve_feasibility(blocks, reg, feas_margin=feas_margin,
-                            box_bound=box_bound, debug_trace=debug_trace)
-    assignment, sol = _usable_assignment(sol, plant)
-    if assignment is None:
+    blocks, reg, ann = _criterion(sys, "left", "2", gain=True)
+    vals, sol = _solve(blocks, reg, plant, _margin, debug_trace=debug_trace)
+    if vals is None:
         if sol.status == "Infeasible":
             raise OutputInjectionInfeasible(
                 "output-injection LMI certified infeasible: "
                 "no stabilizing injection exists")
         raise LmiNumericalError("output-injection LMI could not be classified")
-    vals = reg.materialize_all(assignment)
     Pm = _materialize_fpdm(vals, "P2", sys.alpha, repair=sol.status == "Marginal")
     S = sys.E.T @ Pm + vals["Q2"] @ ann.E_left
     L = _recover_inverse(S, "E^T P + Q E_left", sol) @ vals["R2"]
@@ -331,8 +338,6 @@ def solve_output_injection(plant, feas_margin: float = DEFAULT_FEAS_MARGIN,
 
 
 def synth_observer(sys, k: int = lifting.DEFAULT_K,
-                   feas_margin: float = DEFAULT_FEAS_MARGIN,
-                   box_bound: float = DEFAULT_BOX_BOUND,
                    decay_shift_state: float = 0.0,
                    decay_shift_injection: float = 0.0,
                    debug_trace=None) -> ObserverDesign:
@@ -351,10 +356,10 @@ def synth_observer(sys, k: int = lifting.DEFAULT_K,
     plant = lifting.as_plant(sys, k)
     work_K = _shifted(plant, decay_shift_state)
     work_L = _shifted(plant, decay_shift_injection)
-    for attempt_margin in (feas_margin, 10.0 * feas_margin):
-        K, cert_k = solve_state_feedback(work_K, attempt_margin, box_bound,
-                                         debug_trace=debug_trace)
-        L, cert_l = solve_output_injection(work_L, attempt_margin, box_bound)
+    for margin in (DEFAULT_FEAS_MARGIN, 10.0 * DEFAULT_FEAS_MARGIN):
+        K, cert_k = solve_state_feedback(work_K, debug_trace=debug_trace,
+                                         _margin=margin)
+        L, cert_l = solve_output_injection(work_L, _margin=margin)
         report = lifting.verify_loop(plant, ("observer", K, L))
         if report.admissible:
             return ObserverDesign(K=K, L=L,
@@ -388,8 +393,7 @@ class OutputFeedbackDesign:
         }
 
 
-def _output_stage2(plant: lifting.LiftedSystem, K0, feas_margin, box_bound,
-                   debug_trace=None):
+def _output_stage2(plant: lifting.LiftedSystem, K0, debug_trace=None):
     """Slack-variable stage: find (P, Q, G, H) certifying F = G^{-1}H."""
     sys = plant.lifted
     ann = annihilators(sys.E, sys.r, sys.rank_tol)
@@ -406,25 +410,18 @@ def _output_stage2(plant: lifting.LiftedSystem, K0, feas_margin, box_bound,
     expr = AffineExpr.bmat([[phi + phi.T, off],
                             [off.T, -G - G.T]])
     blocks.append(block_of(expr, label="output_feedback"))
-    sol = solve_feasibility(blocks, reg, feas_margin=feas_margin,
-                            box_bound=box_bound, debug_trace=debug_trace)
-    assignment, sol = _usable_assignment(sol, plant)
-    if assignment is None:
+    vals, sol = _solve(blocks, reg, plant, debug_trace=debug_trace)
+    if vals is None:
         # Lifted, an unclassified stage 2 only disqualifies this K0.
         if sol.status == "NumericalFailure" and plant.k == 1:
             raise LmiNumericalError(
                 "output-feedback stage-2 LMI could not be classified")
         return None, sol
-    vals = reg.materialize_all(assignment)
     F = _recover_inverse(vals["G"], "slack variable G", sol) @ vals["H"]
     return F, sol
 
 
-def synth_output_feedback(sys, k: int = lifting.DEFAULT_K,
-                          retries: int = DEFAULT_RETRIES,
-                          seed: int = 0,
-                          feas_margin: float = DEFAULT_FEAS_MARGIN,
-                          box_bound: float = DEFAULT_BOX_BOUND,
+def synth_output_feedback(sys, k: int = lifting.DEFAULT_K, seed: int = 0,
                           decay_shift: float = 0.0,
                           debug_trace=None) -> OutputFeedbackDesign:
     """Two-stage static output-feedback design.
@@ -437,16 +434,15 @@ def synth_output_feedback(sys, k: int = lifting.DEFAULT_K,
     against that K0.  Because not every stabilizing K0 admits a stage-2
     certificate, stage-2 infeasibility (or a verification miss) re-runs
     stage 1 with a small seeded random objective tilt to land on a
-    different K0, up to ``retries`` extra attempts.
+    different K0, up to :data:`RETRIES` extra attempts.
     """
     plant = lifting.as_plant(sys, k)
     work = _shifted(plant, decay_shift)
     attempts = []
-    for attempt in range(retries + 1):
+    for attempt in range(RETRIES + 1):
         objective_seed = None if attempt == 0 else (seed, attempt)
         try:
-            K0, cert1 = solve_state_feedback(work, feas_margin, box_bound,
-                                             objective_seed=objective_seed)
+            K0, cert1 = solve_state_feedback(work, objective_seed=objective_seed)
         except StateFeedbackInfeasible:
             if attempt == 0:
                 raise
@@ -460,8 +456,7 @@ def synth_output_feedback(sys, k: int = lifting.DEFAULT_K,
             attempts.append({"attempt": attempt, "stage": 1, "status": str(exc)})
             continue
         try:
-            F, cert2 = _output_stage2(work, K0, feas_margin, box_bound,
-                                      debug_trace=debug_trace)
+            F, cert2 = _output_stage2(work, K0, debug_trace=debug_trace)
         except GainRecoverySingular as exc:
             attempts.append({"attempt": attempt, "stage": 2, "status": str(exc),
                              "K0": K0.tolist()})
@@ -480,7 +475,7 @@ def synth_output_feedback(sys, k: int = lifting.DEFAULT_K,
                                     certificates={"stage1": cert1, "stage2": cert2},
                                     closed_loop_report=report)
     raise OutputStageExhausted(
-        f"output-feedback stage 2 failed for all {retries + 1} intermediate gains",
+        f"output-feedback stage 2 failed for all {RETRIES + 1} intermediate gains",
         attempts=attempts)
 
 

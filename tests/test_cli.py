@@ -58,6 +58,15 @@ class TestAnalyze:
         assert cli.main(["simulate", write_problem(tmp_path, doc), "--out",
                          str(tmp_path / "o")]) == cli.EXIT_ERROR
         assert "memory_length" in capsys.readouterr().err
+        # The solver's margin, box and retry count are constants, not
+        # settings: a file that sets one is refused by name.
+        for key, value in (("feas_margin", 1e-6), ("box_bound", 10.0),
+                           ("retries", 2)):
+            doc = problem_doc(synthesis={"mode": "output", key: value})
+            assert cli.main(["synth", write_problem(tmp_path, doc)]
+                            ) == cli.EXIT_ERROR
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and key in err
 
     def test_missing_file_exit_1(self):
         assert cli.main(["analyze", "/nonexistent.json"]) == cli.EXIT_ERROR
@@ -78,6 +87,29 @@ class TestAnalyze:
         cli.main(["analyze", path, "--out", str(out)])
         assert json.loads(out.read_text())["pencil_degree"] == 2
         assert capsys.readouterr().out == ""
+
+
+class TestUsage:
+    """Command-line misuse is bad input: one error line, exit 1."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["analyze", "{path}", "--bogus"], "--bogus"),
+        (["analyze"], "problem"),
+        (["synth", "{path}", "--h", "0.5"], "--h"),
+        (["analyze", "{path}", "--k", "3"], "--k"),
+        (["synth", "{path}", "--horizon", "2"], "--horizon"),
+        (["synth", "{path}", "--feas-margin", "1e-6"], "--feas-margin"),
+        (["simulate", "{path}", "--box-bound", "10"], "--box-bound"),
+        (["analyze", "{path}", "--tol", "abc"], "--tol")])
+    def test_usage_error_exit_1(self, tmp_path, capsys, argv, named):
+        path = write_problem(tmp_path, problem_doc(
+            synthesis={"mode": "output"}, simulation={"x0": BENCH_X0.tolist()}))
+        argv = [arg.replace("{path}", path) for arg in argv]
+        assert cli.main(argv) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
 
 class TestSynth:

@@ -10,9 +10,10 @@ import scipy.linalg as sla
 
 from conftest import GAINS_06, GAINS_12, benchmark, random_impulse_free_system
 from sfos import lifting, synthesis
-from sfos.descriptor import DescriptorSystem, analyze, analyze_pair
+from sfos.descriptor import DescriptorSystem, analyze, analyze_pair, annihilators
 from sfos.errors import InputError, StateFeedbackInfeasible
 from sfos.lifting import lift
+from sfos.lmi import AffineExpr, VariableRegistry, block_of, sym_of
 from sfos.synthesis import (admissible_via_lmi, closed_loop,
                             solve_output_injection, solve_state_feedback,
                             synth_observer, synth_output_feedback)
@@ -64,6 +65,81 @@ class TestAdmissibleViaLmi:
             side = "right" if trial % 2 == 0 else "left"
             verdict, _ = admissible_via_lmi(sysm, side)
             assert verdict == analyze(sysm).admissible
+
+
+def _reference_fpdm(reg, blocks, prefix, n, alpha):
+    X = reg.expr(reg.add(f"{prefix}_X", "symmetric", n))
+    Y = reg.expr(reg.add(f"{prefix}_Y", "skew", n))
+    blocks.append(block_of(
+        AffineExpr.bmat([[-X, -Y], [Y, -X]]), label=f"{prefix}_membership"))
+    half = alpha * np.pi / 2.0
+    return np.sin(half) * X + np.cos(half) * Y
+
+
+def _reference_blocks(sys, kind):
+    """The four inequalities as each was once assembled by hand.
+
+    Kept here as the reference for the one criterion builder: admissibility
+    on the right and on the left, state feedback and output injection.
+    """
+    ann = annihilators(sys.E, sys.r, sys.rank_tol)
+    n, r = sys.n, sys.r
+    reg = VariableRegistry()
+    blocks = []
+    if kind == "admissibility_right":
+        P = _reference_fpdm(reg, blocks, "P", n, sys.alpha)
+        Q = reg.expr(reg.add("Q", "rectangular", n - r, n))
+        expr = sys.A @ P @ sys.E.T + sys.A @ ann.E_right @ Q
+    elif kind == "admissibility_left":
+        P = _reference_fpdm(reg, blocks, "P", n, sys.alpha)
+        Q = reg.expr(reg.add("Q", "rectangular", n, n - r))
+        expr = sys.E.T @ P @ sys.A + Q @ (ann.E_left @ sys.A)
+    elif kind == "state_feedback":
+        P = _reference_fpdm(reg, blocks, "P1", n, sys.alpha)
+        Q = reg.expr(reg.add("Q1", "rectangular", n - r, n))
+        R = reg.expr(reg.add("R1", "rectangular", sys.m, n))
+        expr = sys.A @ P @ sys.E.T + sys.A @ ann.E_right @ Q + sys.B @ R
+    else:
+        P = _reference_fpdm(reg, blocks, "P2", n, sys.alpha)
+        Q = reg.expr(reg.add("Q2", "rectangular", n, n - r))
+        R = reg.expr(reg.add("R2", "rectangular", n, sys.p))
+        expr = sys.E.T @ P @ sys.A + Q @ (ann.E_left @ sys.A) + R @ sys.C
+    blocks.append(sym_of(expr, label=kind))
+    return blocks, reg
+
+
+def _criterion_plants():
+    rng = np.random.default_rng(7)
+    bench = benchmark(0.6)
+    plants = [bench, bench.with_matrices(A=bench.A + 2.0 * bench.E),
+              lifting.as_plant(benchmark(1.2), 2).lifted]
+    for _ in range(2):
+        sysm, _ = random_impulse_free_system(rng, float(rng.uniform(0.3, 1.0)))
+        plants.append(sysm.with_matrices(B=rng.standard_normal((sysm.n, 2)),
+                                         C=rng.standard_normal((2, sysm.n))))
+    return plants
+
+
+class TestCriterionBuilder:
+    """One builder poses the criterion on both sides, with or without a gain."""
+
+    @pytest.mark.parametrize("index", range(5))
+    @pytest.mark.parametrize("kind, side, suffix, gain", [
+        ("admissibility_right", "right", "", False),
+        ("admissibility_left", "left", "", False),
+        ("state_feedback", "right", "1", True),
+        ("output_injection", "left", "2", True)])
+    def test_matches_the_hand_built_inequalities(self, index, kind, side,
+                                                 suffix, gain):
+        sysm = _criterion_plants()[index]
+        blocks, reg, _ = synthesis._criterion(sysm, side, suffix, gain)
+        ref_blocks, ref_reg = _reference_blocks(sysm, kind)
+        assert reg.num_slots == ref_reg.num_slots
+        assert len(blocks) == len(ref_blocks) == 2
+        for got, ref in zip(blocks, ref_blocks):
+            assert got.label == ref.label
+            for field in ("F0", "slots", "stack"):
+                assert np.array_equal(getattr(got, field), getattr(ref, field))
 
 
 class TestStateFeedback:
