@@ -21,7 +21,9 @@ failure), 2 analyzed and not admissible, 3 synthesis certified infeasible,
 Numeric options resolve in the order: explicit command-line flag, then
 problem-file value (where the file has a slot for it), then environment
 variable ``SFOS_<NAME>`` (``SFOS_TOL``, ``SFOS_K``, ``SFOS_H``,
-``SFOS_HORIZON``, ``SFOS_SEED``), then the module default.
+``SFOS_HORIZON``, ``SFOS_SEED``), then the module default.  All five
+variables are read and checked once, when :func:`main` starts, whatever the
+subcommand: a malformed one is bad input even where it would not be used.
 """
 
 from __future__ import annotations
@@ -98,15 +100,23 @@ PROBLEM_SCHEMA = {
 }
 
 
-def _env_default(name, cast, fallback):
-    raw = os.environ.get(f"SFOS_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise InputError(f"environment variable SFOS_{name}={raw!r} "
-                         f"is not a valid {cast.__name__}")
+#: Each ``SFOS_<NAME>`` variable: its type and the default it stands in for.
+ENVIRONMENT = {"TOL": (float, descriptor.DEFAULT_RANK_TOL),
+               "K": (int, lifting.DEFAULT_K), "H": (float, 1e-3),
+               "HORIZON": (float, 20.0), "SEED": (int, 0)}
+
+
+def _environment() -> dict:
+    """Each SFOS_<NAME> value, or its default; a malformed one is bad input."""
+    env = {}
+    for name, (cast, fallback) in ENVIRONMENT.items():
+        raw = os.environ.get(f"SFOS_{name}")
+        try:
+            env[name] = fallback if raw is None else cast(raw)
+        except ValueError:
+            raise InputError(f"environment variable SFOS_{name}={raw!r} "
+                             f"is not a valid {cast.__name__}") from None
+    return env
 
 
 def load_problem(path) -> dict:
@@ -126,10 +136,6 @@ def load_problem(path) -> dict:
         raise InputError(
             f"{path} fails schema validation at {exc.json_path}: "
             f"{exc.message}") from exc
-    for field in ("E", "A", "B", "C"):
-        M = np.array(doc["system"][field], dtype=float)
-        if M.ndim != 2 or not np.all(np.isfinite(M)):
-            raise InputError(f"system.{field} must be a finite rectangular matrix")
     return doc
 
 
@@ -162,7 +168,12 @@ def _resolve(flag_value, file_value, fallback):
     return fallback
 
 
-def _run_synthesis(sysm: DescriptorSystem, mode: str, synth_cfg: dict, args):
+def _run_synthesis(sysm: DescriptorSystem, synth_cfg: dict, args, mode=None):
+    """Design in ``mode``, else in the problem file's synthesis.mode."""
+    mode = mode or synth_cfg.get("mode")
+    if mode is None:
+        raise InputError("no synthesis mode: pass --mode observer|output to "
+                         "synth, or set synthesis.mode in the problem file")
     kwargs = {"k": args.k, "debug_trace": args.debug_trace or None}
     if mode == "observer":
         return synthesis.synth_observer(
@@ -171,20 +182,15 @@ def _run_synthesis(sysm: DescriptorSystem, mode: str, synth_cfg: dict, args):
             **kwargs)
     return synthesis.synth_output_feedback(
         sysm, decay_shift=synth_cfg.get("decay_shift", 0.0),
-        seed=_resolve(args.seed, synth_cfg.get("seed"),
-                      _env_default("SEED", int, 0)),
+        seed=_resolve(args.seed, synth_cfg.get("seed"), args.env["SEED"]),
         **kwargs)
 
 
 def cmd_synth(args) -> int:
     doc = load_problem(args.problem)
     synth_cfg = doc.get("synthesis", {})
-    mode = args.mode or synth_cfg.get("mode")
-    if mode is None:
-        raise InputError("no synthesis mode: pass --mode observer|output "
-                         "or a synthesis.mode field in the problem file")
     sysm = descriptor.system_from_dict(doc["system"], rank_tol=args.tol)
-    design = _run_synthesis(sysm, mode, synth_cfg, args)
+    design = _run_synthesis(sysm, synth_cfg, args, args.mode)
     _emit(design.to_dict(), args.out)
     return EXIT_OK
 
@@ -192,12 +198,11 @@ def cmd_synth(args) -> int:
 def _injected_controller(plant: lifting.LiftedSystem, gains: dict):
     """Controller tuple + verification report for user-supplied gains."""
     if "F" in gains:
-        ctrl = ("output", np.array(gains["F"], dtype=float))
+        ctrl = ("output", gains["F"])
     elif "K" in gains and "L" in gains:
-        ctrl = ("observer", np.array(gains["K"], dtype=float),
-                np.array(gains["L"], dtype=float))
+        ctrl = ("observer", gains["K"], gains["L"])
     elif "K" in gains:
-        ctrl = ("state", np.array(gains["K"], dtype=float))
+        ctrl = ("state", gains["K"])
     else:
         raise InputError("gains block must provide F, K, or K and L")
     return ctrl, lifting.verify_loop(plant, ctrl)
@@ -207,9 +212,8 @@ def _sim_config(sim_cfg: dict, args) -> simulator.SimConfig:
     if "x0" not in sim_cfg:
         raise InputError("simulation requires an x0 in the problem file's "
                          "simulation block")
-    h = _resolve(args.h, sim_cfg.get("h"), _env_default("H", float, 1e-3))
-    T = _resolve(args.horizon, sim_cfg.get("T"),
-                 _env_default("HORIZON", float, 20.0))
+    h = _resolve(args.h, sim_cfg.get("h"), args.env["H"])
+    T = _resolve(args.horizon, sim_cfg.get("T"), args.env["HORIZON"])
     return simulator.SimConfig(
         h=h, T=T, x0=np.array(sim_cfg["x0"], dtype=float),
         xhat0=(None if "xhat0" not in sim_cfg
@@ -233,9 +237,7 @@ def cmd_simulate(args) -> int:
         verification = report.to_dict()
         admissible = report.admissible
     elif "synthesis" in doc:
-        design = _run_synthesis(sysm, doc["synthesis"].get("mode", "observer"),
-                                doc["synthesis"], args)
-        controller = design
+        controller = _run_synthesis(sysm, doc["synthesis"], args)
         admissible = True
     else:
         controller = None
@@ -294,8 +296,8 @@ def cmd_demo(args) -> int:
     cfg_obs = _sim_config(dict(DEMO_SIMULATION, xhat0=[0.0, 0.0, 0.0]), args)
     cfg_out = _sim_config(DEMO_SIMULATION, args)
     shifts = DEMO_SHIFTS[args.example]
-    obs = _run_synthesis(sysm, "observer", shifts, args)
-    out = _run_synthesis(sysm, "output", shifts, args)
+    obs = _run_synthesis(sysm, shifts, args, "observer")
+    out = _run_synthesis(sysm, shifts, args, "output")
     traj_obs = simulator.simulate(sysm, obs, cfg_obs)
     traj_out = simulator.simulate(sysm, ("output", out.F), cfg_out)
 
@@ -356,23 +358,28 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(env: dict) -> argparse.ArgumentParser:
+    """The parser; ``--tol`` and ``--k`` default to ``env``'s values.
+
+    h, T and the seed fall back on theirs only after the problem file, so
+    the subcommands read them from ``args.env``.
+    """
     parser = _Parser(
         prog="sfos",
         description="Analysis, synthesis, and simulation for singular "
                     "fractional-order systems.")
+    parser.set_defaults(env=env)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def tol_and_out(p, out_help):
         p.add_argument("--tol", type=float,
-                       default=_env_default("TOL", float,
-                                            descriptor.DEFAULT_RANK_TOL),
+                       default=env["TOL"],
                        help="numerical rank tolerance")
         p.add_argument("--out", default=None, help=out_help)
 
     def design(p):
         p.add_argument("--k", type=int,
-                       default=_env_default("K", int, lifting.DEFAULT_K),
+                       default=env["K"],
                        help="lifting factor for orders in (1, 2)")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for synthesis retry tilts")
@@ -414,9 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        # Inside the try: the parser's defaults read SFOS_* variables, and
-        # its usage errors raise InputError.
-        args = build_parser().parse_args(argv)
+        # Inside the try: malformed SFOS_* variables and usage errors raise
+        # InputError.
+        args = build_parser(_environment()).parse_args(argv)
         return args.func(args)
     except (StateFeedbackInfeasible, OutputInjectionInfeasible) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,7 +54,10 @@ ANGLE_BOUNDARY_TOL = 1e-9
 
 
 def _as_matrix(M, name):
-    M = np.asarray(M, dtype=float)
+    try:
+        M = np.asarray(M, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must be a rectangular matrix of numbers") from None
     if M.ndim != 2:
         raise InputError(f"{name} must be a 2-D matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
@@ -138,10 +141,7 @@ def system_from_dict(doc: dict, rank_tol: float = DEFAULT_RANK_TOL) -> Descripto
     """Build a system from ``{"E": [[...]], "A": ..., "B": ..., "C": ..., "alpha": ...}``."""
     try:
         return DescriptorSystem(
-            E=np.array(doc["E"], dtype=float),
-            A=np.array(doc["A"], dtype=float),
-            B=np.array(doc["B"], dtype=float),
-            C=np.array(doc["C"], dtype=float),
+            E=doc["E"], A=doc["A"], B=doc["B"], C=doc["C"],
             alpha=float(doc["alpha"]),
             rank_tol=rank_tol,
         )

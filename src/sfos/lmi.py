@@ -6,11 +6,15 @@ the shared epigraph variable t subject to F_j(x) <= t*I and a box |x_i| <=
 box_bound (the inequalities are homogeneous, so the box just normalizes
 scale), using a log-det barrier with damped Newton steps.
 
-Expressions are slot -> matrix dicts; each block stacks its coefficients as an
-(m, d, d) array over sorted slots, so evaluation, the barrier Hessian (the Gram
-matrix of L^-1 F_i L^-T, t I - F(x) = L L^T) and the dual bound are a few
-contractions per block.  Problems are desk-scale (a few hundred slots, blocks
-of a few dozen rows), so dense factorizations throughout are deliberate.
+Expressions and blocks share one layout: strictly increasing slots and a
+stack of the constant and one coefficient matrix per slot.  A variable's
+basis stack is built by index, each operation of the expression algebra is
+array work on stacks (a sum places its operands over the union of their
+slots), and a block is its expression's stack symmetrized.  So evaluation,
+the barrier Hessian (the Gram matrix of L^-1 F_i L^-T, t I - F(x) = L L^T)
+and the dual bound are a few contractions per block.  Problems are
+desk-scale (a few hundred slots, blocks of a few dozen rows), so dense
+factorizations throughout are deliberate.
 
 At this size a Newton step costs more in per-call overhead than in
 arithmetic, so the barrier builds, once per solve and for each block, what
@@ -108,39 +112,26 @@ class VariableRegistry:
         except KeyError:
             raise InputError(f"unknown variable {name!r}") from None
 
-    def _basis(self, entry: _VarEntry):
-        """Yield (slot index, basis matrix) pairs for one variable."""
-        rows, cols = entry.shape
-        slot = entry.start
-        if entry.kind == "symmetric":
-            for i in range(rows):
-                for j in range(i, rows):
-                    M = np.zeros(entry.shape)
-                    M[i, j] = 1.0
-                    M[j, i] = 1.0
-                    yield slot, M
-                    slot += 1
-        elif entry.kind == "skew":
-            for i in range(rows):
-                for j in range(i + 1, rows):
-                    M = np.zeros(entry.shape)
-                    M[i, j] = 1.0
-                    M[j, i] = -1.0
-                    yield slot, M
-                    slot += 1
-        else:
-            for i in range(rows):
-                for j in range(cols):
-                    M = np.zeros(entry.shape)
-                    M[i, j] = 1.0
-                    yield slot, M
-                    slot += 1
-
     def expr(self, name: str) -> "AffineExpr":
-        """Affine expression equal to the named matrix variable."""
+        """Affine expression equal to the named matrix variable.
+
+        Slot k of the variable (counted from its start) is entry (i, j) of
+        the upper triangle, strict for skew variables, or of the whole
+        matrix, row by row; its basis matrix is 1 at (i, j) and, mirrored,
+        +1 (symmetric) or -1 (skew) at (j, i).
+        """
         entry = self.entry(name)
-        coeffs = {slot: M for slot, M in self._basis(entry)}
-        return AffineExpr(entry.shape, np.zeros(entry.shape), coeffs)
+        rows, cols = entry.shape
+        if entry.kind == "rectangular":
+            i, j = np.divmod(np.arange(entry.count), cols)
+        else:
+            i, j = np.triu_indices(rows, 0 if entry.kind == "symmetric" else 1)
+        k = np.arange(1, entry.count + 1)
+        stack = np.zeros((entry.count + 1, rows, cols))
+        stack[k, i, j] = 1.0
+        if entry.kind != "rectangular":
+            stack[k, j, i] = 1.0 if entry.kind == "symmetric" else -1.0
+        return AffineExpr(np.arange(entry.start, entry.start + entry.count), stack)
 
     def materialize(self, name: str, assignment: np.ndarray) -> np.ndarray:
         """Matrix value of one variable under a scalar assignment."""
@@ -155,54 +146,53 @@ class VariableRegistry:
 # ---------------------------------------------------------------------------
 
 class AffineExpr:
-    """Matrix-valued expression ``const + sum_i x_i * coeffs[i]``.
+    """Matrix-valued expression ``stack[0] + sum_i x[slots[i]] * stack[i + 1]``.
 
-    Supports addition, negation, transpose, scaling, multiplication by
-    constant matrices on either side, and block composition via
-    :meth:`bmat` -- enough to assemble the synthesis inequalities without
-    ever forming products of two unknowns (which would not be affine).
+    ``slots`` is strictly increasing and ``stack`` holds the constant, then
+    one coefficient matrix per slot: shape (len(slots) + 1, rows, cols), the
+    layout of :class:`LmiBlock`.  Supports addition, negation, transpose,
+    scaling, multiplication by constant matrices on either side, and block
+    composition via :meth:`bmat` -- enough to assemble the synthesis
+    inequalities without ever forming products of two unknowns (which would
+    not be affine).  Each is one array operation on the stack; a sum places
+    its operands' stacks over the union of their slots.
     """
 
     __array_priority__ = 100  # keep ndarray @ AffineExpr out of numpy's hands
 
-    def __init__(self, shape, const, coeffs):
-        self.shape = tuple(shape)
-        self.const = np.asarray(const, dtype=float)
-        self.coeffs = {int(s): np.asarray(M, dtype=float) for s, M in coeffs.items()}
-        if self.const.shape != self.shape:
-            raise InputError("constant term shape mismatch")
-        for M in self.coeffs.values():
-            if M.shape != self.shape:
-                raise InputError("coefficient shape mismatch")
+    def __init__(self, slots, stack):
+        self.slots = np.asarray(slots, dtype=np.intp).reshape(-1)
+        self.stack = np.asarray(stack, dtype=float)
+        if self.stack.ndim != 3 or len(self.stack) != len(self.slots) + 1:
+            raise InputError(f"{len(self.slots)} slots need a stack of {len(self.slots) + 1}"
+                             f" matrices, got shape {self.stack.shape}")
+        if np.any(np.diff(self.slots) <= 0):
+            raise InputError("expression slots are not strictly increasing")
+
+    @property
+    def shape(self) -> tuple:
+        return self.stack.shape[1:]
 
     @staticmethod
     def constant(M) -> "AffineExpr":
-        M = np.atleast_2d(np.asarray(M, dtype=float))
-        return AffineExpr(M.shape, M, {})
+        return AffineExpr((), _matrix(M)[None])
 
     @staticmethod
     def _coerce(other):
-        if isinstance(other, AffineExpr):
-            return other
-        return AffineExpr.constant(other)
+        return other if isinstance(other, AffineExpr) else AffineExpr.constant(other)
 
     @property
     def T(self) -> "AffineExpr":
-        return AffineExpr(self.shape[::-1], self.const.T,
-                          {s: M.T for s, M in self.coeffs.items()})
+        return AffineExpr(self.slots, self.stack.transpose(0, 2, 1))
 
     def __neg__(self):
-        return AffineExpr(self.shape, -self.const,
-                          {s: -M for s, M in self.coeffs.items()})
+        return AffineExpr(self.slots, -self.stack)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other.shape != self.shape:
             raise InputError(f"shape mismatch in +: {self.shape} vs {other.shape}")
-        coeffs = dict(self.coeffs)
-        for s, M in other.coeffs.items():
-            coeffs[s] = coeffs[s] + M if s in coeffs else M
-        return AffineExpr(self.shape, self.const + other.const, coeffs)
+        return _placed(self.shape, [(self, 0, 0), (other, 0, 0)])
 
     __radd__ = __add__
 
@@ -213,26 +203,22 @@ class AffineExpr:
         return self._coerce(other) + (-self)
 
     def __mul__(self, scalar):
-        scalar = float(scalar)
-        return AffineExpr(self.shape, scalar * self.const,
-                          {s: scalar * M for s, M in self.coeffs.items()})
+        return AffineExpr(self.slots, float(scalar) * self.stack)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         if isinstance(other, AffineExpr):
-            if not other.coeffs:
-                other = other.const
-            elif not self.coeffs:
-                return _left_mul(self.const, other)
+            if not other.slots.size:
+                other = other.stack[0]
+            elif not self.slots.size:
+                return other.__rmatmul__(self.stack[0])
             else:
                 raise InputError("product of two variable expressions is not affine")
-        M = np.atleast_2d(np.asarray(other, dtype=float))
-        return AffineExpr((self.shape[0], M.shape[1]), self.const @ M,
-                          {s: C @ M for s, C in self.coeffs.items()})
+        return AffineExpr(self.slots, self.stack @ _matrix(other))
 
     def __rmatmul__(self, other):
-        return _left_mul(np.atleast_2d(np.asarray(other, dtype=float)), self)
+        return AffineExpr(self.slots, _matrix(other) @ self.stack)
 
     @staticmethod
     def bmat(rows) -> "AffineExpr":
@@ -246,32 +232,32 @@ class AffineExpr:
             for e, w in zip(row, widths):
                 if e.shape != (h, w):
                     raise InputError("inconsistent block shapes")
-        shape = (sum(heights), sum(widths))
-        const = np.zeros(shape)
-        coeffs: dict[int, np.ndarray] = {}
-        r0 = 0
-        for row, h in zip(rows, heights):
-            c0 = 0
-            for e, w in zip(row, widths):
-                const[r0:r0 + h, c0:c0 + w] = e.const
-                for s, M in e.coeffs.items():
-                    if s not in coeffs:
-                        coeffs[s] = np.zeros(shape)
-                    coeffs[s][r0:r0 + h, c0:c0 + w] += M
-                c0 += w
-            r0 += h
-        return AffineExpr(shape, const, coeffs)
+        r0 = np.cumsum([0] + heights)
+        c0 = np.cumsum([0] + widths)
+        return _placed((r0[-1], c0[-1]),
+                       [(e, r0[i], c0[j]) for i, row in enumerate(rows)
+                        for j, e in enumerate(row)])
 
     def evaluate(self, assignment: np.ndarray) -> np.ndarray:
-        out = self.const.copy()
-        for s, M in self.coeffs.items():
-            out += assignment[s] * M
-        return out
+        rows, cols = self.shape
+        return self.stack[0] + _combine(
+            assignment[self.slots], self.stack[1:].reshape(-1, rows * cols), self.shape)
 
 
-def _left_mul(M: np.ndarray, expr: AffineExpr) -> AffineExpr:
-    return AffineExpr((M.shape[0], expr.shape[1]), M @ expr.const,
-                      {s: M @ C for s, C in expr.coeffs.items()})
+def _matrix(M) -> np.ndarray:
+    return np.atleast_2d(np.asarray(M, dtype=float))
+
+
+def _placed(shape, parts) -> AffineExpr:
+    """Sum of (expr, row, col) parts, each added at that corner of a zero
+    matrix of ``shape``, over the union of their slots."""
+    slots = np.unique(np.concatenate([e.slots for e, _, _ in parts]))
+    stack = np.zeros((len(slots) + 1, *shape))
+    for e, r, c in parts:
+        at = np.concatenate([[0], np.searchsorted(slots, e.slots) + 1])
+        h, w = e.shape
+        stack[at, r:r + h, c:c + w] += e.stack
+    return AffineExpr(slots, stack)
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +283,17 @@ class LmiBlock:
 
     def evaluate(self, assignment: np.ndarray) -> np.ndarray:
         d = self.dim
-        return self.F0 + _combine(assignment[self.slots], self.stack.reshape(-1, d * d), d)
+        return self.F0 + _combine(assignment[self.slots], self.stack.reshape(-1, d * d),
+                                  (d, d))
 
 
-def _combine(coef, stack2d, d):
-    """sum_i coef[i] F_i from the (m, d*d) stack, as a d x d matrix.
+def _combine(coef, stack2d, shape):
+    """sum_i coef[i] F_i from the (m, rows*cols) stack, as a matrix of ``shape``.
 
     One np.dot of a row with the flattened stack: the product that
     np.tensordot(coef, stack, 1) forms, bit for bit, without its set-up.
     """
-    return np.dot(coef[None], stack2d).reshape(d, d)
+    return np.dot(coef[None], stack2d).reshape(shape)
 
 
 def sym_of(expr: AffineExpr, label: str = "") -> LmiBlock:
@@ -317,22 +304,21 @@ def sym_of(expr: AffineExpr, label: str = "") -> LmiBlock:
 def block_of(expr: AffineExpr, label: str = "") -> LmiBlock:
     """Block for an expression that is already symmetric by construction.
 
-    The constant and the coefficients are stacked in slot order and
-    symmetrized; a term that is not symmetric to 1e-9 is an InputError.
+    The expression's stack is symmetrized; a term that is not symmetric to
+    1e-9 is an InputError.
     """
     if expr.shape[0] != expr.shape[1]:
         raise InputError("an LMI block needs a square expression")
-    slots = np.array(sorted(expr.coeffs), dtype=np.intp)
-    mats = np.array([expr.const] + [expr.coeffs[s] for s in slots])
+    mats = expr.stack
     skew = np.abs(mats - mats.transpose(0, 2, 1)).max(axis=(1, 2))
     bad = np.flatnonzero(skew > 1e-9 * np.maximum(np.abs(mats).max(axis=(1, 2)), 1.0))
     if bad.size:
         i = bad[0]
-        what = "constant term" if i == 0 else f"coefficient {slots[i - 1]}"
+        what = "constant term" if i == 0 else f"coefficient {expr.slots[i - 1]}"
         raise InputError(f"{what} of {label or 'block'} is not symmetric "
                          f"(asymmetry {skew[i]:.3e})")
     sym = (mats + mats.transpose(0, 2, 1)) / 2.0
-    return LmiBlock(F0=sym[0], slots=slots, stack=sym[1:], label=label)
+    return LmiBlock(F0=sym[0], slots=expr.slots, stack=sym[1:], label=label)
 
 
 @dataclass(frozen=True)
@@ -425,7 +411,7 @@ class _Barrier:
             return None
         factors = []
         for b, op in zip(self.blocks, self.ops):
-            F = b.F0 + _combine(x[b.slots], op.stack2d, b.dim)
+            F = b.F0 + _combine(x[b.slots], op.stack2d, (b.dim, b.dim))
             L = _chol_or_none(t * op.eye - F)
             if L is None:
                 return None

@@ -249,7 +249,11 @@ class ObserverDesign:
 
 
 def _gain(name: str, gain, shape: tuple) -> np.ndarray:
-    gain = np.asarray(gain, dtype=float)
+    try:
+        gain = np.asarray(gain, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"gain {name} must be a rectangular matrix "
+                         "of numbers") from None
     if gain.shape != shape:
         raise InputError(f"gain {name} has shape {gain.shape}, expected {shape}")
     return gain

@@ -71,14 +71,27 @@ class TestAnalyze:
     def test_missing_file_exit_1(self):
         assert cli.main(["analyze", "/nonexistent.json"]) == cli.EXIT_ERROR
 
-    @pytest.mark.parametrize("name, value", [("K", "abc"), ("TOL", "1e-")])
+    @pytest.mark.parametrize("name, value", [
+        ("K", "abc"), ("TOL", "1e-"), ("H", "abc"), ("HORIZON", "abc"),
+        ("SEED", "abc")])
     def test_malformed_env_var_exit_1(self, tmp_path, monkeypatch, capsys,
                                       name, value):
+        # Every variable is checked at start, whether or not the subcommand
+        # or mode would read it.
         monkeypatch.setenv(f"SFOS_{name}", value)
         path = write_problem(tmp_path, problem_doc())
-        assert cli.main(["analyze", path]) == cli.EXIT_ERROR
+        for argv in (["analyze", path], ["synth", path, "--mode", "observer"]):
+            assert cli.main(argv) == cli.EXIT_ERROR
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"SFOS_{name}" in err
+            assert len(err.strip().splitlines()) == 1
+
+    def test_ragged_matrix_exit_1(self, tmp_path, capsys):
+        doc = problem_doc()
+        doc["system"]["E"] = [[1.0, 0.0, 0.0], [0.0, 1.0]]
+        assert cli.main(["analyze", write_problem(tmp_path, doc)]) == cli.EXIT_ERROR
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"SFOS_{name}" in err
+        assert err.startswith("error: E must be a rectangular matrix")
         assert len(err.strip().splitlines()) == 1
 
     def test_report_written_to_out(self, tmp_path, capsys):
@@ -138,9 +151,22 @@ class TestSynth:
         assert cli.main(["synth", write_problem(tmp_path, doc)]) == cli.EXIT_OK
         assert "closed_loop_report" in capsys.readouterr().out
 
-    def test_no_mode_anywhere_exit_1(self, tmp_path):
+    def test_no_mode_anywhere_exit_1(self, tmp_path, capsys):
         path = write_problem(tmp_path, problem_doc())
         assert cli.main(["synth", path]) == cli.EXIT_ERROR
+        capsys.readouterr()
+        # simulate resolves the mode by the same rule: a synthesis block
+        # without one is refused, not run as an observer design.
+        doc = problem_doc(synthesis={"seed": 3},
+                          simulation={"x0": BENCH_X0.tolist(), "T": 0.1})
+        path = write_problem(tmp_path, doc)
+        for argv in (["synth", path],
+                     ["simulate", path, "--out", str(tmp_path / "o")]):
+            assert cli.main(argv) == cli.EXIT_ERROR
+            err = capsys.readouterr().err
+            assert err.startswith("error: no synthesis mode")
+            assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_uncontrollable_exit_3(self, tmp_path):
         doc = problem_doc()
@@ -172,7 +198,7 @@ class TestSimulate:
 
     def test_misshapen_gain_exit_1(self, tmp_path, capsys):
         cases = [({"K": [[0.5, 0.1]]}, "K"), ({"F": [[1.0, 2.0]]}, "F"),
-                 ({"K": [[0.5]]}, "K")]
+                 ({"K": [[0.5]]}, "K"), ({"K": [[0.5, 0.1, 0.2], [0.3]]}, "K")]
         for alpha in (0.6, 1.2):
             for gains, name in cases:
                 doc = problem_doc(alpha=alpha, gains=gains,
@@ -180,7 +206,9 @@ class TestSimulate:
                 path = write_problem(tmp_path, doc)
                 assert cli.main(["simulate", path, "--out", str(tmp_path / "o")]
                                 ) == cli.EXIT_ERROR
-                assert f"gain {name}" in capsys.readouterr().err
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: gain {name}")
+                assert len(err.strip().splitlines()) == 1
 
     def test_diverging_march_exit_1(self, tmp_path, capsys):
         doc = {"system": {"E": [[1.0]], "A": [[10.0]], "B": [[0.0]],

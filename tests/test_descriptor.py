@@ -61,6 +61,10 @@ class TestDescriptorSystem:
         with pytest.raises(InputError):
             DescriptorSystem(E=np.eye(2), A=np.eye(3), B=np.ones((2, 1)),
                              C=np.ones((1, 2)), alpha=0.5)
+        # A ragged nested list is bad input, not numpy's bare ValueError.
+        with pytest.raises(InputError, match="^E must be a rectangular matrix"):
+            DescriptorSystem(E=[[1.0, 0.0], [0.0]], A=np.eye(2),
+                             B=np.ones((2, 1)), C=np.ones((1, 2)), alpha=0.5)
 
     def test_nonfinite_rejected(self):
         A = BENCH_A.copy()

@@ -48,6 +48,18 @@ class TestVariableRegistry:
         assert np.allclose(reg.expr("R").evaluate(x), reg.materialize("R", x))
 
 
+def _variable_values(x):
+    """S (3x3 symmetric), W (3x3 skew) and R (3x2), read from x by hand.
+
+    The slot layout the registry documents -- upper triangles and rows in
+    order -- rebuilt without the registry, as an oracle for its bases.
+    """
+    S, W = np.zeros((3, 3)), np.zeros((3, 3))
+    S[np.triu_indices(3)] = x[:6]
+    W[np.triu_indices(3, 1)] = x[6:9]
+    return {"S": S + np.triu(S, 1).T, "W": W - W.T, "R": x[9:15].reshape(3, 2)}
+
+
 class TestAffineExpr:
     def setup_method(self):
         self.reg = VariableRegistry()
@@ -103,11 +115,84 @@ class TestAffineExpr:
         with pytest.raises(InputError, match="symmetric"):
             block_of(R + np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_constructor_checks_layout(self):
+        two = np.zeros((3, 2, 2))
+        assert AffineExpr([1, 4], two).shape == (2, 2)
+        for slots, stack in (([1, 4], np.zeros((2, 2, 2))),
+                             ([1, 4], np.zeros((4, 2, 2))),
+                             ([1, 4], np.zeros((2, 2)))):
+            with pytest.raises(InputError, match="stack"):
+                AffineExpr(slots, stack)
+        for slots in ([4, 4], [4, 1]):
+            with pytest.raises(InputError, match="increasing"):
+                AffineExpr(slots, two)
+
+    def _check_layout(self, expr):
+        assert expr.slots.dtype.kind == "i"
+        assert np.all(np.diff(expr.slots) > 0)
+        assert expr.stack.shape == (len(expr.slots) + 1, *expr.shape)
+
+    def _compose(self, rng, pool):
+        """One random operation on pool entries: (expression, value)."""
+        def const(rows, cols):
+            return rng.standard_normal((rows, cols)) / np.sqrt(cols)
+
+        (a, va), (b, vb) = (pool[i] for i in rng.integers(len(pool), size=2))
+        rows, cols = va.shape
+        # Fit b to a's shape by constant products, so that any two combine.
+        L, Rm = const(rows, vb.shape[0]), const(vb.shape[1], cols)
+        b, vb = L @ b @ Rm, L @ vb @ Rm
+        op = rng.integers(8)
+        if op == 0:
+            return a + b, va + vb
+        if op == 1:
+            return a - b, va - vb
+        if op == 2:
+            c = float(rng.uniform(-2.0, 2.0))
+            return c * a, c * va
+        if op == 3:
+            return -a, -va
+        if op == 4:
+            return a.T, va.T
+        if op == 5:
+            M = const(cols, int(rng.integers(1, 5)))
+            return a @ M, va @ M
+        if op == 6:
+            M = const(int(rng.integers(1, 5)), rows)
+            return M @ a, M @ va
+        M, N = const(rows, 2), const(1, rows)
+        C = const(1, 2)
+        return (AffineExpr.bmat([[a, M], [N @ b, C]]),
+                np.block([[va, M], [N @ vb, C]]))
+
+    def test_random_compositions(self):
+        # One symmetric, one skew and one rectangular variable, against
+        # numpy on values read from x without the registry.
+        reg = VariableRegistry()
+        reg.add("S", "symmetric", 3)
+        reg.add("W", "skew", 3)
+        reg.add("R", "rectangular", 3, 2)
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal(reg.num_slots)
+        values = _variable_values(x)
+        pool = [(reg.expr(name), values[name]) for name in ("S", "W", "R")]
+        for expr, value in pool:
+            assert np.array_equal(expr.evaluate(x), value)
+        for _ in range(300):
+            expr, value = self._compose(rng, pool)
+            self._check_layout(expr)
+            scale = max(1.0, np.abs(value).max())
+            np.testing.assert_allclose(expr.evaluate(x), value, rtol=0,
+                                       atol=1e-12 * scale)
+            pool.append((expr, value))
+        # Sums and blocks of all three variables do occur.
+        assert max(len(e.slots) for e, _ in pool) == reg.num_slots
+
 
 class TestBlockStack:
     def setup_method(self):
-        # R is registered after S but enters the expression first, so the
-        # coefficient dict is not in slot order.
+        # R is registered after S but enters the expression first, so its
+        # operands do not come in slot order.
         self.reg = VariableRegistry()
         self.reg.add("S", "symmetric", 3)
         self.reg.add("W", "skew", 3)
@@ -149,7 +234,7 @@ class TestBarrierDerivatives:
             def sym():
                 M = rng.standard_normal((dim, dim))
                 return (M + M.T) / 2.0
-            return block_of(AffineExpr((dim, dim), sym(), {s: sym() for s in slots}))
+            return block_of(AffineExpr(slots, [sym()] + [sym() for _ in slots]))
         blocks = [block(3, [0, 1, 2, 3]), block(4, [2, 3, 4, 5]),
                   block(2, [])]
         return _Barrier(blocks, 6, box=5.0)
@@ -238,7 +323,7 @@ class TestBarrierMatchesReference:
             def sym():
                 M = rng.standard_normal((dim, dim))
                 return (M + M.T) / 2.0
-            return block_of(AffineExpr((dim, dim), sym(), {s: sym() for s in slots}))
+            return block_of(AffineExpr(slots, [sym()] + [sym() for _ in slots]))
         # Slots are drawn from one pool, so blocks share some; one block is
         # constant and one is 1 x 1.
         blocks = [block(int(rng.integers(2, 6)), int(rng.integers(2, nx)))
@@ -432,8 +517,7 @@ class TestSolveFeasibility:
             solve_feasibility([], reg)
         with pytest.raises(InputError):
             solve_feasibility([blk], reg, feas_margin=-1.0)
-        bad = block_of(AffineExpr((1, 1), np.zeros((1, 1)),
-                                  {5: np.ones((1, 1))}))
+        bad = block_of(AffineExpr([5], [np.zeros((1, 1)), np.ones((1, 1))]))
         with pytest.raises(InputError, match="slot"):
             solve_feasibility([bad], reg)
         twice = LmiBlock(F0=np.zeros((1, 1)), slots=np.array([0, 0]),

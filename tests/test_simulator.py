@@ -333,6 +333,7 @@ class TestControllers:
                      (("state", [[0.5, 0.1]]), "K"),
                      (("state", [[0.5]]), "K"),
                      (("state", K.ravel()), "K"),
+                     (("state", [[1.0, 0.0], [0.0]]), "K"),
                      (("output", [[1.0, 2.0]]), "F"),
                      (("output", 1.0), "F"),
                      (("observer", 0.5, L), "K"),
