@@ -372,14 +372,12 @@ def build_parser(env: dict) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def tol_and_out(p, out_help):
-        p.add_argument("--tol", type=float,
-                       default=env["TOL"],
+        p.add_argument("--tol", type=float, default=env["TOL"],
                        help="numerical rank tolerance")
         p.add_argument("--out", default=None, help=out_help)
 
     def design(p):
-        p.add_argument("--k", type=int,
-                       default=env["K"],
+        p.add_argument("--k", type=int, default=env["K"],
                        help="lifting factor for orders in (1, 2)")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for synthesis retry tilts")

@@ -164,9 +164,9 @@ class AffineExpr:
         self.slots = np.asarray(slots, dtype=np.intp).reshape(-1)
         self.stack = np.asarray(stack, dtype=float)
         if self.stack.ndim != 3 or len(self.stack) != len(self.slots) + 1:
-            raise InputError(f"{len(self.slots)} slots need a stack of {len(self.slots) + 1}"
-                             f" matrices, got shape {self.stack.shape}")
-        if np.any(np.diff(self.slots) <= 0):
+            raise InputError(f"{len(self.slots)} slots need a stack of {len(self.slots) + 1} "
+                             f"matrices, got shape {self.stack.shape}")
+        if (self.slots[1:] <= self.slots[:-1]).any():
             raise InputError("expression slots are not strictly increasing")
 
     @property

@@ -256,6 +256,8 @@ def _gain(name: str, gain, shape: tuple) -> np.ndarray:
                          "of numbers") from None
     if gain.shape != shape:
         raise InputError(f"gain {name} has shape {gain.shape}, expected {shape}")
+    if not np.isfinite(gain).all():
+        raise InputError(f"gain {name} contains non-finite entries")
     return gain
 
 

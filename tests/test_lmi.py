@@ -60,6 +60,83 @@ def _variable_values(x):
     return {"S": S + np.triu(S, 1).T, "W": W - W.T, "R": x[9:15].reshape(3, 2)}
 
 
+class _DictExpr:
+    """Reference: the slot -> matrix form that expressions had before they
+    were stacked, one loop over the coefficients per operation."""
+
+    __array_priority__ = 100
+
+    def __init__(self, const, coeffs):
+        self.const, self.coeffs = const, coeffs
+
+    @staticmethod
+    def variable(reg, name):
+        e = reg.entry(name)
+        rows, cols = e.shape
+        coeffs, slot = {}, e.start
+        for i in range(rows):
+            for j in range(cols):
+                if e.kind == "rectangular" or j >= i + (e.kind == "skew"):
+                    M = np.zeros(e.shape)
+                    M[i, j] = 1.0
+                    if e.kind != "rectangular":
+                        M[j, i] = 1.0 if e.kind == "symmetric" else -1.0
+                    coeffs[slot] = M
+                    slot += 1
+        return _DictExpr(np.zeros(e.shape), coeffs)
+
+    def _map(self, f):
+        return _DictExpr(f(self.const), {s: f(M) for s, M in self.coeffs.items()})
+
+    @property
+    def T(self):
+        return self._map(lambda M: M.T)
+
+    def __neg__(self):
+        return self._map(lambda M: -M)
+
+    def __add__(self, other):
+        coeffs = dict(self.coeffs)
+        for s, M in other.coeffs.items():
+            coeffs[s] = coeffs[s] + M if s in coeffs else M
+        return _DictExpr(self.const + other.const, coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rmul__(self, c):
+        return self._map(lambda M: c * M)
+
+    def __matmul__(self, N):
+        return self._map(lambda M: M @ N)
+
+    def __rmatmul__(self, N):
+        return self._map(lambda M: N @ M)
+
+    @staticmethod
+    def bmat(rows):
+        rows = [[e if isinstance(e, _DictExpr) else _DictExpr(e, {}) for e in row]
+                for row in rows]
+        heights = [row[0].const.shape[0] for row in rows]
+        widths = [e.const.shape[1] for e in rows[0]]
+        shape = (sum(heights), sum(widths))
+        const, coeffs, r0 = np.zeros(shape), {}, 0
+        for row, h in zip(rows, heights):
+            c0 = 0
+            for e, w in zip(row, widths):
+                const[r0:r0 + h, c0:c0 + w] = e.const
+                for s, M in e.coeffs.items():
+                    coeffs.setdefault(s, np.zeros(shape))[r0:r0 + h, c0:c0 + w] += M
+                c0 += w
+            r0 += h
+        return _DictExpr(const, coeffs)
+
+    def stacked(self):
+        slots = sorted(self.coeffs)
+        return (np.array(slots, dtype=np.intp),
+                np.array([self.const] + [self.coeffs[s] for s in slots]))
+
+
 class TestAffineExpr:
     def setup_method(self):
         self.reg = VariableRegistry()
@@ -127,47 +204,42 @@ class TestAffineExpr:
             with pytest.raises(InputError, match="increasing"):
                 AffineExpr(slots, two)
 
-    def _check_layout(self, expr):
-        assert expr.slots.dtype.kind == "i"
-        assert np.all(np.diff(expr.slots) > 0)
-        assert expr.stack.shape == (len(expr.slots) + 1, *expr.shape)
-
     def _compose(self, rng, pool):
-        """One random operation on pool entries: (expression, value)."""
+        """One random operation, applied alike to each form in the entries."""
         def const(rows, cols):
             return rng.standard_normal((rows, cols)) / np.sqrt(cols)
 
-        (a, va), (b, vb) = (pool[i] for i in rng.integers(len(pool), size=2))
-        rows, cols = va.shape
+        a, b = (pool[i] for i in rng.integers(len(pool), size=2))
+        rows, cols = a[-1].shape
         # Fit b to a's shape by constant products, so that any two combine.
-        L, Rm = const(rows, vb.shape[0]), const(vb.shape[1], cols)
-        b, vb = L @ b @ Rm, L @ vb @ Rm
+        L, R = const(rows, b[-1].shape[0]), const(b[-1].shape[1], cols)
+        b = [L @ f @ R for f in b]
         op = rng.integers(8)
         if op == 0:
-            return a + b, va + vb
+            return [f + g for f, g in zip(a, b)]
         if op == 1:
-            return a - b, va - vb
+            return [f - g for f, g in zip(a, b)]
         if op == 2:
             c = float(rng.uniform(-2.0, 2.0))
-            return c * a, c * va
+            return [c * f for f in a]
         if op == 3:
-            return -a, -va
+            return [-f for f in a]
         if op == 4:
-            return a.T, va.T
+            return [f.T for f in a]
         if op == 5:
             M = const(cols, int(rng.integers(1, 5)))
-            return a @ M, va @ M
+            return [f @ M for f in a]
         if op == 6:
             M = const(int(rng.integers(1, 5)), rows)
-            return M @ a, M @ va
-        M, N = const(rows, 2), const(1, rows)
-        C = const(1, 2)
-        return (AffineExpr.bmat([[a, M], [N @ b, C]]),
-                np.block([[va, M], [N @ vb, C]]))
+            return [M @ f for f in a]
+        M, N, C = const(rows, 2), const(1, rows), const(1, 2)
+        return [bmat([[f, M], [N @ g, C]]) for bmat, f, g in
+                zip((AffineExpr.bmat, _DictExpr.bmat, np.block), a, b)]
 
     def test_random_compositions(self):
-        # One symmetric, one skew and one rectangular variable, against
-        # numpy on values read from x without the registry.
+        # One symmetric, one skew and one rectangular variable.  Each
+        # composition is made three ways: as an AffineExpr, in the reference
+        # dict form, and on values read from x without the registry.
         reg = VariableRegistry()
         reg.add("S", "symmetric", 3)
         reg.add("W", "skew", 3)
@@ -175,19 +247,22 @@ class TestAffineExpr:
         rng = np.random.default_rng(31)
         x = rng.standard_normal(reg.num_slots)
         values = _variable_values(x)
-        pool = [(reg.expr(name), values[name]) for name in ("S", "W", "R")]
-        for expr, value in pool:
-            assert np.array_equal(expr.evaluate(x), value)
+        pool = [[reg.expr(name), _DictExpr.variable(reg, name), values[name]]
+                for name in ("S", "W", "R")]
         for _ in range(300):
-            expr, value = self._compose(rng, pool)
-            self._check_layout(expr)
-            scale = max(1.0, np.abs(value).max())
+            pool.append(self._compose(rng, pool))
+        for expr, ref, value in pool:
+            assert expr.slots.dtype.kind == "i"
+            assert np.all(np.diff(expr.slots) > 0)
+            assert expr.stack.shape == (len(expr.slots) + 1, *expr.shape)
+            # The stacked arithmetic is the reference's, bit for bit.
+            slots, stack = ref.stacked()
+            assert np.array_equal(expr.slots, slots)
+            assert np.array_equal(expr.stack, stack)
             np.testing.assert_allclose(expr.evaluate(x), value, rtol=0,
-                                       atol=1e-12 * scale)
-            pool.append((expr, value))
+                                       atol=1e-12 * max(1.0, np.abs(value).max()))
         # Sums and blocks of all three variables do occur.
-        assert max(len(e.slots) for e, _ in pool) == reg.num_slots
-
+        assert max(len(e.slots) for e, _, _ in pool) == reg.num_slots
 
 class TestBlockStack:
     def setup_method(self):

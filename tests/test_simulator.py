@@ -334,6 +334,7 @@ class TestControllers:
                      (("state", [[0.5]]), "K"),
                      (("state", K.ravel()), "K"),
                      (("state", [[1.0, 0.0], [0.0]]), "K"),
+                     (("state", np.full_like(K, np.nan)), "K"),
                      (("output", [[1.0, 2.0]]), "F"),
                      (("output", 1.0), "F"),
                      (("observer", 0.5, L), "K"),
