@@ -122,10 +122,10 @@ class VariableRegistry:
         """
         entry = self.entry(name)
         rows, cols = entry.shape
-        if entry.kind == "rectangular":
-            i, j = np.divmod(np.arange(entry.count), cols)
-        else:
-            i, j = np.triu_indices(rows, 0 if entry.kind == "symmetric" else 1)
+        i, j = np.divmod(np.arange(rows * cols), cols)
+        if entry.kind != "rectangular":
+            upper = j >= i + (entry.kind == "skew")
+            i, j = i[upper], j[upper]
         k = np.arange(1, entry.count + 1)
         stack = np.zeros((entry.count + 1, rows, cols))
         stack[k, i, j] = 1.0
