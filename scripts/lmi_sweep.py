@@ -5,7 +5,8 @@
 
 For each state size n in ``SIZES``, runs ``sfos.admissible_via_lmi`` on
 ``PLANTS`` plants and prints one line a size, then one JSON object with
-every figure: Newton steps (total and median a solve), ms a Newton step
+every figure: decision slots (median a solve), Newton steps (total and
+median a solve), ms a Newton step
 (all solves of the size), median solve time, the solver's status counts
 (``NumericalFailure`` included) and the verdicts that disagree with the
 plant's known spectrum.  Each plant is a block-diagonal stack of random
@@ -32,7 +33,7 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 import scipy.linalg as sla  # noqa: E402
 
-SIZES = (4, 8, 12, 16)
+SIZES = (4, 8, 12, 16, 24)
 PLANTS = 8
 ORDER = 0.7
 SEED = 0
@@ -99,19 +100,21 @@ def main(argv=None):
     import sfos
     from sfos import synthesis
 
-    # admissible_via_lmi raises on NumericalFailure; keep each solution.
-    solutions = []
+    # admissible_via_lmi raises on NumericalFailure; keep each solution
+    # and its registry's slot count.
+    solutions, slot_counts = [], []
     solve = synthesis.solve_feasibility
 
-    def recording_solve(*a, **kw):
-        solutions.append(solve(*a, **kw))
+    def recording_solve(blocks, reg, *a, **kw):
+        slot_counts.append(reg.num_slots)
+        solutions.append(solve(blocks, reg, *a, **kw))
         return solutions[-1]
     synthesis.solve_feasibility = recording_solve
 
     rng = np.random.default_rng(SEED)
     report = {}
     for n in SIZES:
-        seconds, steps, wrong = [], [], 0
+        seconds, steps, slots, wrong = [], [], [], 0
         status = {"Feasible": 0, "Infeasible": 0, "NumericalFailure": 0}
         for i in range(PLANTS):
             stable = i % 2 == 0
@@ -127,8 +130,10 @@ def main(argv=None):
             sol = solutions[-1]
             status[sol.status] += 1
             steps.append(sol.newton_steps)
+            slots.append(slot_counts[-1])
             wrong += verdict is not None and verdict != stable
         report[n] = {
+            "median_slots": statistics.median(slots),
             "newton_steps": sum(steps),
             "median_steps": statistics.median(steps),
             "ms_per_step": 1e3 * sum(seconds) / sum(steps),
@@ -137,7 +142,7 @@ def main(argv=None):
             "wrong_verdicts": wrong,
         }
         r = report[n]
-        print(f"n = {n:2d}: {r['newton_steps']:5d} steps (median {r['median_steps']:g}), "
+        print(f"n = {n:2d}: {r['median_slots']:g} slots, {r['newton_steps']:5d} steps (median {r['median_steps']:g}), "
               f"{r['ms_per_step']:.3f} ms a step, median {r['median_s']:.2f} s a solve, "
               f"{status['Feasible']}/{status['Infeasible']}/{status['NumericalFailure']} "
               f"Feasible/Infeasible/NumericalFailure, {wrong} wrong", flush=True)

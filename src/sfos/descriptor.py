@@ -113,6 +113,8 @@ class DescriptorSystem:
         if not 0.0 < self.alpha < 2.0:
             raise InputError(f"alpha must lie in (0, 2), got {self.alpha}")
         for name, M in (("E", E), ("A", A), ("B", B), ("C", C)):
+            if M is getattr(self, name):
+                M = M.copy()  # freeze our own copy, never the caller's array
             M.flags.writeable = False
             object.__setattr__(self, name, M)
         object.__setattr__(self, "r", numerical_rank(E, self.rank_tol))
@@ -151,19 +153,25 @@ def system_from_dict(doc: dict, rank_tol: float = DEFAULT_RANK_TOL) -> Descripto
 
 @dataclass(frozen=True)
 class AnnihilatorPair:
-    """Orthonormal bases of the right and left null spaces of E.
+    """Null-space bases and row-space factors of E from one SVD.
 
     ``E_right`` is n x (n-r) with E @ E_right = 0; ``E_left`` is (n-r) x n
-    with E_left @ E = 0.  Any full-rank basis would do for the LMI criteria;
-    orthonormal columns keep the assembled problems well conditioned.
+    with E_left @ E = 0.  ``U1`` and ``V1`` (n x r) and ``sigma`` (the r
+    nonzero singular values) factor E = U1 diag(sigma) V1^T, the part of E
+    that the LMI criteria pose their Lyapunov variable on.  Any full-rank
+    bases would do for the criteria; orthonormal columns keep the assembled
+    problems well conditioned.
     """
 
     E_right: np.ndarray
     E_left: np.ndarray
+    U1: np.ndarray
+    sigma: np.ndarray
+    V1: np.ndarray
 
 
 def annihilators(E, r: int | None = None, tol: float = DEFAULT_RANK_TOL) -> AnnihilatorPair:
-    """Null-space bases of a singular E via SVD.
+    """Null-space bases and row-space factors of a singular E, from one SVD.
 
     Raises :class:`NonsingularMatrixError` when r == n: a nonsingular E means
     the plant is an ordinary fractional-order system and the singular-system
@@ -176,12 +184,13 @@ def annihilators(E, r: int | None = None, tol: float = DEFAULT_RANK_TOL) -> Anni
     if r >= n:
         raise NonsingularMatrixError(
             "E is nonsingular; use the standard (non-singular) FOS path")
-    U, _, Vt = np.linalg.svd(E)
-    right = Vt[r:, :].T.copy()
-    left = U[:, r:].T.copy()
-    right.flags.writeable = False
-    left.flags.writeable = False
-    return AnnihilatorPair(E_right=right, E_left=left)
+    U, sv, Vt = np.linalg.svd(E)
+    parts = {"E_right": Vt[r:, :].T, "E_left": U[:, r:].T,
+             "U1": U[:, :r], "sigma": sv[:r], "V1": Vt[:r, :].T}
+    for name, M in parts.items():
+        parts[name] = M = M.copy()
+        M.flags.writeable = False
+    return AnnihilatorPair(**parts)
 
 
 @dataclass(frozen=True)

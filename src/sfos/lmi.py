@@ -73,6 +73,21 @@ class _VarEntry:
     count: int
 
 
+def _positions(entry: _VarEntry):
+    """Row and column of each of a variable's slots, in slot order.
+
+    Slot k of the variable (counted from its start) is entry (i, j) of the
+    upper triangle, strict for skew variables, or of the whole matrix, row
+    by row.
+    """
+    rows, cols = entry.shape
+    i, j = np.divmod(np.arange(rows * cols), cols)
+    if entry.kind != "rectangular":
+        upper = j >= i + (entry.kind == "skew")
+        i, j = i[upper], j[upper]
+    return i, j
+
+
 class VariableRegistry:
     """Flat scalar-slot layout for named structured matrix variables.
 
@@ -115,27 +130,32 @@ class VariableRegistry:
     def expr(self, name: str) -> "AffineExpr":
         """Affine expression equal to the named matrix variable.
 
-        Slot k of the variable (counted from its start) is entry (i, j) of
-        the upper triangle, strict for skew variables, or of the whole
-        matrix, row by row; its basis matrix is 1 at (i, j) and, mirrored,
-        +1 (symmetric) or -1 (skew) at (j, i).
+        The basis matrix of a slot at (i, j) is 1 there and, mirrored, +1
+        (symmetric) or -1 (skew) at (j, i).
         """
         entry = self.entry(name)
-        rows, cols = entry.shape
-        i, j = np.divmod(np.arange(rows * cols), cols)
-        if entry.kind != "rectangular":
-            upper = j >= i + (entry.kind == "skew")
-            i, j = i[upper], j[upper]
+        i, j = _positions(entry)
         k = np.arange(1, entry.count + 1)
-        stack = np.zeros((entry.count + 1, rows, cols))
+        stack = np.zeros((entry.count + 1, *entry.shape))
         stack[k, i, j] = 1.0
         if entry.kind != "rectangular":
             stack[k, j, i] = 1.0 if entry.kind == "symmetric" else -1.0
         return AffineExpr(np.arange(entry.start, entry.start + entry.count), stack)
 
     def materialize(self, name: str, assignment: np.ndarray) -> np.ndarray:
-        """Matrix value of one variable under a scalar assignment."""
-        return self.expr(name).evaluate(assignment)
+        """Matrix value of one variable under a scalar assignment.
+
+        The variable's slots are scattered to their positions, mirrored as
+        in :meth:`expr`; equal to ``expr(name).evaluate(assignment)``.
+        """
+        entry = self.entry(name)
+        i, j = _positions(entry)
+        x = assignment[entry.start:entry.start + entry.count]
+        M = np.zeros(entry.shape)
+        M[i, j] = x
+        if entry.kind != "rectangular":
+            M[j, i] = x if entry.kind == "symmetric" else -x
+        return M
 
     def materialize_all(self, assignment: np.ndarray) -> dict:
         return {name: self.materialize(name, assignment) for name in self._entries}

@@ -8,17 +8,24 @@ coordinates.
 
 One criterion, posed on two sides by :func:`_criterion`, over a
 fractional-order positive-definite variable P and a free multiplier Q
-attached to a null-space basis of E:
+attached to a null-space basis of E.  The paper's inequalities hold P only
+in P E^T (right) or E^T P (left).  With E = U1 Sigma V1^T (r = rank E),
+only P's r x r compression onto E's row space (V1, right) or column space
+(U1, left) enters; the rest is absorbed by Q.  So an r x r variable P_r
+gives
 
-* right: sym(A P E^T + A E_right Q) < 0;
-* left:  sym(E^T P A + Q E_left A) < 0.
+* right: sym(A S) < 0, S = V1 P_r Sigma U1^T + E_right Q;
+* left:  sym(S A) < 0, S = V1 Sigma P_r U1^T + Q E_left,
+
+r^2 + n(n - r) slots in place of n^2 + n(n - r) for the full n x n P.
 
 Alone it is the admissibility test.  With a gain variable R it gives the
 two observer-based problems: the right side plus B R is the state-feedback
 LMI, the left side plus R C the output-injection LMI; their gains are
-recovered by inverting the certificate.  Static output feedback is a
-two-stage scheme: the state-feedback LMI produces an intermediate gain K0,
-then a slack-variable inequality in (P, Q, G, H) yields F = G^{-1} H.
+recovered by inverting S.  Static output feedback is a two-stage scheme:
+the state-feedback LMI produces an intermediate gain K0, then a
+slack-variable inequality in a full n x n P and (Q, G, H) yields
+F = G^{-1} H.
 Stage 2 is not guaranteed solvable for every stage-1 K0, so infeasibility
 triggers re-sampling of K0 through a small random linear tilt on the
 stage-1 objective.  Every solve runs :func:`sfos.lmi.solve_feasibility` at
@@ -67,15 +74,17 @@ RETRIES = 8
 # ---------------------------------------------------------------------------
 
 def _fpdm_expr(reg: VariableRegistry, blocks: list, prefix: str, n: int, alpha: float):
-    """Register (X sym, Y skew) for one fractional-PD variable.
+    """Register (X sym, Y skew) for one n x n fractional-PD variable.
 
     Returns the affine expression P = sin(alpha*pi/2) X + cos(alpha*pi/2) Y
-    and appends the membership side-block -[[X, Y], [-Y, X]] < 0.
+    and appends the membership side-block -[[X, Y], [-Y, X]] < 0 (none for
+    n = 0, which has no slots).
     """
     X = reg.expr(reg.add(f"{prefix}_X", "symmetric", n))
     Y = reg.expr(reg.add(f"{prefix}_Y", "skew", n))
-    blocks.append(block_of(
-        AffineExpr.bmat([[-X, -Y], [Y, -X]]), label=f"{prefix}_membership"))
+    if n:
+        blocks.append(block_of(
+            AffineExpr.bmat([[-X, -Y], [Y, -X]]), label=f"{prefix}_membership"))
     half = alpha * np.pi / 2.0
     return np.sin(half) * X + np.cos(half) * Y
 
@@ -84,15 +93,26 @@ def _fpdm_expr(reg: VariableRegistry, blocks: list, prefix: str, n: int, alpha: 
 _GAIN_LABELS = {"right": "state_feedback", "left": "output_injection"}
 
 
+def _multiplier(ann, side: str, P, Q):
+    """S = V1 P Sigma U1^T + E_right Q (right) or V1 Sigma P U1^T + Q E_left (left).
+
+    The criterion's multiplier of A, from the r x r P and the free Q; the
+    same formula poses it on expressions and recovers it from values.
+    """
+    if side == "right":
+        return ann.V1 @ P @ (ann.sigma[:, None] * ann.U1.T) + ann.E_right @ Q
+    return (ann.V1 * ann.sigma) @ P @ ann.U1.T + Q @ ann.E_left
+
+
 def _criterion(sys: DescriptorSystem, side: str, suffix: str = "",
                gain: bool = False):
     """Pose the criterion on ``side``; returns (blocks, registry, annihilators).
 
-    right: sym(A P E^T + A E_right Q [+ B R]) < 0;
-    left:  sym(E^T P A + Q E_left A [+ R C]) < 0,
-    with the gain term R only when ``gain`` is set.  The variables are
-    P<suffix> (fractional-PD, as X then Y), Q<suffix> and R<suffix>,
-    registered in that order.
+    right: sym(A V1 P Sigma U1^T + A E_right Q [+ B R]) < 0;
+    left:  sym(V1 Sigma P U1^T A + Q E_left A [+ R C]) < 0,
+    with E = U1 Sigma V1^T from one SVD, P r x r fractional-PD and the gain
+    term R only when ``gain`` is set.  The variables are P<suffix> (as X
+    then Y), Q<suffix> and R<suffix>, registered in that order.
     """
     if side not in _GAIN_LABELS:
         raise InputError(f"side must be 'right' or 'left', got {side!r}")
@@ -100,16 +120,16 @@ def _criterion(sys: DescriptorSystem, side: str, suffix: str = "",
     n, r = sys.n, sys.r
     reg = VariableRegistry()
     blocks: list = []
-    P = _fpdm_expr(reg, blocks, f"P{suffix}", n, sys.alpha)
+    P = _fpdm_expr(reg, blocks, f"P{suffix}", r, sys.alpha)
     if side == "right":
         Q = reg.expr(reg.add(f"Q{suffix}", "rectangular", n - r, n))
-        expr = sys.A @ P @ sys.E.T + sys.A @ ann.E_right @ Q
+        expr = sys.A @ _multiplier(ann, side, P, Q)
         if gain:
             R = reg.expr(reg.add(f"R{suffix}", "rectangular", sys.m, n))
             expr = expr + sys.B @ R
     else:
         Q = reg.expr(reg.add(f"Q{suffix}", "rectangular", n, n - r))
-        expr = sys.E.T @ P @ sys.A + Q @ (ann.E_left @ sys.A)
+        expr = _multiplier(ann, side, P, Q) @ sys.A
         if gain:
             R = reg.expr(reg.add(f"R{suffix}", "rectangular", n, sys.p))
             expr = expr + R @ sys.C
@@ -179,9 +199,12 @@ def _materialize_fpdm(vals: dict, prefix: str, alpha: float,
     The shift is bounded by the marginal slack, so it is a tiny relative
     change; the design it produces is still re-verified independently.
     P itself comes from :func:`sfos.fpdm.materialize`, which raises
-    :class:`NotMemberError` for a parameter outside the set.
+    :class:`NotMemberError` for a parameter outside the set.  A 0 x 0 P
+    (rank E = 0) is returned as it is.
     """
     X, Y = vals[f"{prefix}_X"], vals[f"{prefix}_Y"]
+    if not X.size:
+        return X
     if repair:
         block = np.block([[X, Y], [-Y, X]])
         eigs = np.linalg.eigvalsh(block)
@@ -211,8 +234,9 @@ def admissible_via_lmi(sys: DescriptorSystem, side: str = "right",
                        debug_trace=None):
     """Zero-input admissibility as a feasibility question.
 
-    ``side="right"`` tests sym(A P E^T + A E_right Q) < 0 with Q free;
-    ``side="left"`` tests sym(E^T P A + Q E_left A).  Returns
+    ``side="right"`` tests sym(A V1 P Sigma U1^T + A E_right Q) < 0 with
+    Q free; ``side="left"`` tests sym(V1 Sigma P U1^T A + Q E_left A), with
+    P r x r fractional-PD (see :func:`_criterion`).  Returns
     (verdict, LmiSolution); a solver NumericalFailure raises
     :class:`LmiNumericalError` rather than counting as infeasible.
     """
@@ -294,11 +318,13 @@ def closed_loop(sys: DescriptorSystem, controller):
 
 def solve_state_feedback(plant, objective_seed=None, debug_trace=None,
                          _margin=DEFAULT_FEAS_MARGIN):
-    """Feasibility of sym(A P E^T + A E_right Q + B R) < 0; returns (K, certificate).
+    """Feasibility of sym(A S + B R) < 0; returns (K, certificate).
 
-    ``plant`` is a plant or a :class:`sfos.lifting.LiftedSystem`; the
-    inequality is posed in its working coordinates.  ``objective_seed``
-    activates the random tilt used by output-feedback retries.
+    S = V1 P Sigma U1^T + E_right Q with P r x r (see :func:`_criterion`),
+    and K = R S^{-1}.  ``plant`` is a plant or a
+    :class:`sfos.lifting.LiftedSystem`; the inequality is posed in its
+    working coordinates.  ``objective_seed`` activates the random tilt used
+    by output-feedback retries.
     """
     plant = lifting.as_plant(plant)
     sys = plant.lifted
@@ -317,15 +343,16 @@ def solve_state_feedback(plant, objective_seed=None, debug_trace=None,
                 "state-feedback LMI certified infeasible: no stabilizing gain exists")
         raise LmiNumericalError("state-feedback LMI could not be classified")
     Pm = _materialize_fpdm(vals, "P1", sys.alpha, repair=sol.status == "Marginal")
-    S = Pm @ sys.E.T + ann.E_right @ vals["Q1"]
-    K = vals["R1"] @ _recover_inverse(S, "P E^T + E_right Q", sol)
+    S = _multiplier(ann, "right", Pm, vals["Q1"])
+    K = vals["R1"] @ _recover_inverse(S, "V1 P Sigma U1^T + E_right Q", sol)
     return K, sol
 
 
 def solve_output_injection(plant, debug_trace=None, _margin=DEFAULT_FEAS_MARGIN):
-    """Feasibility of sym(E^T P A + Q E_left A + R C) < 0; returns (L, certificate).
+    """Feasibility of sym(S A + R C) < 0; returns (L, certificate).
 
-    ``plant`` is taken as by :func:`solve_state_feedback`.
+    S = V1 Sigma P U1^T + Q E_left with P r x r (see :func:`_criterion`),
+    and L = S^{-1} R.  ``plant`` is taken as by :func:`solve_state_feedback`.
     """
     plant = lifting.as_plant(plant)
     sys = plant.lifted
@@ -338,8 +365,8 @@ def solve_output_injection(plant, debug_trace=None, _margin=DEFAULT_FEAS_MARGIN)
                 "no stabilizing injection exists")
         raise LmiNumericalError("output-injection LMI could not be classified")
     Pm = _materialize_fpdm(vals, "P2", sys.alpha, repair=sol.status == "Marginal")
-    S = sys.E.T @ Pm + vals["Q2"] @ ann.E_left
-    L = _recover_inverse(S, "E^T P + Q E_left", sol) @ vals["R2"]
+    S = _multiplier(ann, "left", Pm, vals["Q2"])
+    L = _recover_inverse(S, "V1 Sigma P U1^T + Q E_left", sol) @ vals["R2"]
     return L, sol
 
 
@@ -400,7 +427,14 @@ class OutputFeedbackDesign:
 
 
 def _output_stage2(plant: lifting.LiftedSystem, K0, debug_trace=None):
-    """Slack-variable stage: find (P, Q, G, H) certifying F = G^{-1}H."""
+    """Slack-variable stage: find (P, Q, G, H) certifying F = G^{-1}H.
+
+    P is the full n x n fractional-PD variable, not the r x r one of
+    :func:`_criterion`.  Posed on E's row space, this stage took 85 Newton
+    steps against 23 in the order-0.6 demo design, and the k = 3 lifted
+    design at order 1.2 and decay shift 1 found a certificate for none of
+    its intermediate gains.
+    """
     sys = plant.lifted
     ann = annihilators(sys.E, sys.r, sys.rank_tol)
     n, m, p = sys.n, sys.m, sys.p

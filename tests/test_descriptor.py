@@ -52,6 +52,15 @@ class TestDescriptorSystem:
         with pytest.raises(ValueError):
             bench06.E[0, 0] = 5.0
 
+    def test_caller_arrays_stay_writeable(self):
+        E, A, B, C = (M.copy() for M in (BENCH_E, BENCH_A, BENCH_B, BENCH_C))
+        sysm = DescriptorSystem(E=E, A=A, B=B, C=C, alpha=0.6)
+        E[0, 0] = 2.0
+        A[0, 0] = 2.0
+        assert sysm.E[0, 0] == 1.0 and sysm.A[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            sysm.E[0, 0] = 5.0
+
     def test_alpha_range_enforced(self):
         for alpha in (0.0, -0.5, 2.0, 2.5):
             with pytest.raises(InputError):
@@ -92,6 +101,19 @@ class TestAnnihilators:
         assert np.abs(ann.E_left @ bench06.E).max() < 1e-12
         assert np.allclose(ann.E_right.T @ ann.E_right, np.eye(n - r))
         assert np.allclose(ann.E_left @ ann.E_left.T, np.eye(n - r))
+
+    def test_row_space_factors(self, bench06):
+        ann = annihilators(bench06.E, bench06.r)
+        n, r = bench06.n, bench06.r
+        assert ann.U1.shape == ann.V1.shape == (n, r)
+        assert ann.sigma.shape == (r,) and (ann.sigma > 0).all()
+        assert np.allclose(ann.U1 @ np.diag(ann.sigma) @ ann.V1.T, bench06.E,
+                           atol=1e-13)
+        assert np.allclose(ann.V1.T @ ann.V1, np.eye(r))
+        assert np.abs(ann.U1.T @ ann.E_left.T).max() < 1e-13
+        assert np.abs(ann.V1.T @ ann.E_right).max() < 1e-13
+        with pytest.raises(ValueError):
+            ann.V1[0, 0] = 1.0
 
     def test_nonsingular_rejected(self):
         with pytest.raises(NonsingularMatrixError):

@@ -47,6 +47,18 @@ class TestVariableRegistry:
         x = rng.standard_normal(reg.num_slots)
         assert np.allclose(reg.expr("R").evaluate(x), reg.materialize("R", x))
 
+    @pytest.mark.parametrize("kind, rows, cols", [
+        ("symmetric", 1, None), ("symmetric", 5, None), ("skew", 2, None),
+        ("skew", 6, None), ("rectangular", 3, 4), ("rectangular", 4, 1)])
+    def test_materialize_equals_evaluated_expression(self, kind, rows, cols):
+        rng = np.random.default_rng(rows)
+        reg = VariableRegistry()
+        reg.add("before", "rectangular", 2, 2)
+        reg.add("V", kind, rows, cols)
+        reg.add("after", "symmetric", 2)
+        x = rng.standard_normal(reg.num_slots)
+        assert np.array_equal(reg.materialize("V", x), reg.expr("V").evaluate(x))
+
 
 def _variable_values(x):
     """S (3x3 symmetric), W (3x3 skew) and R (3x2), read from x by hand.

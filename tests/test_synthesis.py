@@ -10,7 +10,7 @@ import scipy.linalg as sla
 
 from conftest import GAINS_06, GAINS_12, benchmark, random_impulse_free_system
 from sfos import lifting, synthesis
-from sfos.descriptor import DescriptorSystem, analyze, analyze_pair, annihilators
+from sfos.descriptor import DescriptorSystem, analyze, analyze_pair
 from sfos.errors import InputError, StateFeedbackInfeasible
 from sfos.lifting import lift
 from sfos.lmi import AffineExpr, VariableRegistry, block_of, sym_of
@@ -77,33 +77,31 @@ def _reference_fpdm(reg, blocks, prefix, n, alpha):
 
 
 def _reference_blocks(sys, kind):
-    """The four inequalities as each was once assembled by hand.
+    """The four inequalities posed by hand on E's row space.
 
     Kept here as the reference for the one criterion builder: admissibility
-    on the right and on the left, state feedback and output injection.
+    on the right and on the left, state feedback and output injection.  With
+    E = U1 Sigma V1^T (r = rank E), P is r x r; the null-space bases are
+    the remaining singular vectors.
     """
-    ann = annihilators(sys.E, sys.r, sys.rank_tol)
     n, r = sys.n, sys.r
+    U, sv, Vt = np.linalg.svd(sys.E)
+    U1, V1, Sig = U[:, :r], Vt[:r].T, np.diag(sv[:r])
+    E_right, E_left = Vt[r:].T, U[:, r:].T
     reg = VariableRegistry()
     blocks = []
-    if kind == "admissibility_right":
-        P = _reference_fpdm(reg, blocks, "P", n, sys.alpha)
-        Q = reg.expr(reg.add("Q", "rectangular", n - r, n))
-        expr = sys.A @ P @ sys.E.T + sys.A @ ann.E_right @ Q
-    elif kind == "admissibility_left":
-        P = _reference_fpdm(reg, blocks, "P", n, sys.alpha)
-        Q = reg.expr(reg.add("Q", "rectangular", n, n - r))
-        expr = sys.E.T @ P @ sys.A + Q @ (ann.E_left @ sys.A)
-    elif kind == "state_feedback":
-        P = _reference_fpdm(reg, blocks, "P1", n, sys.alpha)
-        Q = reg.expr(reg.add("Q1", "rectangular", n - r, n))
-        R = reg.expr(reg.add("R1", "rectangular", sys.m, n))
-        expr = sys.A @ P @ sys.E.T + sys.A @ ann.E_right @ Q + sys.B @ R
+    prefix = {"state_feedback": "P1", "output_injection": "P2"}.get(kind, "P")
+    P = _reference_fpdm(reg, blocks, prefix, r, sys.alpha)
+    if kind in ("admissibility_right", "state_feedback"):
+        Q = reg.expr(reg.add(prefix.replace("P", "Q"), "rectangular", n - r, n))
+        expr = sys.A @ V1 @ P @ Sig @ U1.T + sys.A @ E_right @ Q
+        if kind == "state_feedback":
+            expr = expr + sys.B @ reg.expr(reg.add("R1", "rectangular", sys.m, n))
     else:
-        P = _reference_fpdm(reg, blocks, "P2", n, sys.alpha)
-        Q = reg.expr(reg.add("Q2", "rectangular", n, n - r))
-        R = reg.expr(reg.add("R2", "rectangular", n, sys.p))
-        expr = sys.E.T @ P @ sys.A + Q @ (ann.E_left @ sys.A) + R @ sys.C
+        Q = reg.expr(reg.add(prefix.replace("P", "Q"), "rectangular", n, n - r))
+        expr = V1 @ Sig @ P @ U1.T @ sys.A + Q @ E_left @ sys.A
+        if kind == "output_injection":
+            expr = expr + reg.expr(reg.add("R2", "rectangular", n, sys.p)) @ sys.C
     blocks.append(sym_of(expr, label=kind))
     return blocks, reg
 
@@ -134,12 +132,47 @@ class TestCriterionBuilder:
         sysm = _criterion_plants()[index]
         blocks, reg, _ = synthesis._criterion(sysm, side, suffix, gain)
         ref_blocks, ref_reg = _reference_blocks(sysm, kind)
-        assert reg.num_slots == ref_reg.num_slots
+        n, r = sysm.n, sysm.r
+        extra = (sysm.m * n if side == "right" else n * sysm.p) if gain else 0
+        assert reg.num_slots == ref_reg.num_slots == r * r + n * (n - r) + extra
         assert len(blocks) == len(ref_blocks) == 2
+        assert blocks[0].dim == 2 * r and blocks[1].dim == n
         for got, ref in zip(blocks, ref_blocks):
             assert got.label == ref.label
-            for field in ("F0", "slots", "stack"):
-                assert np.array_equal(getattr(got, field), getattr(ref, field))
+            assert np.array_equal(got.slots, ref.slots)
+            # Same terms, summed in another order: equal to rounding.
+            scale = np.abs(ref.stack).max()
+            assert np.allclose(got.F0, ref.F0, rtol=0, atol=1e-13 * scale)
+            assert np.allclose(got.stack, ref.stack, rtol=0, atol=1e-13 * scale)
+
+
+class TestReducedCriterionOracle:
+    """The row-space criterion against QZ on random impulse-free plants."""
+
+    def test_verdicts_and_gains(self):
+        rng = np.random.default_rng(2024)
+        stable_count = 0
+        for _ in range(50):
+            sysm, _ = random_impulse_free_system(rng, float(rng.uniform(0.3, 1.0)))
+            truth = analyze(sysm).admissible
+            stable_count += truth
+            for side in ("right", "left"):
+                assert admissible_via_lmi(sysm, side)[0] == truth
+            K, _ = solve_state_feedback(sysm)
+            assert analyze_pair(sysm.E, sysm.A + sysm.B @ K, sysm.alpha).admissible
+            L, _ = solve_output_injection(sysm)
+            assert analyze_pair(sysm.E, sysm.A + L @ sysm.C, sysm.alpha).admissible
+        assert 10 <= stable_count <= 40
+
+    def test_rank_zero_e(self):
+        # E = 0 leaves an empty P: the criterion is A E_right Q alone.
+        sysm = DescriptorSystem(E=np.zeros((2, 2)), A=-np.eye(2),
+                                B=np.ones((2, 1)), C=np.ones((1, 2)), alpha=0.6)
+        assert analyze(sysm).admissible
+        for side in ("right", "left"):
+            assert admissible_via_lmi(sysm, side)[0]
+        K, _ = solve_state_feedback(sysm)
+        assert analyze_pair(sysm.E, sysm.A + sysm.B @ K, 0.6).admissible
 
 
 class TestStateFeedback:
