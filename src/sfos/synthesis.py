@@ -430,7 +430,7 @@ def _output_stage2(plant: lifting.LiftedSystem, K0, debug_trace=None):
     """Slack-variable stage: find (P, Q, G, H) certifying F = G^{-1}H.
 
     P is the full n x n fractional-PD variable, not the r x r one of
-    :func:`_criterion`.  Posed on E's row space, this stage took 85 Newton
+    :func:`_criterion`.  Posed with an r x r P, this stage took 85 Newton
     steps against 23 in the order-0.6 demo design, and the k = 3 lifted
     design at order 1.2 and decay shift 1 found a certificate for none of
     its intermediate gains.

@@ -94,12 +94,12 @@ def _reference_blocks(sys, kind):
     P = _reference_fpdm(reg, blocks, prefix, r, sys.alpha)
     if kind in ("admissibility_right", "state_feedback"):
         Q = reg.expr(reg.add(prefix.replace("P", "Q"), "rectangular", n - r, n))
-        expr = sys.A @ V1 @ P @ Sig @ U1.T + sys.A @ E_right @ Q
+        expr = sys.A @ (V1 @ P @ (Sig @ U1.T) + E_right @ Q)
         if kind == "state_feedback":
             expr = expr + sys.B @ reg.expr(reg.add("R1", "rectangular", sys.m, n))
     else:
         Q = reg.expr(reg.add(prefix.replace("P", "Q"), "rectangular", n, n - r))
-        expr = V1 @ Sig @ P @ U1.T @ sys.A + Q @ E_left @ sys.A
+        expr = (V1 @ Sig @ P @ U1.T + Q @ E_left) @ sys.A
         if kind == "output_injection":
             expr = expr + reg.expr(reg.add("R2", "rectangular", n, sys.p)) @ sys.C
     blocks.append(sym_of(expr, label=kind))
@@ -139,11 +139,8 @@ class TestCriterionBuilder:
         assert blocks[0].dim == 2 * r and blocks[1].dim == n
         for got, ref in zip(blocks, ref_blocks):
             assert got.label == ref.label
-            assert np.array_equal(got.slots, ref.slots)
-            # Same terms, summed in another order: equal to rounding.
-            scale = np.abs(ref.stack).max()
-            assert np.allclose(got.F0, ref.F0, rtol=0, atol=1e-13 * scale)
-            assert np.allclose(got.stack, ref.stack, rtol=0, atol=1e-13 * scale)
+            for field in ("F0", "slots", "stack"):
+                assert np.array_equal(getattr(got, field), getattr(ref, field))
 
 
 class TestReducedCriterionOracle:
