@@ -13,14 +13,12 @@ Submodules:
 """
 
 from .descriptor import (AdmissibilityReport, DescriptorSystem, analyze,
-                         analyze_pair, annihilators, decompose,
-                         system_from_dict)
+                         analyze_pair, annihilators, system_from_dict)
 from .errors import (GainRecoverySingular, InputError, LmiNumericalError,
-                     NonsingularMatrixError, NotImpulseFreeError,
-                     NotMemberError, OutputInjectionInfeasible,
-                     OutputStageExhausted, RankDeficientError, SfosError,
-                     StateFeedbackInfeasible, SynthesisError,
-                     VerificationFailed)
+                     NonsingularMatrixError, NotMemberError,
+                     OutputInjectionInfeasible, OutputStageExhausted,
+                     RankDeficientError, SfosError, StateFeedbackInfeasible,
+                     SynthesisError, VerificationFailed)
 from .fpdm import FpdmParam, congruence, is_member, materialize
 # synthesis before lifting: synthesis reads lifting.DEFAULT_K when its
 # functions are defined, so lifting must finish loading first, which it does
@@ -38,9 +36,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityReport", "DescriptorSystem", "analyze", "analyze_pair",
-    "annihilators", "decompose", "system_from_dict",
-    "SfosError", "InputError", "NonsingularMatrixError", "NotImpulseFreeError",
-    "NotMemberError", "RankDeficientError", "LmiNumericalError",
+    "annihilators", "system_from_dict",
+    "SfosError", "InputError", "NonsingularMatrixError", "NotMemberError",
+    "RankDeficientError", "LmiNumericalError",
     "SynthesisError", "StateFeedbackInfeasible", "OutputInjectionInfeasible",
     "OutputStageExhausted", "GainRecoverySingular", "VerificationFailed",
     "FpdmParam", "congruence", "is_member", "materialize",

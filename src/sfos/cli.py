@@ -16,7 +16,8 @@ are its own constants, not options.
 Exit codes are a stable contract: 0 success / admissible, 1 error (bad
 input, including a usage error on the command line, I/O, numerical
 failure), 2 analyzed and not admissible, 3 synthesis certified infeasible,
-4 synthesis retries exhausted.
+4 no design verified (output-feedback retries exhausted, or the observer
+loop failed the closed-loop pencil check).
 
 Numeric options resolve in the order: explicit command-line flag, then
 problem-file value (where the file has a slot for it), then environment

@@ -8,30 +8,28 @@ A descriptor system couples differential and algebraic equations through a
 This module decides the three classical pencil properties -- regularity
 by a normalised rank probe of sE - A, the finite spectrum by QZ (Moler &
 Stewart, SIAM J. Numer. Anal. 10, 1973), impulse-freeness by a finite count
-equal to rank E, and fractional-sector stability -- with fixed thresholds,
-and provides the slow/fast decomposition used by the simulator and (through
-its annihilator bases) by the LMI synthesis machinery.
+equal to rank E, and fractional-sector stability -- with fixed thresholds.
+It also factors E by one SVD into the null-space bases and row-space
+factors (:func:`annihilators`) that the LMI criteria pose their variables
+on and the simulator projects an inconsistent initial state with.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import InputError, NonsingularMatrixError, NotImpulseFreeError
+from .errors import InputError, NonsingularMatrixError
 
 __all__ = [
     "DescriptorSystem",
     "AnnihilatorPair",
-    "Decomposition",
     "AdmissibilityReport",
     "numerical_rank",
     "annihilators",
     "analyze",
-    "decompose",
     "system_from_dict",
 ]
 
@@ -194,73 +192,6 @@ def annihilators(E, r: int | None = None, tol: float = DEFAULT_RANK_TOL) -> Anni
 
 
 @dataclass(frozen=True)
-class Decomposition:
-    """Slow/fast coordinates: E = M diag(I_r, 0) N and A = M [[A1,A2],[A3,A4]] N.
-
-    ``Aa``/``Ba`` drive the slow (differential) state, ``Ab``/``Bb`` recover
-    the fast (algebraic) state.  ``cond_A4`` reports how safely the fast
-    block was inverted.
-    """
-
-    M: np.ndarray
-    N: np.ndarray
-    A1: np.ndarray
-    A2: np.ndarray
-    A3: np.ndarray
-    A4: np.ndarray
-    B1: np.ndarray
-    B2: np.ndarray
-    Aa: np.ndarray
-    Ab: np.ndarray
-    Ba: np.ndarray
-    Bb: np.ndarray
-    cond_A4: float
-    r: int
-
-
-def _decompose_pair(E, A, B, r, tol):
-    """Slow/fast split of a pair {E, A} with input matrix B."""
-    n = E.shape[0]
-    U, sv, Vt = np.linalg.svd(E)
-    scale = np.concatenate([sv[:r], np.ones(n - r)])
-    M = U @ np.diag(scale)
-    N = Vt
-    Minv = np.diag(1.0 / scale) @ U.T
-    At = Minv @ A @ Vt.T
-    Bt = Minv @ B
-    A1, A2 = At[:r, :r], At[:r, r:]
-    A3, A4 = At[r:, :r], At[r:, r:]
-    B1, B2 = Bt[:r, :], Bt[r:, :]
-    if n - r:
-        sv4 = np.linalg.svd(A4, compute_uv=False)
-        if sv4[-1] <= tol * max(sv4[0], 1.0):
-            raise NotImpulseFreeError(
-                "fast block A4 is numerically singular; the pair is not "
-                "impulse-free and the slow/fast reduction is undefined")
-        cond_A4 = float(sv4[0] / sv4[-1])
-        A4inv_A3 = np.linalg.solve(A4, A3)
-        A4inv_B2 = np.linalg.solve(A4, B2)
-    else:
-        cond_A4 = 1.0
-        A4inv_A3 = np.zeros((0, r))
-        A4inv_B2 = np.zeros((0, B.shape[1]))
-    Aa = A1 - A2 @ A4inv_A3
-    Ba = B1 - A2 @ A4inv_B2
-    Ab = -A4inv_A3
-    Bb = -A4inv_B2
-    return Decomposition(M=M, N=N, A1=A1, A2=A2, A3=A3, A4=A4, B1=B1, B2=B2,
-                         Aa=Aa, Ab=Ab, Ba=Ba, Bb=Bb, cond_A4=cond_A4, r=r)
-
-
-def decompose(sys: DescriptorSystem) -> Decomposition:
-    """Slow/fast decomposition of a regular, impulse-free system.
-
-    Raises :class:`NotImpulseFreeError` if the fast block cannot be inverted.
-    """
-    return _decompose_pair(sys.E, sys.A, sys.B, sys.r, sys.rank_tol)
-
-
-@dataclass(frozen=True)
 class AdmissibilityReport:
     """Outcome of the pencil analysis.
 
@@ -290,13 +221,6 @@ class AdmissibilityReport:
             "pencil_degree": self.pencil_degree,
             "alpha": self.alpha,
         }
-
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2)
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return text
 
 
 def _sector_margin(eigs, alpha, zero_tol):

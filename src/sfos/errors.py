@@ -13,10 +13,6 @@ class NonsingularMatrixError(SfosError):
     """E has full rank; the singular-system machinery does not apply."""
 
 
-class NotImpulseFreeError(SfosError):
-    """Slow/fast reduction requested for a pair whose fast block is singular."""
-
-
 class NotMemberError(SfosError):
     """A (X, Y) pair failed the positive-definiteness membership test."""
 

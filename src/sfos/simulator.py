@@ -44,7 +44,6 @@ trajectory afterwards through that function's input readout.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -52,7 +51,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from . import descriptor, lifting, synthesis
-from .errors import InputError, NotImpulseFreeError
+from .errors import InputError
 from .synthesis import ObserverDesign, OutputFeedbackDesign
 
 __all__ = [
@@ -175,10 +174,6 @@ class Trajectory:
         except InputError:
             out["tail_decay_exponent"] = None
         return out
-
-    def to_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.summary(), fh, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +326,19 @@ def _project_consistent(E, A, x0, rank_tol, mode):
             f"initial pseudo-state violates the algebraic constraint "
             f"(residual {residual:.3e}); continuing unmodified")
         return x0
-    try:
-        dec = descriptor._decompose_pair(E, A, np.zeros((n, 0)), r, rank_tol)
-    except (NotImpulseFreeError, np.linalg.LinAlgError):
+    # Keep the row-space coordinates s = V1^T x0 and solve the algebraic rows
+    # E_left A (V1 s + E_right f) = 0 for the null-space ones f.  The
+    # (n-r) x (n-r) block E_left A E_right is invertible exactly when the
+    # pair is impulse-free.
+    left_A = ann.E_left @ A
+    fast = left_A @ ann.E_right
+    sv = np.linalg.svd(fast, compute_uv=False)
+    if sv[-1] <= rank_tol * max(sv[0], 1.0):
         warnings.warn("initial state inconsistent but the pair is not "
                       "impulse-free; projection skipped")
         return x0
-    xt = dec.N @ x0
-    xt[r:] = dec.Ab @ xt[:r]
-    x0p = np.linalg.solve(dec.N, xt)
+    slow = ann.V1 @ (ann.V1.T @ x0)
+    x0p = slow + ann.E_right @ np.linalg.solve(fast, -(left_A @ slow))
     warnings.warn(
         f"initial pseudo-state projected onto the constraint manifold "
         f"(moved by {np.linalg.norm(x0p - x0):.3e})")

@@ -28,16 +28,14 @@ slack-variable inequality in a full n x n P and (Q, G, H) yields
 F = G^{-1} H.
 Stage 2 is not guaranteed solvable for every stage-1 K0, so infeasibility
 triggers re-sampling of K0 through a small random linear tilt on the
-stage-1 objective.  Every solve runs :func:`sfos.lmi.solve_feasibility` at
-its default box and margin, but for the observer's one retry at 10x the
-margin; the gain solves and stage 2 accept a certificate by one rule, in
-:func:`_solve`.
+stage-1 objective.  The observer design makes one attempt.  Every solve
+runs :func:`sfos.lmi.solve_feasibility` at its default box and margin; the
+gain solves and stage 2 accept a certificate by one rule, in :func:`_solve`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +46,7 @@ from .errors import (GainRecoverySingular, InputError, LmiNumericalError,
                      OutputInjectionInfeasible, OutputStageExhausted,
                      StateFeedbackInfeasible, VerificationFailed)
 from .lmi import (AffineExpr, LmiSolution, VariableRegistry, block_of,
-                  solve_feasibility, sym_of, DEFAULT_FEAS_MARGIN)
+                  solve_feasibility, sym_of)
 
 __all__ = [
     "ObserverDesign",
@@ -150,8 +148,7 @@ MARGINAL_SLACK = 1e-5
 
 
 def _solve(blocks, reg: VariableRegistry, plant: lifting.LiftedSystem,
-           margin: float = DEFAULT_FEAS_MARGIN, objective=None,
-           debug_trace=None):
+           objective=None, debug_trace=None):
     """Solve, then pick the values to recover gains from; returns (values, sol).
 
     A strict certificate always wins.  In lifted coordinates
@@ -164,8 +161,8 @@ def _solve(blocks, reg: VariableRegistry, plant: lifting.LiftedSystem,
     own independent closed-loop verification.  Marginal acceptances are
     relabeled status "Marginal".  ``values`` is None when neither holds.
     """
-    sol = solve_feasibility(blocks, reg, feas_margin=margin,
-                            objective=objective, debug_trace=debug_trace)
+    sol = solve_feasibility(blocks, reg, objective=objective,
+                            debug_trace=debug_trace)
     if sol.feasible:
         return reg.materialize_all(sol.assignment), sol
     if (plant.k > 1 and sol.witness is not None
@@ -316,8 +313,7 @@ def closed_loop(sys: DescriptorSystem, controller):
     raise InputError(f"unknown controller kind {kind!r}")
 
 
-def solve_state_feedback(plant, objective_seed=None, debug_trace=None,
-                         _margin=DEFAULT_FEAS_MARGIN):
+def solve_state_feedback(plant, objective_seed=None, debug_trace=None):
     """Feasibility of sym(A S + B R) < 0; returns (K, certificate).
 
     S = V1 P Sigma U1^T + E_right Q with P r x r (see :func:`_criterion`),
@@ -336,7 +332,7 @@ def solve_state_feedback(plant, objective_seed=None, debug_trace=None,
         entry = reg.entry("R1")
         objective = {entry.start + i: RETRY_TILT * w
                      for i, w in enumerate(W.ravel())}
-    vals, sol = _solve(blocks, reg, plant, _margin, objective, debug_trace)
+    vals, sol = _solve(blocks, reg, plant, objective, debug_trace)
     if vals is None:
         if sol.status == "Infeasible":
             raise StateFeedbackInfeasible(
@@ -348,7 +344,7 @@ def solve_state_feedback(plant, objective_seed=None, debug_trace=None,
     return K, sol
 
 
-def solve_output_injection(plant, debug_trace=None, _margin=DEFAULT_FEAS_MARGIN):
+def solve_output_injection(plant, debug_trace=None):
     """Feasibility of sym(S A + R C) < 0; returns (L, certificate).
 
     S = V1 Sigma P U1^T + Q E_left with P r x r (see :func:`_criterion`),
@@ -357,7 +353,7 @@ def solve_output_injection(plant, debug_trace=None, _margin=DEFAULT_FEAS_MARGIN)
     plant = lifting.as_plant(plant)
     sys = plant.lifted
     blocks, reg, ann = _criterion(sys, "left", "2", gain=True)
-    vals, sol = _solve(blocks, reg, plant, _margin, debug_trace=debug_trace)
+    vals, sol = _solve(blocks, reg, plant, debug_trace=debug_trace)
     if vals is None:
         if sol.status == "Infeasible":
             raise OutputInjectionInfeasible(
@@ -383,25 +379,22 @@ def synth_observer(sys, k: int = lifting.DEFAULT_K,
     never sees B).  ``decay_shift_*`` > 0 synthesize against A + gamma*E,
     pushing every closed-loop eigenvalue left by gamma for faster transients;
     admissibility of the result is still verified against the true plant,
-    by :func:`sfos.lifting.verify_loop`.  A verification miss triggers one
-    automatic retry at 10x the margin.
+    by :func:`sfos.lifting.verify_loop`; a loop that fails it raises
+    :class:`VerificationFailed`.
     """
     plant = lifting.as_plant(sys, k)
-    work_K = _shifted(plant, decay_shift_state)
-    work_L = _shifted(plant, decay_shift_injection)
-    for margin in (DEFAULT_FEAS_MARGIN, 10.0 * DEFAULT_FEAS_MARGIN):
-        K, cert_k = solve_state_feedback(work_K, debug_trace=debug_trace,
-                                         _margin=margin)
-        L, cert_l = solve_output_injection(work_L, _margin=margin)
-        report = lifting.verify_loop(plant, ("observer", K, L))
-        if report.admissible:
-            return ObserverDesign(K=K, L=L,
-                                  certificates={"state_feedback": cert_k,
-                                                "output_injection": cert_l},
-                                  closed_loop_report=report)
-    raise VerificationFailed(
-        "LMI certificates found but the augmented closed loop failed the "
-        "independent pencil check, even after enlarging the margin 10x")
+    K, cert_k = solve_state_feedback(_shifted(plant, decay_shift_state),
+                                     debug_trace=debug_trace)
+    L, cert_l = solve_output_injection(_shifted(plant, decay_shift_injection))
+    report = lifting.verify_loop(plant, ("observer", K, L))
+    if not report.admissible:
+        raise VerificationFailed(
+            "LMI certificates found but the augmented closed loop failed the "
+            "independent pencil check")
+    return ObserverDesign(K=K, L=L,
+                          certificates={"state_feedback": cert_k,
+                                        "output_injection": cert_l},
+                          closed_loop_report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -517,15 +510,3 @@ def synth_output_feedback(sys, k: int = lifting.DEFAULT_K, seed: int = 0,
     raise OutputStageExhausted(
         f"output-feedback stage 2 failed for all {RETRIES + 1} intermediate gains",
         attempts=attempts)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def design_to_json(design, path=None) -> str:
-    text = json.dumps(design.to_dict(), indent=2)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text

@@ -1,10 +1,13 @@
 """Shared fixtures: the benchmark plant, published gains, random generators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import settings
 
+from sfos import lifting
 from sfos.descriptor import DescriptorSystem
 
 # Property tests draw the same examples on every run and are not timed, so
@@ -47,6 +50,16 @@ def bench06():
 @pytest.fixture
 def bench12():
     return benchmark(1.2)
+
+
+@pytest.fixture
+def failing_verification(monkeypatch):
+    """Make :func:`sfos.lifting.verify_loop` judge every loop not admissible."""
+    verify_loop = lifting.verify_loop
+
+    def failing(*args):
+        return dataclasses.replace(verify_loop(*args), admissible=False)
+    monkeypatch.setattr(lifting, "verify_loop", failing)
 
 
 def random_impulse_free_system(rng, alpha, boundary_margin=0.05):

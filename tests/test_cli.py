@@ -146,6 +146,15 @@ class TestSynth:
         assert np.array(doc["L"]).shape == (6, 1)
         assert doc["closed_loop_report"]["admissible"] is True
 
+    def test_verification_miss_exit_4(self, tmp_path, capsys,
+                                      failing_verification):
+        path = write_problem(tmp_path, problem_doc())
+        assert (cli.main(["synth", path, "--mode", "observer"])
+                == cli.EXIT_EXHAUSTED)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "pencil check" in captured.err
+
     def test_mode_from_problem_file(self, tmp_path, capsys):
         doc = problem_doc(synthesis={"mode": "output"})
         assert cli.main(["synth", write_problem(tmp_path, doc)]) == cli.EXIT_OK

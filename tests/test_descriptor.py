@@ -1,4 +1,4 @@
-"""Pencil analysis, annihilators, slow/fast decomposition."""
+"""Pencil analysis, annihilators, initial-state projection."""
 
 import json
 
@@ -11,12 +11,10 @@ from scipy.optimize import linear_sum_assignment
 
 from conftest import (BENCH_A, BENCH_B, BENCH_C, BENCH_E, benchmark,
                       random_impulse_free_system)
-from sfos import descriptor
+from sfos import descriptor, simulator
 from sfos.descriptor import (DescriptorSystem, analyze, analyze_pair,
-                             annihilators, decompose, numerical_rank,
-                             system_from_dict)
-from sfos.errors import (InputError, NonsingularMatrixError,
-                         NotImpulseFreeError)
+                             annihilators, numerical_rank, system_from_dict)
+from sfos.errors import InputError, NonsingularMatrixError
 
 
 def _matched(got, want):
@@ -28,6 +26,23 @@ def _matched(got, want):
     dist = np.abs(got[:, None] - want[None, :]) / np.maximum(1.0, np.abs(want))
     rows, cols = linear_sum_assignment(dist)
     return float(dist[rows, cols].max(initial=0.0))
+
+
+def _slow_fast(E, A, r):
+    """Reference slow/fast split of an impulse-free pair, returns (Aa, Ab, N).
+
+    With E = U diag(sigma, 1) diag(I_r, 0) V^T, N = V^T and
+    U diag(sigma, 1)^-1 A V = [[A1, A2], [A3, A4]], the slow state x1 of
+    N x = (x1, x2) obeys D x1 = Aa x1 and the fast state is x2 = Ab x1.
+    Kept here as the spectral and projection oracle of the tests only.
+    """
+    n = E.shape[0]
+    U, sv, N = np.linalg.svd(E)
+    scale = np.concatenate([sv[:r], np.ones(n - r)])
+    At = np.diag(1.0 / scale) @ U.T @ A @ N.T
+    A1, A2, A3, A4 = At[:r, :r], At[:r, r:], At[r:, :r], At[r:, r:]
+    Ab = -np.linalg.solve(A4, A3)
+    return A1 + A2 @ Ab, Ab, N
 
 
 class TestNumericalRank:
@@ -164,8 +179,9 @@ class TestAnalyze:
             rep = analyze_pair(sysm.E @ D, sysm.A @ D, 0.7)
             assert rep.regular and rep.impulse_free
             assert rep.pencil_degree == sysm.r
+            Aa, _, _ = _slow_fast(sysm.E, sysm.A, sysm.r)
             assert _matched(rep.finite_eigenvalues,
-                            np.linalg.eigvals(decompose(sysm).Aa)) < 1e-6
+                            np.linalg.eigvals(Aa)) < 1e-6
 
     def test_hidden_singular_pencil(self):
         # A zero diagonal entry in the fast block of A leaves a zero row in
@@ -214,42 +230,45 @@ class TestAnalyze:
         assert not analyze_pair(np.eye(2), A, 0.95).stable
 
     def test_report_json_round_trip(self, bench06):
-        doc = json.loads(analyze(bench06).to_json())
+        doc = json.loads(json.dumps(analyze(bench06).to_dict()))
         assert doc["regular"] is True and doc["stable"] is False
         assert doc["pencil_degree"] == 2
 
 
-class TestDecompose:
-    def test_reconstruction(self, bench06):
-        dec = decompose(bench06)
-        r, n = dec.r, bench06.n
-        Er = dec.M @ np.diag([1.0] * r + [0.0] * (n - r)) @ dec.N
-        At = np.block([[dec.A1, dec.A2], [dec.A3, dec.A4]])
-        assert np.allclose(Er, bench06.E)
-        assert np.allclose(dec.M @ At @ dec.N, bench06.A)
+class TestProjection:
+    """``simulator._project_consistent`` on seeded random plants and x0."""
 
-    def test_slow_spectrum_matches_pencil(self, bench06):
-        dec = decompose(bench06)
-        eigs = sorted(np.linalg.eigvals(dec.Aa).real)
+    @staticmethod
+    def project(E, A, x0):
+        with pytest.warns(UserWarning, match="projected"):
+            return simulator._project_consistent(
+                E, A, x0, descriptor.DEFAULT_RANK_TOL, "project")
+
+    def test_reference_slow_spectrum(self, bench06):
+        Aa, _, _ = _slow_fast(bench06.E, bench06.A, bench06.r)
+        eigs = sorted(np.linalg.eigvals(Aa).real)
         assert eigs == pytest.approx([-5.3129, 0.1129], abs=1e-3)
 
-    def test_not_impulse_free_raises(self):
-        # {E, I} with nilpotent E: constant determinant, singular fast block.
-        E = np.array([[0.0, 1.0], [0.0, 0.0]])
-        sysm = DescriptorSystem(E=E, A=np.eye(2), B=np.ones((2, 1)),
-                                C=np.ones((1, 2)), alpha=0.5)
-        with pytest.raises(NotImpulseFreeError):
-            decompose(sysm)
-
-    def test_algebraic_state_recovery(self, bench06):
-        # On the constraint manifold, x2 = Ab x1 reproduces consistent states.
-        dec = decompose(bench06)
-        rng = np.random.default_rng(3)
-        x1 = rng.standard_normal(dec.r)
-        xt = np.concatenate([x1, dec.Ab @ x1])
-        x = np.linalg.solve(dec.N, xt)
-        ann = annihilators(bench06.E, bench06.r)
-        assert np.abs(ann.E_left @ (bench06.A @ x)).max() < 1e-10
+    def test_random_plants(self):
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            sysm, _ = random_impulse_free_system(rng, rng.uniform(0.3, 1.0))
+            E, A, r = sysm.E, sysm.A, sysm.r
+            x0 = rng.standard_normal(sysm.n)
+            x0p = self.project(E, A, x0)
+            ann = annihilators(E, r)
+            # The algebraic rows hold and the row-space coordinates are kept.
+            scale = np.linalg.norm(A) * np.linalg.norm(x0p)
+            assert np.abs(ann.E_left @ (A @ x0p)).max() <= 1e-12 * scale
+            assert (np.linalg.norm(ann.V1.T @ (x0p - x0))
+                    <= 1e-12 * np.linalg.norm(x0p))
+            # Against the slow/fast reference: keep N x0's slow part and
+            # recover its fast part as Ab times the slow part.
+            _, Ab, N = _slow_fast(E, A, r)
+            xt = N @ x0
+            xt[r:] = Ab @ xt[:r]
+            want = np.linalg.solve(N, xt)
+            assert np.linalg.norm(x0p - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestRandomizedAgreement:
@@ -258,8 +277,8 @@ class TestRandomizedAgreement:
         for _ in range(10):
             sysm, _ = random_impulse_free_system(rng, 0.7)
             roots = np.sort_complex(np.array(analyze(sysm).finite_eigenvalues))
-            dec = decompose(sysm)
-            eigs = np.sort_complex(np.linalg.eigvals(dec.Aa))
+            Aa, _, _ = _slow_fast(sysm.E, sysm.A, sysm.r)
+            eigs = np.sort_complex(np.linalg.eigvals(Aa))
             assert np.allclose(roots, eigs, atol=1e-6 * max(1, np.abs(eigs).max()))
 
 
@@ -277,7 +296,7 @@ class TestBlockDiagonalStacks:
         Q1 = np.linalg.qr(rng.standard_normal(E.shape))[0]
         Q2 = np.linalg.qr(rng.standard_normal(E.shape))[0]
         rep = analyze_pair(Q1 @ E @ Q2, Q1 @ A @ Q2, 0.8)
-        want = np.concatenate([np.linalg.eigvals(decompose(p).Aa)
+        want = np.concatenate([np.linalg.eigvals(_slow_fast(p.E, p.A, p.r)[0])
                                for p, _ in parts])
         assert rep.regular and rep.impulse_free
         assert rep.pencil_degree == sum(p.r for p, _ in parts)

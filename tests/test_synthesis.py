@@ -11,7 +11,8 @@ import scipy.linalg as sla
 from conftest import GAINS_06, GAINS_12, benchmark, random_impulse_free_system
 from sfos import lifting, synthesis
 from sfos.descriptor import DescriptorSystem, analyze, analyze_pair
-from sfos.errors import InputError, StateFeedbackInfeasible
+from sfos.errors import (InputError, StateFeedbackInfeasible,
+                         VerificationFailed)
 from sfos.lifting import lift
 from sfos.lmi import AffineExpr, VariableRegistry, block_of, sym_of
 from sfos.synthesis import (admissible_via_lmi, closed_loop,
@@ -255,10 +256,26 @@ class TestObserverDesign:
     def test_design_serialization(self, bench06):
         import json
         design = synth_observer(bench06)
-        doc = json.loads(synthesis.design_to_json(design))
+        doc = json.loads(json.dumps(design.to_dict()))
         assert np.allclose(doc["K"], design.K)
         assert doc["closed_loop_report"]["admissible"] is True
         assert doc["certificates"]["state_feedback"]["status"] == "Feasible"
+
+    def test_verification_miss_raises_after_one_attempt(
+            self, bench06, monkeypatch, failing_verification):
+        # A loop that fails the pencil check is refused at once: each gain
+        # is solved once, and nothing is retried.
+        calls = []
+        for name in ("solve_state_feedback", "solve_output_injection"):
+            def counted(*args, _solve=getattr(synthesis, name), _name=name,
+                        **kwargs):
+                calls.append(_name)
+                return _solve(*args, **kwargs)
+            monkeypatch.setattr(synthesis, name, counted)
+        with pytest.raises(VerificationFailed, match="pencil check"):
+            synth_observer(bench06)
+        assert sorted(calls) == ["solve_output_injection",
+                                 "solve_state_feedback"]
 
 
 class TestOutputFeedback:
