@@ -15,8 +15,9 @@ side's ``src``, with BLAS pinned to one thread:
 * ``ADMISSIBILITY_PLANTS`` seeded ``perfbench/plants.py`` blocks of 2-4
   states, each tested on both sides of the criterion: the verdict and
   solution of each LMI, or the error it raises.
-* ``SYNTH``: ``sfos synth`` at orders 0.6 and 1.2 in both modes, with
-  ``--debug-trace``; ``DEMOS``: ``sfos demo`` at its default h and T.
+* ``SYNTH``: ``sfos synth`` at orders 0.6 and 1.2 in both modes, whose
+  design JSON holds each solve's iterates; ``DEMOS``: ``sfos demo`` at its
+  default h and T.
   Compared: exit code, stdout, stderr and every file written, byte for byte.
 
 Arrays are compared with ``np.array_equal``.  Every mismatch is printed;
@@ -219,8 +220,7 @@ def main(argv=None):
         diffs += compare(f"{2 * len(plants)} admissibility LMIs",
                          each_side(run_admissibility, plants))
         for alpha, mode in SYNTH:
-            argv = ["synth", "problem.json", "--mode", mode,
-                    "--debug-trace", "trace.json"]
+            argv = ["synth", "problem.json", "--mode", mode]
             problem = {"system": dict(PLANT, alpha=alpha)}
             diffs += compare(f"sfos synth alpha={alpha} --mode {mode}",
                              {side: run_cli(root, argv, problem)

@@ -8,10 +8,10 @@ Subcommands::
     sfos demo     example1|example2 --out d   one-command benchmark runs
 
 Each subcommand takes only the flags it reads: ``--tol`` and ``--out`` on
-all four; ``--k``, ``--seed`` and ``--debug-trace`` on ``synth``,
-``simulate`` and ``demo``; ``--mode`` on ``synth``; ``--h`` and
-``--horizon`` on ``simulate`` and ``demo``.  The LMI solver's margin and box
-are its own constants, not options.
+all four; ``--k`` and ``--seed`` on ``synth``, ``simulate`` and ``demo``;
+``--mode`` on ``synth``; ``--h`` and ``--horizon`` on ``simulate`` and
+``demo``.  The LMI solver's margin and box are its own constants, not
+options.  ``synth`` writes each LMI solve's certificate with its iterates.
 
 Exit codes are a stable contract: 0 success / admissible, 1 error (bad
 input, including a usage error on the command line, I/O, numerical
@@ -175,16 +175,14 @@ def _run_synthesis(sysm: DescriptorSystem, synth_cfg: dict, args, mode=None):
     if mode is None:
         raise InputError("no synthesis mode: pass --mode observer|output to "
                          "synth, or set synthesis.mode in the problem file")
-    kwargs = {"k": args.k, "debug_trace": args.debug_trace or None}
     if mode == "observer":
         return synthesis.synth_observer(
-            sysm, decay_shift_state=synth_cfg.get("decay_shift_state", 0.0),
-            decay_shift_injection=synth_cfg.get("decay_shift_injection", 0.0),
-            **kwargs)
+            sysm, k=args.k,
+            decay_shift_state=synth_cfg.get("decay_shift_state", 0.0),
+            decay_shift_injection=synth_cfg.get("decay_shift_injection", 0.0))
     return synthesis.synth_output_feedback(
-        sysm, decay_shift=synth_cfg.get("decay_shift", 0.0),
-        seed=_resolve(args.seed, synth_cfg.get("seed"), args.env["SEED"]),
-        **kwargs)
+        sysm, k=args.k, decay_shift=synth_cfg.get("decay_shift", 0.0),
+        seed=_resolve(args.seed, synth_cfg.get("seed"), args.env["SEED"]))
 
 
 def cmd_synth(args) -> int:
@@ -382,8 +380,6 @@ def build_parser(env: dict) -> argparse.ArgumentParser:
                        help="lifting factor for orders in (1, 2)")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for synthesis retry tilts")
-        p.add_argument("--debug-trace", default=None,
-                       help="write solver iterate trace JSON to this path")
 
     def march(p):
         p.add_argument("--h", type=float, default=None, help="simulation step")

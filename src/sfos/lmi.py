@@ -29,11 +29,13 @@ compute, bit for bit (tests/test_lmi.py keeps that arithmetic as a
 reference), so the speed costs no change in any iterate.
 ``python3 scripts/lmi_sweep.py`` times the admissibility LMI alone, in
 Newton steps and ms a step.
+
+A solve does no I/O: its iterates, one (eta, t, decrement2, step_size) row a
+Newton step, are returned with its verdict on :class:`LmiSolution`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -348,6 +350,8 @@ class LmiSolution:
     ``t`` is the achieved epigraph value, ``lower_bound`` the barrier-duality
     lower bound on the optimal t.  Feasible guarantees every margin (the
     independently recomputed lambda_max of each block) is <= -feas_margin.
+    ``iterates`` has one (eta, t, decrement2, step_size) row a Newton step;
+    a step with a non-positive decrement is counted but not recorded.
     """
 
     status: str                         # "Feasible" | "Infeasible" | "NumericalFailure"
@@ -363,6 +367,7 @@ class LmiSolution:
     feas_margin: float
     box_bound: float
     block_labels: tuple = ()
+    iterates: tuple = ()
 
     @property
     def feasible(self) -> bool:
@@ -380,6 +385,8 @@ class LmiSolution:
             "feas_margin": self.feas_margin,
             "box_bound": self.box_bound,
             "block_labels": list(self.block_labels),
+            "iterates": [{"eta": eta, "t": t, "decrement2": dec2, "step_size": size}
+                         for eta, t, dec2, size in self.iterates],
         }
 
 
@@ -486,29 +493,28 @@ class _Barrier:
         return bound - self.box * float(np.sum(np.abs(resid)))
 
 
-def solve_feasibility(blocks, registry, feas_margin: float = DEFAULT_FEAS_MARGIN,
-                      box_bound: float = DEFAULT_BOX_BOUND, objective=None,
-                      debug_trace=None) -> LmiSolution:
+def solve_feasibility(blocks, registry, box_bound: float = DEFAULT_BOX_BOUND,
+                      objective=None) -> LmiSolution:
     """Decide strict feasibility of F_j(x) < 0 over the registry's slots.
 
     Minimizes t subject to F_j(x) <= t*I and |x_i| <= box_bound by
     path-following on a log-det barrier (10x barrier-weight increase per
-    outer step, damped Newton inner steps).  Classification: Feasible when
-    the achieved t is <= -feas_margin; Infeasible when the duality lower
-    bound proves no point in the box reaches margin -feas_margin;
-    NumericalFailure when the step budget runs out in the gap between the
-    two.  The two verdicts share the same threshold, so "Infeasible" means
-    precisely "not feasible at the requested margin".
+    outer step, damped Newton inner steps).  Classification, at the margin
+    m = :data:`DEFAULT_FEAS_MARGIN`: Feasible when the achieved t is <= -m;
+    Infeasible when the duality lower bound proves no point in the box
+    reaches -m; NumericalFailure when the step budget runs out in the gap
+    between the two.  The two verdicts share the same threshold, so
+    "Infeasible" means precisely "not feasible at margin m".
 
     ``objective`` optionally adds a linear tilt c^T x (a slot-indexed dict)
     to the minimized t; used by synthesis retries to sample different
     feasible points.  A tilted solve still reports Feasible only on the
-    strength of its witness.
+    strength of its witness.  The solve does no I/O.
     """
     if not blocks:
         raise InputError("no LMI blocks given")
-    if feas_margin <= 0 or box_bound <= 0:
-        raise InputError("feas_margin and box_bound must be positive")
+    if box_bound <= 0:
+        raise InputError("box_bound must be positive")
     nx = registry.num_slots
     for b in blocks:
         if not (np.isfinite(b.F0).all() and np.isfinite(b.stack).all()):
@@ -544,7 +550,7 @@ def solve_feasibility(blocks, registry, feas_margin: float = DEFAULT_FEAS_MARGIN
     phi = barrier.value(z, factors)
     ident = np.eye(nx + 1)
 
-    trace = [] if debug_trace is not None else None
+    iterates = []
     eta = 1.0
     steps = 0
     best_lower = -np.inf
@@ -555,9 +561,9 @@ def solve_feasibility(blocks, registry, feas_margin: float = DEFAULT_FEAS_MARGIN
         x = zc[:-1]
         margins = tuple(float(np.linalg.eigvalsh(b.evaluate(x))[-1]) for b in blocks)
         t = max(margins)  # effective achieved epigraph value at the witness
-        if t <= -feas_margin:
+        if t <= -DEFAULT_FEAS_MARGIN:
             return "Feasible", margins, t
-        if lower > -feas_margin:
+        if lower > -DEFAULT_FEAS_MARGIN:
             return "Infeasible", margins, t
         return "NumericalFailure", margins, t
 
@@ -599,9 +605,7 @@ def solve_feasibility(blocks, registry, feas_margin: float = DEFAULT_FEAS_MARGIN
                 size = 0.0
             z, factors, phi = z_new, f_new, phi_new
             last_decrement2 = decrement2
-            if trace is not None:
-                trace.append({"eta": eta, "t": float(z[-1]),
-                              "decrement2": decrement2, "step_size": size})
+            iterates.append((eta, float(z[-1]), decrement2, size))
             if size < 1e-12:
                 stalled = True  # at numerical precision for this eta
                 break
@@ -632,7 +636,7 @@ def solve_feasibility(blocks, registry, feas_margin: float = DEFAULT_FEAS_MARGIN
         # certificate; only the witness-based verdict stands.
         if status == "Infeasible":
             status = "NumericalFailure"
-    sol = LmiSolution(
+    return LmiSolution(
         status=status,
         assignment=z[:-1].copy() if status == "Feasible" else None,
         witness=z[:-1].copy(),
@@ -640,14 +644,8 @@ def solve_feasibility(blocks, registry, feas_margin: float = DEFAULT_FEAS_MARGIN
         t=float(t),
         lower_bound=float(lower),
         newton_steps=steps,
-        feas_margin=feas_margin,
+        feas_margin=DEFAULT_FEAS_MARGIN,
         box_bound=box_bound,
         block_labels=tuple(b.label for b in blocks),
+        iterates=tuple(iterates),
     )
-    if debug_trace is not None:
-        doc = {"blocks": [{"label": b.label, "dim": b.dim, "num_terms": len(b.slots)}
-                          for b in blocks],
-               "iterates": trace, "result": sol.to_dict()}
-        with open(debug_trace, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-    return sol

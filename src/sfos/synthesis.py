@@ -27,8 +27,9 @@ the state-feedback LMI produces an intermediate gain K0, then a
 slack-variable inequality in a full n x n P and (Q, G, H) yields
 F = G^{-1} H.
 Stage 2 is not guaranteed solvable for every stage-1 K0, so infeasibility
-triggers re-sampling of K0 through a small random linear tilt on the
-stage-1 objective.  The observer design makes one attempt.  Every solve
+triggers re-sampling of K0 through a small seeded random linear tilt on the
+stage-1 objective; the design records the samples that failed.  The
+observer design makes one attempt.  Every solve
 runs :func:`sfos.lmi.solve_feasibility` at its default box and margin; the
 gain solves and stage 2 accept a certificate by one rule, in :func:`_solve`.
 """
@@ -148,7 +149,7 @@ MARGINAL_SLACK = 1e-5
 
 
 def _solve(blocks, reg: VariableRegistry, plant: lifting.LiftedSystem,
-           objective=None, debug_trace=None):
+           objective=None):
     """Solve, then pick the values to recover gains from; returns (values, sol).
 
     A strict certificate always wins.  In lifted coordinates
@@ -161,8 +162,7 @@ def _solve(blocks, reg: VariableRegistry, plant: lifting.LiftedSystem,
     own independent closed-loop verification.  Marginal acceptances are
     relabeled status "Marginal".  ``values`` is None when neither holds.
     """
-    sol = solve_feasibility(blocks, reg, objective=objective,
-                            debug_trace=debug_trace)
+    sol = solve_feasibility(blocks, reg, objective=objective)
     if sol.feasible:
         return reg.materialize_all(sol.assignment), sol
     if (plant.k > 1 and sol.witness is not None
@@ -227,8 +227,7 @@ def _recover_inverse(M: np.ndarray, what: str, certificate: LmiSolution) -> np.n
 # Admissibility via LMI
 # ---------------------------------------------------------------------------
 
-def admissible_via_lmi(sys: DescriptorSystem, side: str = "right",
-                       debug_trace=None):
+def admissible_via_lmi(sys: DescriptorSystem, side: str = "right"):
     """Zero-input admissibility as a feasibility question.
 
     ``side="right"`` tests sym(A V1 P Sigma U1^T + A E_right Q) < 0 with
@@ -239,7 +238,7 @@ def admissible_via_lmi(sys: DescriptorSystem, side: str = "right",
     """
     _require_fractional_range(sys.alpha)
     blocks, reg, _ = _criterion(sys, side)
-    sol = solve_feasibility(blocks, reg, debug_trace=debug_trace)
+    sol = solve_feasibility(blocks, reg)
     if sol.status == "NumericalFailure":
         raise LmiNumericalError(
             f"admissibility LMI ({side}) could not be classified "
@@ -313,7 +312,7 @@ def closed_loop(sys: DescriptorSystem, controller):
     raise InputError(f"unknown controller kind {kind!r}")
 
 
-def solve_state_feedback(plant, objective_seed=None, debug_trace=None):
+def solve_state_feedback(plant, objective_seed=None):
     """Feasibility of sym(A S + B R) < 0; returns (K, certificate).
 
     S = V1 P Sigma U1^T + E_right Q with P r x r (see :func:`_criterion`),
@@ -332,7 +331,7 @@ def solve_state_feedback(plant, objective_seed=None, debug_trace=None):
         entry = reg.entry("R1")
         objective = {entry.start + i: RETRY_TILT * w
                      for i, w in enumerate(W.ravel())}
-    vals, sol = _solve(blocks, reg, plant, objective, debug_trace)
+    vals, sol = _solve(blocks, reg, plant, objective)
     if vals is None:
         if sol.status == "Infeasible":
             raise StateFeedbackInfeasible(
@@ -344,7 +343,7 @@ def solve_state_feedback(plant, objective_seed=None, debug_trace=None):
     return K, sol
 
 
-def solve_output_injection(plant, debug_trace=None):
+def solve_output_injection(plant):
     """Feasibility of sym(S A + R C) < 0; returns (L, certificate).
 
     S = V1 Sigma P U1^T + Q E_left with P r x r (see :func:`_criterion`),
@@ -353,7 +352,7 @@ def solve_output_injection(plant, debug_trace=None):
     plant = lifting.as_plant(plant)
     sys = plant.lifted
     blocks, reg, ann = _criterion(sys, "left", "2", gain=True)
-    vals, sol = _solve(blocks, reg, plant, debug_trace=debug_trace)
+    vals, sol = _solve(blocks, reg, plant)
     if vals is None:
         if sol.status == "Infeasible":
             raise OutputInjectionInfeasible(
@@ -368,8 +367,7 @@ def solve_output_injection(plant, debug_trace=None):
 
 def synth_observer(sys, k: int = lifting.DEFAULT_K,
                    decay_shift_state: float = 0.0,
-                   decay_shift_injection: float = 0.0,
-                   debug_trace=None) -> ObserverDesign:
+                   decay_shift_injection: float = 0.0) -> ObserverDesign:
     """Estimated-state-feedback design: solve the two criteria, verify the loop.
 
     ``sys`` is a plant of any order in (0, 2) or a
@@ -383,8 +381,7 @@ def synth_observer(sys, k: int = lifting.DEFAULT_K,
     :class:`VerificationFailed`.
     """
     plant = lifting.as_plant(sys, k)
-    K, cert_k = solve_state_feedback(_shifted(plant, decay_shift_state),
-                                     debug_trace=debug_trace)
+    K, cert_k = solve_state_feedback(_shifted(plant, decay_shift_state))
     L, cert_l = solve_output_injection(_shifted(plant, decay_shift_injection))
     report = lifting.verify_loop(plant, ("observer", K, L))
     if not report.admissible:
@@ -403,12 +400,16 @@ def synth_observer(sys, k: int = lifting.DEFAULT_K,
 
 @dataclass(frozen=True)
 class OutputFeedbackDesign:
-    """Intermediate gain K0, output gain F, and their evidence."""
+    """Intermediate gain K0, output gain F, and their evidence.
+
+    ``attempts`` lists the K0 samples that failed before the one that won.
+    """
 
     K0: np.ndarray
     F: np.ndarray
     certificates: dict
     closed_loop_report: object
+    attempts: list
 
     def to_dict(self) -> dict:
         return {
@@ -416,10 +417,11 @@ class OutputFeedbackDesign:
             "F": self.F.tolist(),
             "certificates": {k: v.to_dict() for k, v in self.certificates.items()},
             "closed_loop_report": self.closed_loop_report.to_dict(),
+            "attempts": self.attempts,
         }
 
 
-def _output_stage2(plant: lifting.LiftedSystem, K0, debug_trace=None):
+def _output_stage2(plant: lifting.LiftedSystem, K0):
     """Slack-variable stage: find (P, Q, G, H) certifying F = G^{-1}H.
 
     P is the full n x n fractional-PD variable, not the r x r one of
@@ -443,7 +445,7 @@ def _output_stage2(plant: lifting.LiftedSystem, K0, debug_trace=None):
     expr = AffineExpr.bmat([[phi + phi.T, off],
                             [off.T, -G - G.T]])
     blocks.append(block_of(expr, label="output_feedback"))
-    vals, sol = _solve(blocks, reg, plant, debug_trace=debug_trace)
+    vals, sol = _solve(blocks, reg, plant)
     if vals is None:
         # Lifted, an unclassified stage 2 only disqualifies this K0.
         if sol.status == "NumericalFailure" and plant.k == 1:
@@ -455,8 +457,7 @@ def _output_stage2(plant: lifting.LiftedSystem, K0, debug_trace=None):
 
 
 def synth_output_feedback(sys, k: int = lifting.DEFAULT_K, seed: int = 0,
-                          decay_shift: float = 0.0,
-                          debug_trace=None) -> OutputFeedbackDesign:
+                          decay_shift: float = 0.0) -> OutputFeedbackDesign:
     """Two-stage static output-feedback design.
 
     ``sys`` is taken as by :func:`synth_observer`.  A static F in lifted
@@ -467,7 +468,8 @@ def synth_output_feedback(sys, k: int = lifting.DEFAULT_K, seed: int = 0,
     against that K0.  Because not every stabilizing K0 admits a stage-2
     certificate, stage-2 infeasibility (or a verification miss) re-runs
     stage 1 with a small seeded random objective tilt to land on a
-    different K0, up to :data:`RETRIES` extra attempts.
+    different K0, up to :data:`RETRIES` extra attempts.  The failed attempts
+    are kept on the design, or on :class:`OutputStageExhausted`.
     """
     plant = lifting.as_plant(sys, k)
     work = _shifted(plant, decay_shift)
@@ -476,20 +478,16 @@ def synth_output_feedback(sys, k: int = lifting.DEFAULT_K, seed: int = 0,
         objective_seed = None if attempt == 0 else (seed, attempt)
         try:
             K0, cert1 = solve_state_feedback(work, objective_seed=objective_seed)
-        except StateFeedbackInfeasible:
-            if attempt == 0:
-                raise
-            attempts.append({"attempt": attempt, "stage": 1, "status": "no witness"})
-            continue
-        except (LmiNumericalError, GainRecoverySingular) as exc:
-            # A tilted solve may fail numerically where the untilted one
-            # succeeded; that only disqualifies this attempt's K0 sample.
+        except (StateFeedbackInfeasible, LmiNumericalError,
+                GainRecoverySingular) as exc:
+            # A tilted solve cannot certify infeasibility, and may fail where
+            # the untilted one succeeded: that only disqualifies this K0.
             if attempt == 0:
                 raise
             attempts.append({"attempt": attempt, "stage": 1, "status": str(exc)})
             continue
         try:
-            F, cert2 = _output_stage2(work, K0, debug_trace=debug_trace)
+            F, cert2 = _output_stage2(work, K0)
         except GainRecoverySingular as exc:
             attempts.append({"attempt": attempt, "stage": 2, "status": str(exc),
                              "K0": K0.tolist()})
@@ -506,7 +504,7 @@ def synth_output_feedback(sys, k: int = lifting.DEFAULT_K, seed: int = 0,
             continue
         return OutputFeedbackDesign(K0=K0, F=F,
                                     certificates={"stage1": cert1, "stage2": cert2},
-                                    closed_loop_report=report)
+                                    closed_loop_report=report, attempts=attempts)
     raise OutputStageExhausted(
         f"output-feedback stage 2 failed for all {RETRIES + 1} intermediate gains",
         attempts=attempts)

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import settings
 
-from sfos import lifting
+from sfos import lifting, synthesis
 from sfos.descriptor import DescriptorSystem
 
 # Property tests draw the same examples on every run and are not timed, so
@@ -60,6 +60,15 @@ def failing_verification(monkeypatch):
     def failing(*args):
         return dataclasses.replace(verify_loop(*args), admissible=False)
     monkeypatch.setattr(lifting, "verify_loop", failing)
+
+
+@pytest.fixture
+def failing_stage2(monkeypatch):
+    """Make every output-feedback stage 2 fail, with one retry allowed."""
+    stage2 = synthesis._output_stage2
+    monkeypatch.setattr(synthesis, "_output_stage2",
+                        lambda plant, K0: (None, stage2(plant, K0)[1]))
+    monkeypatch.setattr(synthesis, "RETRIES", 1)
 
 
 def random_impulse_free_system(rng, alpha, boundary_margin=0.05):

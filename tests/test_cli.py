@@ -155,6 +155,28 @@ class TestSynth:
         assert captured.out == ""
         assert "pencil check" in captured.err
 
+    def test_output_retries_exhausted_exit_4(self, tmp_path, capsys,
+                                             failing_stage2):
+        path = write_problem(tmp_path, problem_doc())
+        assert (cli.main(["synth", path, "--mode", "output"])
+                == cli.EXIT_EXHAUSTED)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "all 2 intermediate gains" in captured.err
+
+    @pytest.mark.parametrize("mode", ["observer", "output"])
+    def test_every_solve_carries_its_iterates(self, tmp_path, capsys, mode):
+        path = write_problem(tmp_path, problem_doc())
+        assert cli.main(["synth", path, "--mode", mode]) == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["certificates"]) == 2
+        for cert in doc["certificates"].values():
+            assert 1 <= len(cert["iterates"]) <= cert["newton_steps"]
+            assert set(cert["iterates"][0]) == {"eta", "t", "decrement2",
+                                                "step_size"}
+        if mode == "output":
+            assert doc["attempts"] == []
+
     def test_mode_from_problem_file(self, tmp_path, capsys):
         doc = problem_doc(synthesis={"mode": "output"})
         assert cli.main(["synth", write_problem(tmp_path, doc)]) == cli.EXIT_OK
@@ -294,14 +316,6 @@ class TestDemo:
         assert summary["example"] == example
         assert np.array(summary["gains"]["K"]).size in (3, 6)
         assert summary["observer"]["final_norm_ratio"] < 1.0
-
-    def test_demo_writes_debug_trace(self, tmp_path):
-        trace = tmp_path / "trace.json"
-        assert cli.main(["demo", "example1", "--out", str(tmp_path / "d"),
-                         "--horizon", "0.1", "--debug-trace", str(trace)]
-                        ) == cli.EXIT_OK
-        doc = json.loads(trace.read_text())
-        assert doc["iterates"] and doc["result"]["status"] == "Feasible"
 
     def test_demo_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,7 +1,5 @@
 """Affine expression algebra and the feasibility solver."""
 
-import json
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -603,7 +601,7 @@ class TestSolveFeasibility:
         with pytest.raises(InputError):
             solve_feasibility([], reg)
         with pytest.raises(InputError):
-            solve_feasibility([blk], reg, feas_margin=-1.0)
+            solve_feasibility([blk], reg, box_bound=0.0)
         bad = block_of(AffineExpr([5], [np.zeros((1, 1)), np.ones((1, 1))]))
         with pytest.raises(InputError, match="slot"):
             solve_feasibility([bad], reg)
@@ -618,14 +616,3 @@ class TestSolveFeasibility:
         blk = block_of(np.array([[np.nan]]) + 0.0 * reg.expr("x"))
         with pytest.raises(InputError, match="finite"):
             solve_feasibility([blk], reg)
-
-    def test_debug_trace_written(self, tmp_path):
-        reg = VariableRegistry()
-        reg.add("x", "rectangular", 1, 1)
-        blk = block_of(np.eye(1) + reg.expr("x"), label="traced")
-        path = tmp_path / "trace.json"
-        sol = solve_feasibility([blk], reg, debug_trace=str(path))
-        doc = json.loads(path.read_text())
-        assert doc["result"]["status"] == sol.status
-        assert doc["blocks"][0]["label"] == "traced"
-        assert 1 <= len(doc["iterates"]) <= sol.newton_steps

@@ -11,8 +11,8 @@ import scipy.linalg as sla
 from conftest import GAINS_06, GAINS_12, benchmark, random_impulse_free_system
 from sfos import lifting, synthesis
 from sfos.descriptor import DescriptorSystem, analyze, analyze_pair
-from sfos.errors import (InputError, StateFeedbackInfeasible,
-                         VerificationFailed)
+from sfos.errors import (InputError, OutputStageExhausted,
+                         StateFeedbackInfeasible, VerificationFailed)
 from sfos.lifting import lift
 from sfos.lmi import AffineExpr, VariableRegistry, block_of, sym_of
 from sfos.synthesis import (admissible_via_lmi, closed_loop,
@@ -314,6 +314,32 @@ class TestOutputFeedback:
         dead = bench06.with_matrices(B=np.zeros((3, 1)))
         with pytest.raises(StateFeedbackInfeasible):
             synth_output_feedback(dead)
+
+    def test_retry_after_stage2_failure(self, bench06, monkeypatch):
+        # The first K0's stage 2 fails: stage 1 is re-solved with a tilt,
+        # and the design keeps the failed sample.
+        stage2, first = synthesis._output_stage2, []
+
+        def failing_once(plant, K0):
+            F, sol = stage2(plant, K0)
+            if first:
+                return F, sol
+            first.append(K0)
+            return None, sol
+        monkeypatch.setattr(synthesis, "_output_stage2", failing_once)
+        design = synth_output_feedback(bench06)
+        assert verify(bench06, ("output", design.F)).admissible
+        assert not np.array_equal(design.K0, first[0])
+        assert design.attempts == [{"attempt": 0, "stage": 2,
+                                    "status": "infeasible",
+                                    "K0": first[0].tolist()}]
+        assert design.to_dict()["attempts"] == design.attempts
+
+    def test_retries_exhausted(self, bench06, failing_stage2):
+        with pytest.raises(OutputStageExhausted) as info:
+            synth_output_feedback(bench06)
+        assert [(a["attempt"], a["stage"]) for a in info.value.attempts] \
+            == [(0, 2), (1, 2)]
 
 
 def _finite_spectrum(E, A):
