@@ -23,18 +23,25 @@ Schlichte (SIAM J. Sci. Stat. Comput. 6(3), 1985): the steps are split in
 two recursively, after a whole number of leaves, and once the first part of
 a range is marched its contribution to every step of the second (its far
 field) is added at once, by one FFT convolution or, for ranges of at most
-``DIRECT_STEPS`` steps, where the FFT's fixed cost dominates, by one product
-with a block of the weights.  The lags inside a leaf of at most m steps (64
-up to 6 states, 32 at 12, 8 at 48, 2 at 192, 1 from 385 on) form a block
-lower-triangular Toeplitz system with identity diagonal blocks.  Its
-inverse times the step matrix is built once per march as one (m*n) x (m*n)
-kernel of at most ``KERNEL_ROWS`` rows (n rows from 385 states on), so a
-whole leaf is taken from its far fields by one matrix-vector product, at
-about m*n^2 flops a step.  On one core of a 2-CPU x86-64 host a 20 000-step
-march costs about 0.8 us a step at 1 state, 1.9 us at 6, 4 us at 12, 8.5 us
-at 24 and 15 us at 48; from 96 states on, where a leaf holds 4 steps or
-fewer, about 30 us at 96 and 62 us at 192, no more than one LU solve a step
-costs (``scripts/march_sweep.py``).
+``DIRECT_STEPS`` (512) steps, by one product with a block of the weights.
+Below that size the FFT's fixed cost of about 20-40 us a call outweighs the
+direct product's flops at every state count measured, 1 to 400.  The lags
+inside a leaf of at most m steps (64 up to 6 states, 32 at 12, 8 at 48, 2
+at 192, 1 from 385 on) form a block lower-triangular Toeplitz system with
+identity diagonal blocks.  Its inverse times the step matrix is built once
+per march as one (m*n) x (m*n) kernel of at most ``KERNEL_ROWS`` rows (n
+rows from 385 states on), block lower-triangular Toeplitz as well, so a
+whole leaf is taken from its far fields by one product with the kernel's
+first ceil(m/2) block columns: its diagonal block times both halves of the
+far fields, and the block below it times the upper half.  That reads half
+the kernel, at about m*n^2/2 flops a step.  On one core of a 2-CPU x86-64
+host a 20 000-step march costs about 0.4 us a step at 1 state, 1.0 us at 6,
+2 us at 12, 4.5 us at 24 and 9 us at 48; from 96 states on, where a leaf
+holds 4 steps or fewer, about 20 us at 96, 40 us at 192 and 90 us at 400,
+where the FFT far fields take over half of each step
+(``scripts/march_sweep.py``).  A loop that overflows is checked once, after
+the march: rows are final once taken, so the first row that is not finite
+names the step where it went wrong.
 
 All closed loops handled here are autonomous: the controller is folded in
 through :func:`sfos.synthesis.closed_loop`, which builds the same pair that
@@ -184,8 +191,11 @@ class Trajectory:
 #: :func:`_leaf_steps`).
 KERNEL_ROWS = 384
 #: Far fields of recursion nodes up to this many steps are summed by one
-#: direct product, which costs less than the FFT's fixed overhead there.
-DIRECT_STEPS = 64
+#: direct product with a block of the weights.  Up to 512 steps the FFT's
+#: fixed cost outweighs the direct product's O(size^2) flops at any state
+#: count (on one core: 36 against 64 us a node at 6 states, 31 against 56 us
+#: at 12, 1.0 against 2.0 ms at 400); at 1024 steps the FFT wins up to 48.
+DIRECT_STEPS = 512
 
 
 def _leaf_steps(n: int) -> int:
@@ -214,7 +224,6 @@ def _march(E, A, x0, alpha, h, steps):
     G = np.linalg.solve(step_matrix, ha * E)
     m = _leaf_steps(n)
     w = gl_weights(alpha, max(steps + 1, m))
-    kernel, c = _leaf_kernel(G, G @ x0 - x0, w[:m])
     # Row j holds x_j - x0 once step j is taken.  Until then it accumulates
     # the far field of step j: its history sum over the steps before j's leaf.
     D = np.zeros((steps + 1, n))
@@ -241,21 +250,42 @@ def _march(E, A, x0, alpha, h, steps):
         D[mid:hi] += sfft.irfft(f, length, axis=0)[mid - lo:size]
 
     def leaf(lo, hi):
-        # The leaf's steps at once, from their far fields: the leading blocks
-        # of c and the kernel solve a shorter leaf exactly, since the leaf's
-        # system is block lower triangular.
-        rows = (hi - lo) * n
-        D[lo:hi] = (c[:rows] - kernel[:rows, :rows] @ D[lo:hi].ravel()
-                    ).reshape(hi - lo, n)
-        finite = np.isfinite(D[lo:hi]).all(axis=1)
-        if not finite.all():
-            t = (lo + int(np.argmin(finite))) * h
-            raise InputError(
-                f"the trajectory stopped being finite at t = {t:.6g}; the "
-                f"loop is likely unstable, or the step size h is too large")
+        # The leaf's steps at once, from their far fields F.  The kernel is
+        # [[K11, 0], [K21, K11]], K11 its first ceil(m/2) steps, so its zero
+        # block is never multiplied: one product of K11 with both halves of F,
+        # the lower half zero-padded (K11 is block lower triangular, so the
+        # padding reaches no row kept), and one of K21 with the upper half.
+        # A shorter leaf is solved exactly by the leading blocks.
+        x = D[lo:hi].reshape(-1)
+        if x.size <= top:
+            x[:] = c[:x.size] - K11[:x.size, :x.size] @ x
+            return
+        rows = x.size - top
+        pair[0] = x[:top]
+        pair[1, :rows] = x[top:]
+        pair[1, rows:] = 0.0
+        both = pair @ K11.T
+        x[:top] = c[:top] - both[0]
+        x[top:] = c[top:top + rows] - both[1, :rows] - K21[:rows] @ pair[0]
 
+    # The kernel build overflows along with a loop that overflows within one
+    # leaf; that is reported below as the first step that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
+        kernel, c = _leaf_kernel(G, G @ x0 - x0, w[:m])
+        top = -(-m // 2) * n
+        K11 = kernel[:top, :top].copy()
+        K21 = kernel[top:, :top].copy()
+        del kernel
+        pair = np.empty((2, top))
         _halve(1, steps + 1, m, leaf, far_field)
+    # Rows are final once their leaf is taken, so the first row that is not
+    # finite is the first step that went wrong.
+    finite = np.isfinite(D).all(axis=1)
+    if not finite.all():
+        t = int(np.argmin(finite)) * h
+        raise InputError(
+            f"the trajectory stopped being finite at t = {t:.6g}; the "
+            f"loop is likely unstable, or the step size h is too large")
     D += x0
     return D
 
@@ -270,20 +300,22 @@ def _leaf_kernel(G, b, w):
     Q_k = -G sum_{j=1..k} w_j Q_{k-j}.  So D = c - K F, where c (m*n) solves
     the leaf with no far field and block (t, j) of the (m*n) x (m*n) kernel
     K is R_{t-j} = Q_{t-j} G, that is R_0 = G and
-    R_k = -G sum_{j=1..k} w_j R_{k-j}.  Returns (K, c).
+    R_k = -G sum_{j=1..k} w_j R_{k-j}, and zero for j > t.  Each weighted
+    sum is one product with the stack of the R_j flattened to rows, and K
+    is gathered from that stack by lag at once.  Returns (K, c).
     """
     m, n = len(w), G.shape[0]
-    R = np.empty((m, n, n))
+    R = np.zeros((m + 1, n, n))       # R[m] stays zero: the blocks j > t
     R[0] = G
+    stack = R.reshape(m + 1, n * n)
     c = np.empty((m, n))
     c[0] = b
     for k in range(1, m):
-        R[k] = -G @ np.tensordot(w[k:0:-1], R[:k], axes=1)
+        R[k] = -G @ np.dot(w[k:0:-1], stack[:k]).reshape(n, n)
         c[k] = b - G @ (w[k:0:-1] @ c[:k])
-    kernel = np.zeros((m * n, m * n))
-    blocks = kernel.reshape(m, n, m, n)
-    for t in range(m):
-        blocks[t, :, :t + 1] = R[t::-1].transpose(1, 0, 2)
+    lags = np.arange(m)[:, None] - np.arange(m)
+    lags[lags < 0] = m
+    kernel = R[lags].transpose(0, 2, 1, 3).reshape(m * n, m * n)
     return kernel, c.ravel()
 
 

@@ -1,5 +1,7 @@
 """Grünwald-Letnikov stepping: accuracy, constraints, controller plumbing."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -143,6 +145,17 @@ class TestDescriptorStepping:
                            match=r"finite at t = 6\.\d+; .*unstable"):
             simulate(sysm, None, cfg)
 
+    def test_overflow_within_one_leaf_raises_without_warning(self):
+        # h^-alpha E - A = 1e-6 here, so the leaf kernel itself overflows
+        # within the first leaf; the march refuses with no RuntimeWarning.
+        sysm = DescriptorSystem(E=np.eye(1), A=9.999999 * np.eye(1),
+                                B=np.zeros((1, 1)), C=np.eye(1), alpha=0.5)
+        cfg = SimConfig(h=1e-2, T=5.0, x0=np.array([1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=r"finite at t = 0\.46"):
+                simulate(sysm, None, cfg)
+
     def test_inconsistent_x0_strict_raises(self, bench06):
         cfg = SimConfig(h=1e-2, T=1.0, x0=np.array([1.0, 1.0, 1.0]),
                         consistency="strict")
@@ -164,6 +177,38 @@ def direct_march(E, A, x0, alpha, h, steps):
         X[s] = sla.lu_solve(lu, ha * (E @ (x0 - conv)))
         D[s] = X[s] - x0
     return X
+
+
+def stable_plant(n):
+    """n states, E = I and a random symmetric stable A, seeded by n."""
+    rng = np.random.default_rng(n)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    A = Q @ np.diag(-rng.uniform(0.5, 2.0, n)) @ Q.T
+    sysm = DescriptorSystem(E=np.eye(n), A=A, B=np.ones((n, 1)),
+                            C=np.ones((1, n)), alpha=0.7)
+    return lifting.as_plant(sysm), ("none",), rng.standard_normal(n)
+
+
+class TestLeafKernel:
+    """The leaf kernel against a dense solve of the leaf's Toeplitz system."""
+
+    @pytest.mark.parametrize("n, m", [(1, 64), (3, 64), (6, 64), (18, 21),
+                                      (400, 1)])
+    def test_inverts_the_leaf_system(self, n, m):
+        plant, _, b = stable_plant(n)
+        # A singular E from 2 states on.
+        E = np.diag([1.0] * (n - 1) + [0.0 if n > 1 else 1.0])
+        ha = 1e-3 ** -0.7
+        G = np.linalg.solve(ha * E - plant.base.A, ha * E)
+        w = gl_weights(0.7, m)
+        K, c = simulator._leaf_kernel(G, b, w)
+        # Identity diagonal blocks and G w_j on the j-th block subdiagonal.
+        T = np.eye(m * n) + np.kron(sla.toeplitz(w, np.zeros(m)) - np.eye(m),
+                                    G)
+        want_K = np.linalg.solve(T, np.kron(np.eye(m), G))
+        want_c = np.linalg.solve(T, np.tile(b, m))
+        assert np.abs(K - want_K).max() <= 1e-13 * np.abs(want_K).max()
+        assert np.abs(c - want_c).max() <= 1e-13 * np.abs(want_c).max()
 
 
 class TestFastHistory:
@@ -211,16 +256,17 @@ class TestFastHistory:
     @staticmethod
     def wide_plant():
         # 96 states, past the size where the leaf length leaves 8 steps.
-        rng = np.random.default_rng(96)
-        Q = np.linalg.qr(rng.standard_normal((96, 96)))[0]
-        A = Q @ np.diag(-rng.uniform(0.5, 2.0, 96)) @ Q.T
-        sysm = DescriptorSystem(E=np.eye(96), A=A, B=np.ones((96, 1)),
-                                C=np.ones((1, 96)), alpha=0.7)
-        return lifting.as_plant(sysm), ("none",), rng.standard_normal(96)
+        return stable_plant(96)
+
+    @staticmethod
+    def one_step_leaves():
+        # 390 states, past KERNEL_ROWS: every leaf is a single step.
+        return stable_plant(390)
 
     @pytest.mark.parametrize("loop", ["lifted_observer", "relaxation",
                                       "output_loop", "lifted_observer_k3",
-                                      "block_plant", "wide_plant"])
+                                      "block_plant", "wide_plant",
+                                      "one_step_leaves"])
     def test_matches_direct_sum(self, loop):
         plant, ctrl, x0 = getattr(self, loop)()
         n, N = plant.base.n, plant.lifted.n
@@ -231,9 +277,12 @@ class TestFastHistory:
             z0[N:N + n] = x0              # e0 = x0 - xhat0 with xhat0 = 0
         h = 1e-3
         # One step, both sides of this loop's leaf length, and several
-        # recursion levels.
+        # recursion levels.  With one-step leaves the reference's 3000 steps
+        # would take long; 600 steps still take one FFT far field.
         leaf = simulator._leaf_steps(E.shape[0])
-        for steps in (1, leaf - 1, leaf, leaf + 1, 3000):
+        all_steps = ((1, 2, 600) if leaf == 1
+                     else (1, leaf - 1, leaf, leaf + 1, 3000))
+        for steps in all_steps:
             cfg = SimConfig(h=h, T=steps * h, x0=x0, xhat0=np.zeros(n))
             traj = simulate(plant, ctrl, cfg)
             ref = direct_march(E, A, z0, plant.lifted.alpha, h, steps)
