@@ -57,8 +57,8 @@ def main(out_dir="example2-out"):
     print(f"effective impulse-freeness: {lifted_report.effective_impulse_free}")
 
     banner("Synthesis in lifted coordinates")
-    obs = synth_observer(PLANT, k=2)
-    out = synth_output_feedback(PLANT, k=2, decay_shift=1.0)
+    obs = synth_observer(ls)
+    out = synth_output_feedback(ls, decay_shift=1.0)
     print(f"K (1x6, acts on the lifted state): {np.round(obs.K, 4)}")
     print(f"L (6x1): {np.round(obs.L.ravel(), 4)}")
     print(f"F (static, order-independent): "

@@ -97,7 +97,7 @@ def main(argv=None):
             stage1.clear()
             start = time.perf_counter()
             try:
-                sfos.synth_output_feedback(sysm, k=k)
+                sfos.synth_output_feedback(sfos.lifting.as_plant(sysm, k))
                 outcome, error = "designed", None
             except sfos.SfosError as exc:
                 outcome, error = type(exc).__name__, str(exc)

@@ -87,7 +87,7 @@ def run_design(src, case):
     plant = sfos.DescriptorSystem(alpha=alpha, **{
         name: np.array(value) for name, value in PLANT.items()})
     synth = sfos.synth_observer if mode == "observer" else sfos.synth_output_feedback
-    design = synth(plant, k=k, **kwargs)
+    design = synth(sfos.lifting.as_plant(plant, k), **kwargs)
     out = {name: getattr(design, name) for name in ("K", "L", "K0", "F")
            if hasattr(design, name)}
     for name, cert in design.certificates.items():

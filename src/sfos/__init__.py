@@ -20,9 +20,6 @@ from .errors import (GainRecoverySingular, InputError, LmiNumericalError,
                      RankDeficientError, SfosError, StateFeedbackInfeasible,
                      SynthesisError, VerificationFailed)
 from .fpdm import FpdmParam, congruence, is_member, materialize
-# synthesis before lifting: synthesis reads lifting.DEFAULT_K when its
-# functions are defined, so lifting must finish loading first, which it does
-# when synthesis is the one that imports it.
 from .synthesis import (ObserverDesign, OutputFeedbackDesign,
                         admissible_via_lmi, synth_observer,
                         synth_output_feedback)

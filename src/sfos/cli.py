@@ -19,12 +19,13 @@ failure), 2 analyzed and not admissible, 3 synthesis certified infeasible,
 4 no design verified (output-feedback retries exhausted, or the observer
 loop failed the closed-loop pencil check).
 
-Numeric options resolve in the order: explicit command-line flag, then
-problem-file value (where the file has a slot for it), then environment
-variable ``SFOS_<NAME>`` (``SFOS_TOL``, ``SFOS_K``, ``SFOS_H``,
-``SFOS_HORIZON``, ``SFOS_SEED``), then the module default.  All five
-variables are read and checked once, when :func:`main` starts, whatever the
-subcommand: a malformed one is bad input even where it would not be used.
+The CLI reads its flags and the problem file, nothing else.  h, T and the
+seed resolve as the command-line flag, then the problem-file value, then
+this module's ``DEFAULT_H``, ``DEFAULT_T`` or ``DEFAULT_SEED``; ``--tol``
+and ``--k`` have no slot in the file and default to
+:data:`sfos.descriptor.DEFAULT_RANK_TOL` and :data:`sfos.lifting.DEFAULT_K`.
+The plant carries ``--k`` into synthesis and simulation, lifted by
+:func:`sfos.lifting.as_plant` (orders in (0, 1] are never lifted).
 """
 
 from __future__ import annotations
@@ -101,23 +102,11 @@ PROBLEM_SCHEMA = {
 }
 
 
-#: Each ``SFOS_<NAME>`` variable: its type and the default it stands in for.
-ENVIRONMENT = {"TOL": (float, descriptor.DEFAULT_RANK_TOL),
-               "K": (int, lifting.DEFAULT_K), "H": (float, 1e-3),
-               "HORIZON": (float, 20.0), "SEED": (int, 0)}
-
-
-def _environment() -> dict:
-    """Each SFOS_<NAME> value, or its default; a malformed one is bad input."""
-    env = {}
-    for name, (cast, fallback) in ENVIRONMENT.items():
-        raw = os.environ.get(f"SFOS_{name}")
-        try:
-            env[name] = fallback if raw is None else cast(raw)
-        except ValueError:
-            raise InputError(f"environment variable SFOS_{name}={raw!r} "
-                             f"is not a valid {cast.__name__}") from None
-    return env
+#: Step, horizon and synthesis seed when neither a flag nor the problem
+#: file sets them.
+DEFAULT_H = 1e-3
+DEFAULT_T = 20.0
+DEFAULT_SEED = 0
 
 
 def load_problem(path) -> dict:
@@ -169,7 +158,8 @@ def _resolve(flag_value, file_value, fallback):
     return fallback
 
 
-def _run_synthesis(sysm: DescriptorSystem, synth_cfg: dict, args, mode=None):
+def _run_synthesis(plant: lifting.LiftedSystem, synth_cfg: dict, args,
+                   mode=None):
     """Design in ``mode``, else in the problem file's synthesis.mode."""
     mode = mode or synth_cfg.get("mode")
     if mode is None:
@@ -177,25 +167,30 @@ def _run_synthesis(sysm: DescriptorSystem, synth_cfg: dict, args, mode=None):
                          "synth, or set synthesis.mode in the problem file")
     if mode == "observer":
         return synthesis.synth_observer(
-            sysm, k=args.k,
+            plant,
             decay_shift_state=synth_cfg.get("decay_shift_state", 0.0),
             decay_shift_injection=synth_cfg.get("decay_shift_injection", 0.0))
     return synthesis.synth_output_feedback(
-        sysm, k=args.k, decay_shift=synth_cfg.get("decay_shift", 0.0),
-        seed=_resolve(args.seed, synth_cfg.get("seed"), args.env["SEED"]))
+        plant, decay_shift=synth_cfg.get("decay_shift", 0.0),
+        seed=_resolve(args.seed, synth_cfg.get("seed"), DEFAULT_SEED))
 
 
 def cmd_synth(args) -> int:
     doc = load_problem(args.problem)
     synth_cfg = doc.get("synthesis", {})
     sysm = descriptor.system_from_dict(doc["system"], rank_tol=args.tol)
-    design = _run_synthesis(sysm, synth_cfg, args, args.mode)
+    design = _run_synthesis(lifting.as_plant(sysm, args.k), synth_cfg, args,
+                            args.mode)
     _emit(design.to_dict(), args.out)
     return EXIT_OK
 
 
 def _injected_controller(plant: lifting.LiftedSystem, gains: dict):
     """Controller tuple + verification report for user-supplied gains."""
+    if "F" in gains and ("K" in gains or "L" in gains):
+        others = " and ".join(name for name in ("K", "L") if name in gains)
+        raise InputError(f"gains block gives F together with {others}: "
+                         "give F alone, K alone, or K and L")
     if "F" in gains:
         ctrl = ("output", gains["F"])
     elif "K" in gains and "L" in gains:
@@ -211,13 +206,12 @@ def _sim_config(sim_cfg: dict, args) -> simulator.SimConfig:
     if "x0" not in sim_cfg:
         raise InputError("simulation requires an x0 in the problem file's "
                          "simulation block")
-    h = _resolve(args.h, sim_cfg.get("h"), args.env["H"])
-    T = _resolve(args.horizon, sim_cfg.get("T"), args.env["HORIZON"])
+    h = _resolve(args.h, sim_cfg.get("h"), DEFAULT_H)
+    T = _resolve(args.horizon, sim_cfg.get("T"), DEFAULT_T)
     return simulator.SimConfig(
         h=h, T=T, x0=np.array(sim_cfg["x0"], dtype=float),
         xhat0=(None if "xhat0" not in sim_cfg
                else np.array(sim_cfg["xhat0"], dtype=float)),
-        k=args.k,
         consistency=sim_cfg.get("consistency", "project"),
         gate_first_input=sim_cfg.get("gate_first_input", False))
 
@@ -236,7 +230,7 @@ def cmd_simulate(args) -> int:
         verification = report.to_dict()
         admissible = report.admissible
     elif "synthesis" in doc:
-        controller = _run_synthesis(sysm, doc["synthesis"], args)
+        controller = _run_synthesis(plant, doc["synthesis"], args)
         admissible = True
     else:
         controller = None
@@ -291,14 +285,14 @@ def _write_columns(path, times, data, names):
 
 def cmd_demo(args) -> int:
     alpha = 0.6 if args.example == "example1" else 1.2
-    sysm = _benchmark_system(alpha, args.tol)
+    plant = lifting.as_plant(_benchmark_system(alpha, args.tol), args.k)
     cfg_obs = _sim_config(dict(DEMO_SIMULATION, xhat0=[0.0, 0.0, 0.0]), args)
     cfg_out = _sim_config(DEMO_SIMULATION, args)
     shifts = DEMO_SHIFTS[args.example]
-    obs = _run_synthesis(sysm, shifts, args, "observer")
-    out = _run_synthesis(sysm, shifts, args, "output")
-    traj_obs = simulator.simulate(sysm, obs, cfg_obs)
-    traj_out = simulator.simulate(sysm, ("output", out.F), cfg_out)
+    obs = _run_synthesis(plant, shifts, args, "observer")
+    out = _run_synthesis(plant, shifts, args, "output")
+    traj_obs = simulator.simulate(plant, obs, cfg_obs)
+    traj_out = simulator.simulate(plant, out, cfg_out)
 
     out_dir = args.out or args.example
     os.makedirs(out_dir, exist_ok=True)
@@ -357,26 +351,26 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def build_parser(env: dict) -> argparse.ArgumentParser:
-    """The parser; ``--tol`` and ``--k`` default to ``env``'s values.
+def build_parser() -> argparse.ArgumentParser:
+    """The parser.
 
-    h, T and the seed fall back on theirs only after the problem file, so
-    the subcommands read them from ``args.env``.
+    h, T and the seed default to None: the subcommands fall back on the
+    problem file before ``DEFAULT_H``, ``DEFAULT_T`` and ``DEFAULT_SEED``.
     """
     parser = _Parser(
         prog="sfos",
         description="Analysis, synthesis, and simulation for singular "
                     "fractional-order systems.")
-    parser.set_defaults(env=env)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def tol_and_out(p, out_help):
-        p.add_argument("--tol", type=float, default=env["TOL"],
+        p.add_argument("--tol", type=float,
+                       default=descriptor.DEFAULT_RANK_TOL,
                        help="numerical rank tolerance")
         p.add_argument("--out", default=None, help=out_help)
 
     def design(p):
-        p.add_argument("--k", type=int, default=env["K"],
+        p.add_argument("--k", type=int, default=lifting.DEFAULT_K,
                        help="lifting factor for orders in (1, 2)")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for synthesis retry tilts")
@@ -416,9 +410,8 @@ def build_parser(env: dict) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        # Inside the try: malformed SFOS_* variables and usage errors raise
-        # InputError.
-        args = build_parser(_environment()).parse_args(argv)
+        # Inside the try: usage errors raise InputError.
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (StateFeedbackInfeasible, OutputInjectionInfeasible) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -69,6 +69,8 @@ def lift(sys: DescriptorSystem, k: int = DEFAULT_K) -> LiftedSystem:
         raise InputError(
             f"no lifting needed: order {sys.alpha} is already in (0, 1]"
             if sys.alpha <= 1.0 else f"order must be below 2, got {sys.alpha}")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise InputError(f"k must be an integer, got {k!r}")
     if k < 2:
         raise InputError("k must be at least 2")
     n = sys.n
@@ -91,8 +93,10 @@ def lift(sys: DescriptorSystem, k: int = DEFAULT_K) -> LiftedSystem:
 def as_plant(sys, k: int = DEFAULT_K) -> LiftedSystem:
     """The plant in working coordinates: lifted by k above order 1, else as is.
 
-    A :class:`LiftedSystem` is returned unchanged; an order in (0, 1] gives
-    ``LiftedSystem(base=sys, k=1, lifted=sys)``.
+    A :class:`LiftedSystem` is returned unchanged, whatever ``k``; an order
+    in (0, 1] gives ``LiftedSystem(base=sys, k=1, lifted=sys)``.  Synthesis
+    and simulation call this with the default k, so a plant meant for any
+    other factor reaches them as ``as_plant(sys, k)``.
     """
     if isinstance(sys, LiftedSystem):
         return sys
@@ -204,8 +208,8 @@ def synth_observer_lifted(sys: DescriptorSystem, k: int = DEFAULT_K,
                           **kwargs) -> synthesis.ObserverDesign:
     """:func:`sfos.synthesis.synth_observer` on an order-(1,2) plant lifted by k.
 
-    Kept for existing callers; :func:`sfos.synthesis.synth_observer` takes
-    the plant and ``k`` itself.
+    The same as ``synth_observer(lift(sys, k), **kwargs)``; kept for
+    existing callers.
     """
     return synthesis.synth_observer(lift(sys, k), **kwargs)
 

@@ -88,7 +88,7 @@ def gl_weights(alpha: float, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Step size, horizon, lifting factor, and initial data.
+    """Step size, horizon, and initial data.
 
     ``consistency`` controls inconsistent initial conditions: "project"
     (default; warn and repair the fast components), "warn", or "strict"
@@ -100,7 +100,6 @@ class SimConfig:
     T: float
     x0: np.ndarray
     xhat0: np.ndarray | None = None
-    k: int = lifting.DEFAULT_K
     consistency: str = "project"
     gate_first_input: bool = False
 
@@ -110,8 +109,6 @@ class SimConfig:
                 raise InputError(f"{name} must be finite, got {value}")
         if self.h <= 0 or self.T < self.h:
             raise InputError("need h > 0 and T >= h")
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
-            raise InputError(f"k must be an integer, got {self.k!r}")
         if self.consistency not in ("project", "warn", "strict"):
             raise InputError("consistency must be 'project', 'warn' or 'strict'")
         for name in ("x0", "xhat0"):
@@ -126,7 +123,6 @@ class SimConfig:
     def to_dict(self) -> dict:
         return {"h": self.h, "T": self.T, "x0": self.x0.tolist(),
                 "xhat0": None if self.xhat0 is None else self.xhat0.tolist(),
-                "k": self.k,
                 "consistency": self.consistency,
                 "gate_first_input": self.gate_first_input}
 
@@ -139,7 +135,8 @@ class Trajectory:
     observation error (None without an observer), ``algebraic_residual`` the
     per-step norm of the plant's algebraic rows evaluated at (x, u) as
     marched (at t=0 with the input the loop applied, even when
-    ``gate_first_input`` reports u[0] = 0).
+    ``gate_first_input`` reports u[0] = 0).  ``k`` is the lifting factor
+    the march ran at (1 for orders in (0, 1]).
     """
 
     times: np.ndarray
@@ -149,6 +146,7 @@ class Trajectory:
     algebraic_residual: np.ndarray
     config: SimConfig
     controller: str
+    k: int
 
     @property
     def final_norm_ratio(self) -> float:
@@ -170,7 +168,7 @@ class Trajectory:
     def summary(self) -> dict:
         out = {
             "controller": self.controller,
-            "config": self.config.to_dict(),
+            "config": dict(self.config.to_dict(), k=self.k),
             "final_norm": float(np.linalg.norm(self.x[-1])),
             "initial_norm": float(np.linalg.norm(self.x[0])),
             "final_norm_ratio": self.final_norm_ratio,
@@ -397,12 +395,14 @@ def simulate(sys, design, config: SimConfig) -> Trajectory:
     """Closed- or open-loop simulation of a descriptor plant.
 
     ``sys`` is a DescriptorSystem (any order in (0,2)) or a LiftedSystem;
+    a plain plant above order 1 is lifted by :data:`sfos.lifting.DEFAULT_K`,
+    and another factor k is passed as ``lifting.as_plant(sys, k)``.
     ``design`` is None, an ObserverDesign / OutputFeedbackDesign, or a tuple
-    ("state", K) / ("observer", K, L) / ("output", F).  For orders above 1
-    the plant is lifted and the gains must be sized for the lifted state;
-    the returned trajectory reports the original-state block.
+    ("state", K) / ("observer", K, L) / ("output", F).  Above order 1 the
+    gains must be sized for the lifted state; the returned trajectory
+    reports the original-state block and the k it marched at.
     """
-    plant = lifting.as_plant(sys, config.k)
+    plant = lifting.as_plant(sys)
     base, work = plant.base, plant.lifted
     n, N = base.n, work.n
 
@@ -447,21 +447,23 @@ def simulate(sys, design, config: SimConfig) -> Trajectory:
 
     return Trajectory(times=times, x=xs, u=us, e=es,
                       algebraic_residual=resid, config=config,
-                      controller=kind)
+                      controller=kind, k=plant.k)
 
 
-def tail_decay_exponent(traj: Trajectory, window: float = 0.25) -> float:
-    """Least-squares slope of log||x|| versus log t over the trailing window.
+#: Trailing fraction of a trajectory that :func:`tail_decay_exponent` fits.
+TAIL_WINDOW = 0.25
+
+
+def tail_decay_exponent(traj: Trajectory) -> float:
+    """Least-squares slope of log||x|| versus log t over the last TAIL_WINDOW.
 
     Power-law tails ||x|| ~ t^-alpha give a slope near -alpha; raises for
     trajectories that do not decay overall.
     """
-    if not 0.0 < window < 1.0:
-        raise InputError("window must be a fraction in (0, 1)")
     norms = np.linalg.norm(traj.x, axis=1)
     if norms[-1] >= norms[0] or norms[0] == 0.0:
         raise InputError("trajectory does not decay; no tail exponent")
-    start = int(len(norms) * (1.0 - window))
+    start = int(len(norms) * (1.0 - TAIL_WINDOW))
     start = max(start, 1)  # avoid log(0) at t=0
     t = traj.times[start:]
     y = norms[start:]

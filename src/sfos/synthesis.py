@@ -365,22 +365,23 @@ def solve_output_injection(plant):
     return L, sol
 
 
-def synth_observer(sys, k: int = lifting.DEFAULT_K,
-                   decay_shift_state: float = 0.0,
+def synth_observer(sys, decay_shift_state: float = 0.0,
                    decay_shift_injection: float = 0.0) -> ObserverDesign:
     """Estimated-state-feedback design: solve the two criteria, verify the loop.
 
     ``sys`` is a plant of any order in (0, 2) or a
-    :class:`sfos.lifting.LiftedSystem`; above order 1 it is lifted by ``k``
-    and the gains act on the lifted state (K is m x kn, L is kn x p).  The
-    two problems are fully decoupled (the first never sees C, the second
-    never sees B).  ``decay_shift_*`` > 0 synthesize against A + gamma*E,
-    pushing every closed-loop eigenvalue left by gamma for faster transients;
-    admissibility of the result is still verified against the true plant,
-    by :func:`sfos.lifting.verify_loop`; a loop that fails it raises
+    :class:`sfos.lifting.LiftedSystem`.  A plain plant above order 1 is
+    lifted by :data:`sfos.lifting.DEFAULT_K`; for another factor k, pass
+    ``lifting.as_plant(sys, k)``.  Gains act on the lifted state (K is
+    m x kn, L is kn x p).  The two problems are fully decoupled (the first
+    never sees C, the second never sees B).  ``decay_shift_*`` > 0
+    synthesize against A + gamma*E, pushing every closed-loop eigenvalue
+    left by gamma for faster transients; admissibility of the result is
+    still verified against the true plant, by
+    :func:`sfos.lifting.verify_loop`; a loop that fails it raises
     :class:`VerificationFailed`.
     """
-    plant = lifting.as_plant(sys, k)
+    plant = lifting.as_plant(sys)
     K, cert_k = solve_state_feedback(_shifted(plant, decay_shift_state))
     L, cert_l = solve_output_injection(_shifted(plant, decay_shift_injection))
     report = lifting.verify_loop(plant, ("observer", K, L))
@@ -456,7 +457,7 @@ def _output_stage2(plant: lifting.LiftedSystem, K0):
     return F, sol
 
 
-def synth_output_feedback(sys, k: int = lifting.DEFAULT_K, seed: int = 0,
+def synth_output_feedback(sys, seed: int = 0,
                           decay_shift: float = 0.0) -> OutputFeedbackDesign:
     """Two-stage static output-feedback design.
 
@@ -471,7 +472,7 @@ def synth_output_feedback(sys, k: int = lifting.DEFAULT_K, seed: int = 0,
     different K0, up to :data:`RETRIES` extra attempts.  The failed attempts
     are kept on the design, or on :class:`OutputStageExhausted`.
     """
-    plant = lifting.as_plant(sys, k)
+    plant = lifting.as_plant(sys)
     work = _shifted(plant, decay_shift)
     attempts = []
     for attempt in range(RETRIES + 1):

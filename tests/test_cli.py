@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import (BENCH_A, BENCH_B, BENCH_C, BENCH_E, BENCH_X0, GAINS_06)
+from conftest import (BENCH_A, BENCH_B, BENCH_C, BENCH_E, BENCH_X0, GAINS_06,
+                      GAINS_12)
 from sfos import cli
 
 
@@ -70,21 +71,6 @@ class TestAnalyze:
 
     def test_missing_file_exit_1(self):
         assert cli.main(["analyze", "/nonexistent.json"]) == cli.EXIT_ERROR
-
-    @pytest.mark.parametrize("name, value", [
-        ("K", "abc"), ("TOL", "1e-"), ("H", "abc"), ("HORIZON", "abc"),
-        ("SEED", "abc")])
-    def test_malformed_env_var_exit_1(self, tmp_path, monkeypatch, capsys,
-                                      name, value):
-        # Every variable is checked at start, whether or not the subcommand
-        # or mode would read it.
-        monkeypatch.setenv(f"SFOS_{name}", value)
-        path = write_problem(tmp_path, problem_doc())
-        for argv in (["analyze", path], ["synth", path, "--mode", "observer"]):
-            assert cli.main(argv) == cli.EXIT_ERROR
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and f"SFOS_{name}" in err
-            assert len(err.strip().splitlines()) == 1
 
     def test_ragged_matrix_exit_1(self, tmp_path, capsys):
         doc = problem_doc()
@@ -292,14 +278,39 @@ class TestSimulate:
         assert summary["config"]["T"] == 1.0
         assert summary["config"]["h"] == 0.01
 
-    def test_env_var_used_when_no_flag(self, tmp_path, monkeypatch):
+    def test_file_horizon_used_when_no_flag(self, tmp_path):
         doc = problem_doc(gains={"F": GAINS_06["F"].tolist()},
-                          simulation={"x0": BENCH_X0.tolist()})
-        monkeypatch.setenv("SFOS_HORIZON", "2.0")
+                          simulation={"x0": BENCH_X0.tolist(), "T": 2.0})
         out = tmp_path / "run"
         cli.main(["simulate", write_problem(tmp_path, doc), "--out", str(out)])
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["T"] == 2.0
+        assert summary["config"]["h"] == cli.DEFAULT_H
+
+    def test_k_flag_reaches_the_summary(self, tmp_path):
+        doc = problem_doc(alpha=1.2, gains={"F": GAINS_12["F"].tolist()},
+                          simulation={"x0": BENCH_X0.tolist(), "T": 1.0,
+                                      "h": 0.01})
+        out = tmp_path / "run"
+        assert cli.main(["simulate", write_problem(tmp_path, doc), "--out",
+                         str(out), "--k", "3"]) == cli.EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["k"] == 3
+        assert summary["injected_gain_verification"]["k"] == 3
+
+    def test_output_gain_with_observer_gains_exit_1(self, tmp_path, capsys):
+        # One controller per gains block: F is never silently preferred.
+        F, K, L = (GAINS_06[name].tolist() for name in ("F", "K", "L"))
+        for gains, named in (({"F": F, "K": K}, "K"), ({"F": F, "L": L}, "L"),
+                             ({"F": F, "K": K, "L": L}, "K and L")):
+            doc = problem_doc(gains=gains,
+                              simulation={"x0": BENCH_X0.tolist(), "T": 1.0})
+            assert cli.main(["simulate", write_problem(tmp_path, doc), "--out",
+                             str(tmp_path / "o")]) == cli.EXIT_ERROR
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: gains block gives F together with "
+                                  f"{named}:")
+            assert len(err.strip().splitlines()) == 1
 
 
 class TestDemo:
@@ -316,6 +327,10 @@ class TestDemo:
         assert summary["example"] == example
         assert np.array(summary["gains"]["K"]).size in (3, 6)
         assert summary["observer"]["final_norm_ratio"] < 1.0
+        # Order 0.6 is never lifted; order 1.2 is lifted by the default k.
+        k = 1 if example == "example1" else 2
+        for loop in ("observer", "output_feedback"):
+            assert summary[loop]["config"]["k"] == k
 
     def test_demo_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -35,8 +35,12 @@ class TestLiftStructure:
             lift(bench06)
 
     def test_k_below_two_rejected(self, bench12):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^k must be at least 2"):
             lift(bench12, k=1)
+        for k in (2.5, 2.0, "2", True, None):
+            with pytest.raises(InputError, match="^k must be an integer"):
+                lift(bench12, k)
+        assert lift(bench12, np.int64(3)).lifted.n == 9
 
     def test_determinant_identity(self, bench12):
         # det(mu*Ebar - Abar) = det(mu^k E - A) at sample points.
@@ -171,8 +175,9 @@ class TestLiftedSynthesis:
         assert rep.regular and rep.impulse_free and rep.stable
 
     def test_lifted_designs_at_k3(self, bench12):
-        obs = synth_observer(bench12, k=3)
-        out = synth_output_feedback(bench12, k=3, seed=0)
+        plant = lifting.as_plant(bench12, 3)
+        obs = synth_observer(plant)
+        out = synth_output_feedback(plant, seed=0)
         assert obs.K.shape == (1, 9) and obs.L.shape == (9, 1)
         assert obs.closed_loop_report.admissible
         assert out.closed_loop_report.admissible

@@ -75,10 +75,6 @@ class TestSimConfig:
                 SimConfig(h=1e-2, T=1.0, x0=start)
             with pytest.raises(InputError, match="^xhat0 must be finite"):
                 SimConfig(h=1e-2, T=1.0, x0=x0, xhat0=start)
-        for k in (2.5, 2.0, "2", True, None):
-            with pytest.raises(InputError, match="^k must be an integer"):
-                SimConfig(h=1e-2, T=1.0, x0=x0, k=k)
-        assert SimConfig(h=1e-2, T=1.0, x0=x0, k=np.int64(3)).k == 3
         # There is no short-memory option; the history is always summed in full.
         for memory in ("full", 100):
             with pytest.raises(TypeError, match="memory_length"):
@@ -362,6 +358,15 @@ class TestControllers:
         assert traj.x.shape[1] == 3  # original state reported, not the lift
         assert traj.final_norm_ratio < 1.0
 
+    def test_summary_reports_the_k_marched(self, bench06, bench12):
+        # The plant carries its lifting factor into the march and the summary.
+        cfg = SimConfig(h=1e-2, T=1.0, x0=BENCH_X0)
+        F = GAINS_12["F"]
+        for plant, k in ((bench06, 1), (bench12, lifting.DEFAULT_K),
+                         (lifting.lift(bench12, 3), 3)):
+            traj = simulate(plant, ("output", F), cfg)
+            assert traj.k == k and traj.summary()["config"]["k"] == k
+
     def test_unknown_controller_rejected(self, bench06):
         cfg = SimConfig(h=1e-2, T=1.0, x0=BENCH_X0)
         with pytest.raises(InputError):
@@ -422,7 +427,7 @@ class TestTailDecay:
         cfg = SimConfig(h=1e-2, T=20.0, x0=np.array([10.0]))
         return Trajectory(times=t, x=x, u=np.zeros((len(t), 1)), e=None,
                           algebraic_residual=np.zeros(len(t)), config=cfg,
-                          controller="none")
+                          controller="none", k=1)
 
     def test_recovers_exponent(self):
         for alpha in (0.4, 0.8):
@@ -435,6 +440,6 @@ class TestTailDecay:
         cfg = SimConfig(h=1e-2, T=1.0, x0=np.array([1.0]))
         traj = Trajectory(times=t, x=x, u=np.zeros((101, 1)), e=None,
                           algebraic_residual=np.zeros(101), config=cfg,
-                          controller="none")
+                          controller="none", k=1)
         with pytest.raises(InputError, match="decay"):
             tail_decay_exponent(traj)

@@ -400,19 +400,14 @@ class TestAnyOrder:
         assert proc.returncode == 0, proc.stderr
 
     def test_lifted_designs_equal_the_lifted_wrappers(self, bench12):
-        obs = synth_observer(bench12, k=2)
+        obs = synth_observer(bench12)
         ref = lifting.synth_observer_lifted(bench12, k=2)
         assert np.array_equal(obs.K, ref.K) and np.array_equal(obs.L, ref.L)
         assert obs.K.shape == (1, 6) and obs.closed_loop_report.admissible
-        out = synth_output_feedback(bench12, k=2, seed=0)
+        out = synth_output_feedback(bench12, seed=0)
         ref = lifting.synth_output_feedback_lifted(bench12, k=2, seed=0)
         assert np.array_equal(out.K0, ref.K0) and np.array_equal(out.F, ref.F)
         assert out.F.shape == (1, 1) and out.closed_loop_report.admissible
-
-    def test_no_lift_by_one_above_order_one(self, bench12):
-        for design in (synth_observer, synth_output_feedback):
-            with pytest.raises(InputError, match="k must be at least 2"):
-                design(bench12, k=1)
 
 
 class TestMarginalRepair:
