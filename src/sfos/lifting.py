@@ -62,6 +62,15 @@ class LiftedSystem:
     k: int
     lifted: DescriptorSystem
 
+    def __post_init__(self):
+        if self.base.alpha > 1.0 and self.k < 2:
+            raise InputError("k must be at least 2")
+
+
+def _check_k(k) -> None:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise InputError(f"k must be an integer, got {k!r}")
+
 
 def lift(sys: DescriptorSystem, k: int = DEFAULT_K) -> LiftedSystem:
     """Build the chained auxiliary system of order alpha/k."""
@@ -69,8 +78,7 @@ def lift(sys: DescriptorSystem, k: int = DEFAULT_K) -> LiftedSystem:
         raise InputError(
             f"no lifting needed: order {sys.alpha} is already in (0, 1]"
             if sys.alpha <= 1.0 else f"order must be below 2, got {sys.alpha}")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise InputError(f"k must be an integer, got {k!r}")
+    _check_k(k)
     if k < 2:
         raise InputError("k must be at least 2")
     n = sys.n
@@ -90,19 +98,25 @@ def lift(sys: DescriptorSystem, k: int = DEFAULT_K) -> LiftedSystem:
     return LiftedSystem(base=sys, k=k, lifted=lifted)
 
 
-def as_plant(sys, k: int = DEFAULT_K) -> LiftedSystem:
+def as_plant(sys, k: int | None = None) -> LiftedSystem:
     """The plant in working coordinates: lifted by k above order 1, else as is.
 
-    A :class:`LiftedSystem` is returned unchanged, whatever ``k``; an order
-    in (0, 1] gives ``LiftedSystem(base=sys, k=1, lifted=sys)``.  Synthesis
-    and simulation call this with the default k, so a plant meant for any
+    ``k`` defaults to the plant's own factor: :data:`DEFAULT_K` for a plain
+    plant above order 1.  A :class:`LiftedSystem` is returned unchanged, and
+    a ``k`` other than its own is refused; an order in (0, 1] gives
+    ``LiftedSystem(base=sys, k=1, lifted=sys)`` for any integer ``k``.
+    Synthesis and simulation call this without k, so a plant meant for any
     other factor reaches them as ``as_plant(sys, k)``.
     """
+    if k is not None:
+        _check_k(k)
     if isinstance(sys, LiftedSystem):
+        if k is not None and k != sys.k:
+            raise InputError(f"plant is lifted by k = {sys.k}, not {k}")
         return sys
     if sys.alpha <= 1.0:
         return LiftedSystem(base=sys, k=1, lifted=sys)
-    return lift(sys, k)
+    return lift(sys, DEFAULT_K if k is None else k)
 
 
 def transfer_function(sys: DescriptorSystem, s: complex) -> np.ndarray:

@@ -110,6 +110,24 @@ class TestUsage:
         assert captured.err.startswith("error: ") and named in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("name, value", [
+        ("K", "abc"), ("TOL", "1e-"), ("H", "abc"), ("HORIZON", "abc"),
+        ("SEED", "abc")])
+    def test_malformed_flag_exit_1(self, tmp_path, capsys, name, value):
+        # A setting's flag that does not parse stops the run before any work.
+        flag = f"--{name.lower()}"
+        path = write_problem(tmp_path, problem_doc(
+            gains={"F": GAINS_06["F"].tolist()},
+            simulation={"x0": BENCH_X0.tolist(), "T": 1.0}))
+        out = tmp_path / "run"
+        assert cli.main(["simulate", path, flag, value, "--out", str(out)]
+                        ) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ") and flag in captured.err
+        assert value in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
 
 class TestSynth:
     def test_output_mode(self, tmp_path):

@@ -119,6 +119,18 @@ class TestLiftedAnalysis:
         assert plant.k == 3 and plant.lifted.n == 9
         assert lifting.as_plant(plant) is plant
 
+    def test_as_plant_refuses_a_disagreeing_k(self, bench06, bench12):
+        plant = lift(bench12, 3)
+        assert lifting.as_plant(plant, 3) is plant
+        with pytest.raises(InputError, match="^plant is lifted by k = 3, not 2"):
+            lifting.as_plant(plant, 2)
+        # Below order 1 any integer k leaves the plant as it is; a k that is
+        # not an integer is refused at every order.
+        assert lifting.as_plant(bench06, 3).k == 1
+        for sysm in (bench06, bench12, plant):
+            with pytest.raises(InputError, match="^k must be an integer"):
+                lifting.as_plant(sysm, 2.5)
+
     def test_observer_threshold_counts_both_copies(self, bench12):
         # K = [0, 0, 5] on the plant block makes (E, A + BK) impulsive: the
         # algebraic row of A + BK then annihilates ker E = span([0, 1, -1]).

@@ -409,6 +409,14 @@ class TestAnyOrder:
         assert np.array_equal(out.K0, ref.K0) and np.array_equal(out.F, ref.F)
         assert out.F.shape == (1, 1) and out.closed_loop_report.admissible
 
+    def test_no_lift_by_one_above_order_one(self, bench12):
+        # synth_* take the factor from the plant, and no plant above order 1
+        # carries k = 1: neither as_plant nor LiftedSystem builds one.
+        with pytest.raises(InputError, match="^k must be at least 2"):
+            lifting.as_plant(bench12, 1)
+        with pytest.raises(InputError, match="^k must be at least 2"):
+            lifting.LiftedSystem(base=bench12, k=1, lifted=bench12)
+
 
 class TestMarginalRepair:
     def test_fpdm_repair_restores_membership(self):
