@@ -15,10 +15,17 @@ side's ``src``, with BLAS pinned to one thread:
 * ``ADMISSIBILITY_PLANTS`` seeded ``perfbench/plants.py`` blocks of 2-4
   states, each tested on both sides of the criterion: the verdict and
   solution of each LMI, or the error it raises.
-* ``SYNTH``: ``sfos synth`` at orders 0.6 and 1.2 in both modes, whose
-  design JSON holds each solve's iterates; ``DEMOS``: ``sfos demo`` at its
+* ``PENCIL_SIZES``: seeded ``perfbench/plants.py`` stacked plants of 3-32
+  states, the sizes of the benchmark's ``screen`` workload, one stable and
+  one not at each size: the ``sfos.analyze`` report of each, as JSON.
+* ``ANALYZE``: ``sfos analyze`` on the paper plant at orders 0.6 and 1.2;
+  ``SYNTH``: ``sfos synth`` at orders 0.6 and 1.2 in both modes, whose
+  design JSON holds each solve's iterates; ``SIMULATE``: ``sfos simulate``
+  of the published order-0.6 output gain from an x0 off the algebraic
+  constraint, which the simulator projects; ``DEMOS``: ``sfos demo`` at its
   default h and T.
-  Compared: exit code, stdout, stderr and every file written, byte for byte.
+  Compared: exit code, stdout, stderr and every file written, byte for byte,
+  except that each warning's source file and line are dropped from stderr.
 
 Arrays are compared with ``np.array_equal``.  Every mismatch is printed;
 the exit code is 1 on any, else 0.
@@ -32,6 +39,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import json  # noqa: E402
 import multiprocessing  # noqa: E402
+import re  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -60,8 +68,17 @@ DESIGNS = (
 ADMISSIBILITY_PLANTS = 40
 ADMISSIBILITY_SEED = 909
 
+#: The state counts of the ``screen`` workload's pencil requests.
+PENCIL_SIZES = (3, 4, 6, 8, 10, 12, 16, 20, 24, 32)
+PENCIL_SEED = 911
+
+ANALYZE = (0.6, 1.2)
 SYNTH = tuple((alpha, mode) for alpha in (0.6, 1.2)
               for mode in ("observer", "output"))
+#: The published order-0.6 output gain, run from an x0 that violates the
+#: algebraic row (4 + F) x1 + x2 + (F - 4) x3 = 0 of its closed loop.
+SIMULATE = {"system": dict(PLANT, alpha=0.6), "gains": {"F": [[-3.6723]]},
+            "simulation": {"x0": [1.0, 0.0, 0.0], "T": 2.0}}
 DEMOS = ("example1", "example2")
 
 CERTIFICATE_FIELDS = ("status", "newton_steps", "t", "lower_bound", "margins",
@@ -133,6 +150,39 @@ def admissibility_plants():
     return out
 
 
+def run_pencil(src, plants):
+    """Each plant's ``sfos.analyze`` report as sorted JSON, or its error."""
+    sfos = _import_sfos(src)
+    out = {}
+    for i, (E, A, alpha) in enumerate(plants):
+        n = len(E)
+        try:
+            report = sfos.analyze(sfos.DescriptorSystem(
+                E=E, A=A, B=np.ones((n, 1)), C=np.ones((1, n)), alpha=alpha))
+            out[f"plant {i} n={n}"] = json.dumps(report.to_dict(), sort_keys=True)
+        except sfos.SfosError as exc:
+            out[f"plant {i} n={n}.error"] = f"{type(exc).__name__}: {exc}"
+    return out
+
+
+def pencil_plants():
+    """(E, A, alpha) of each stacked plant; even ones are admissible."""
+    sys.path.insert(0, ROOT)
+    from perfbench import plants
+    rng = np.random.default_rng(PENCIL_SEED)
+    out = []
+    for n in PENCIL_SIZES:
+        for stable in (True, False):
+            p = plants.stacked_plant(rng, n, float(rng.uniform(0.3, 0.95)), stable)
+            out.append((p.E, p.A, p.alpha))
+    return out
+
+
+#: A warning as Python prints it: "file:line: Category: message", then the
+#: source line.  The file and line differ between sides; the rest must not.
+_WARNING = re.compile(rb"^\S+:\d+: (\w+: .*\n)(?:  .*\n)?", re.M)
+
+
 def run_cli(root, argv, problem=None):
     """Exit code, stdout, stderr and written files of one ``sfos`` call."""
     with tempfile.TemporaryDirectory(prefix="same-answers-") as cwd:
@@ -142,7 +192,8 @@ def run_cli(root, argv, problem=None):
         env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
         proc = subprocess.run([sys.executable, "-m", "sfos.cli", *argv], cwd=cwd,
                               env=env, capture_output=True)
-        out = {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+        out = {"exit": proc.returncode, "stdout": proc.stdout,
+               "stderr": _WARNING.sub(rb"\1", proc.stderr)}
         for base, _, files in os.walk(cwd):
             for name in files:
                 path = os.path.join(base, name)
@@ -219,12 +270,25 @@ def main(argv=None):
         plants = admissibility_plants()
         diffs += compare(f"{2 * len(plants)} admissibility LMIs",
                          each_side(run_admissibility, plants))
+        pencils = pencil_plants()
+        diffs += compare(f"{len(pencils)} pencil reports",
+                         each_side(run_pencil, pencils))
+        for alpha in ANALYZE:
+            problem = {"system": dict(PLANT, alpha=alpha)}
+            diffs += compare(f"sfos analyze alpha={alpha}",
+                             {side: run_cli(root, ["analyze", "problem.json"],
+                                            problem)
+                              for side, root in roots.items()})
         for alpha, mode in SYNTH:
             argv = ["synth", "problem.json", "--mode", mode]
             problem = {"system": dict(PLANT, alpha=alpha)}
             diffs += compare(f"sfos synth alpha={alpha} --mode {mode}",
                              {side: run_cli(root, argv, problem)
                               for side, root in roots.items()})
+        argv = ["simulate", "problem.json", "--out", "out"]
+        diffs += compare("sfos simulate, inconsistent x0",
+                         {side: run_cli(root, argv, SIMULATE)
+                          for side, root in roots.items()})
         for example in DEMOS:
             diffs += compare(f"sfos demo {example}",
                              {side: run_cli(root, ["demo", example, "--out", "out"])

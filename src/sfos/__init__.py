@@ -23,9 +23,8 @@ from .fpdm import FpdmParam, congruence, is_member, materialize
 from .synthesis import (ObserverDesign, OutputFeedbackDesign,
                         admissible_via_lmi, synth_observer,
                         synth_output_feedback)
-from .lifting import (LiftedReport, LiftedSystem, admissible_lifted, lift,
-                      synth_observer_lifted, synth_output_feedback_lifted,
-                      transfer_function)
+from .lifting import (LiftedReport, LiftedSystem, lift, synth_observer_lifted,
+                      synth_output_feedback_lifted, transfer_function)
 from .lmi import LmiSolution, VariableRegistry, solve_feasibility
 from .simulator import SimConfig, Trajectory, gl_weights, simulate, tail_decay_exponent
 
@@ -39,7 +38,7 @@ __all__ = [
     "SynthesisError", "StateFeedbackInfeasible", "OutputInjectionInfeasible",
     "OutputStageExhausted", "GainRecoverySingular", "VerificationFailed",
     "FpdmParam", "congruence", "is_member", "materialize",
-    "LiftedReport", "LiftedSystem", "admissible_lifted", "lift",
+    "LiftedReport", "LiftedSystem", "lift",
     "synth_observer_lifted", "synth_output_feedback_lifted",
     "transfer_function",
     "LmiSolution", "VariableRegistry", "solve_feasibility",

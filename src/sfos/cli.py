@@ -7,11 +7,12 @@ Subcommands::
     sfos simulate problem.json --out d   closed-loop trajectory CSV + summary
     sfos demo     example1|example2 --out d   one-command benchmark runs
 
-Each subcommand takes only the flags it reads: ``--tol`` and ``--out`` on
-all four; ``--k`` and ``--seed`` on ``synth``, ``simulate`` and ``demo``;
-``--mode`` on ``synth``; ``--h`` and ``--horizon`` on ``simulate`` and
-``demo``.  The LMI solver's margin and box are its own constants, not
-options.  ``synth`` writes each LMI solve's certificate with its iterates.
+Each subcommand takes only the flags it reads: ``--out`` on all four;
+``--k`` and ``--seed`` on ``synth``, ``simulate`` and ``demo``; ``--mode``
+on ``synth``; ``--h`` and ``--horizon`` on ``simulate`` and ``demo``.  The
+LMI solver's margin and box and the rank threshold of E
+(:data:`sfos.descriptor.RANK_TOL`) are constants, not options.  ``synth``
+writes each LMI solve's certificate with its iterates.
 
 Exit codes are a stable contract: 0 success / admissible, 1 error (bad
 input, including a usage error on the command line, I/O, numerical
@@ -21,9 +22,8 @@ loop failed the closed-loop pencil check).
 
 The CLI reads its flags and the problem file, nothing else.  h, T and the
 seed resolve as the command-line flag, then the problem-file value, then
-this module's ``DEFAULT_H``, ``DEFAULT_T`` or ``DEFAULT_SEED``; ``--tol``
-and ``--k`` have no slot in the file and default to
-:data:`sfos.descriptor.DEFAULT_RANK_TOL` and :data:`sfos.lifting.DEFAULT_K`.
+this module's ``DEFAULT_H``, ``DEFAULT_T`` or ``DEFAULT_SEED``; ``--k`` has
+no slot in the file and defaults to :data:`sfos.lifting.DEFAULT_K`.
 The plant carries ``--k`` into synthesis and simulation, lifted by
 :func:`sfos.lifting.as_plant` (orders in (0, 1] are never lifted).
 """
@@ -89,7 +89,7 @@ PROBLEM_SCHEMA = {
                 "T": {"type": "number", "exclusiveMinimum": 0},
                 "x0": _VECTOR,
                 "xhat0": _VECTOR,
-                "consistency": {"enum": ["project", "warn", "strict"]},
+                "consistency": {"enum": ["project", "strict"]},
                 "gate_first_input": {"type": "boolean"},
             },
         },
@@ -144,7 +144,7 @@ def _emit(doc: dict, out_path):
 
 def cmd_analyze(args) -> int:
     doc = load_problem(args.problem)
-    sysm = descriptor.system_from_dict(doc["system"], rank_tol=args.tol)
+    sysm = descriptor.system_from_dict(doc["system"])
     report = descriptor.analyze(sysm)
     _emit(report.to_dict(), args.out)
     return EXIT_OK if report.admissible else EXIT_NOT_ADMISSIBLE
@@ -178,7 +178,7 @@ def _run_synthesis(plant: lifting.LiftedSystem, synth_cfg: dict, args,
 def cmd_synth(args) -> int:
     doc = load_problem(args.problem)
     synth_cfg = doc.get("synthesis", {})
-    sysm = descriptor.system_from_dict(doc["system"], rank_tol=args.tol)
+    sysm = descriptor.system_from_dict(doc["system"])
     design = _run_synthesis(lifting.as_plant(sysm, args.k), synth_cfg, args,
                             args.mode)
     _emit(design.to_dict(), args.out)
@@ -218,7 +218,7 @@ def _sim_config(sim_cfg: dict, args) -> simulator.SimConfig:
 
 def cmd_simulate(args) -> int:
     doc = load_problem(args.problem)
-    sysm = descriptor.system_from_dict(doc["system"], rank_tol=args.tol)
+    sysm = descriptor.system_from_dict(doc["system"])
     config = _sim_config(doc.get("simulation", {}), args)
     # The pair verified below is the pair simulated: both come from
     # synthesis.closed_loop on this one plant.
@@ -251,13 +251,13 @@ def cmd_simulate(args) -> int:
 # Benchmark demos
 # ---------------------------------------------------------------------------
 
-def _benchmark_system(alpha: float, rank_tol: float) -> DescriptorSystem:
+def _benchmark_system(alpha: float) -> DescriptorSystem:
     return DescriptorSystem(
         E=np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]]),
         A=np.array([[1.0, 1.0, -1.0], [2.0, -2.0, -1.0], [4.0, 1.0, -4.0]]),
         B=np.array([[1.0], [1.0], [1.0]]),
         C=np.array([[1.0, 0.0, 1.0]]),
-        alpha=alpha, rank_tol=rank_tol)
+        alpha=alpha)
 
 
 #: The demos' simulation block: both loops start the plant from the same
@@ -285,7 +285,7 @@ def _write_columns(path, times, data, names):
 
 def cmd_demo(args) -> int:
     alpha = 0.6 if args.example == "example1" else 1.2
-    plant = lifting.as_plant(_benchmark_system(alpha, args.tol), args.k)
+    plant = lifting.as_plant(_benchmark_system(alpha), args.k)
     cfg_obs = _sim_config(dict(DEMO_SIMULATION, xhat0=[0.0, 0.0, 0.0]), args)
     cfg_out = _sim_config(DEMO_SIMULATION, args)
     shifts = DEMO_SHIFTS[args.example]
@@ -363,12 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "fractional-order systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def tol_and_out(p, out_help):
-        p.add_argument("--tol", type=float,
-                       default=descriptor.DEFAULT_RANK_TOL,
-                       help="numerical rank tolerance")
-        p.add_argument("--out", default=None, help=out_help)
-
     def design(p):
         p.add_argument("--k", type=int, default=lifting.DEFAULT_K,
                        help="lifting factor for orders in (1, 2)")
@@ -382,26 +376,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="admissibility report for a problem file")
     p.add_argument("problem")
-    tol_and_out(p, "write the report JSON here instead of stdout")
+    p.add_argument("--out", default=None,
+                   help="write the report JSON here instead of stdout")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("synth", help="controller synthesis")
     p.add_argument("problem")
     p.add_argument("--mode", choices=["observer", "output"], default=None)
-    tol_and_out(p, "write the design JSON here instead of stdout")
+    p.add_argument("--out", default=None,
+                   help="write the design JSON here instead of stdout")
     design(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("simulate", help="closed-loop simulation")
     p.add_argument("problem")
-    tol_and_out(p, "output directory (default: current directory)")
+    p.add_argument("--out", default=None,
+                   help="output directory (default: current directory)")
     design(p)
     march(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("demo", help="reproduce a benchmark example end to end")
     p.add_argument("example", choices=["example1", "example2"])
-    tol_and_out(p, "output directory (default: the example name)")
+    p.add_argument("--out", default=None,
+                   help="output directory (default: the example name)")
     design(p)
     march(p)
     p.set_defaults(func=cmd_demo)

@@ -9,6 +9,8 @@ This module decides the three classical pencil properties -- regularity
 by a normalised rank probe of sE - A, the finite spectrum by QZ (Moler &
 Stewart, SIAM J. Numer. Anal. 10, 1973), impulse-freeness by a finite count
 equal to rank E, and fractional-sector stability -- with fixed thresholds.
+Every rank of E in the package is decided by :func:`numerical_rank`, at
+``RANK_TOL``; no caller sets it.
 It also factors E by one SVD into the null-space bases and row-space
 factors (:func:`annihilators`) that the LMI criteria pose their variables
 on and the simulator projects an inconsistent initial state with.
@@ -33,8 +35,8 @@ __all__ = [
     "system_from_dict",
 ]
 
-#: Default relative tolerance for numerical rank decisions.
-DEFAULT_RANK_TOL = 1e-9
+#: Singular values above this times the largest count toward a rank.
+RANK_TOL = 1e-9
 
 #: Regularity threshold for sigma_min(sE - A) / (|s| ||E|| + ||A||), probed
 #: at the angles below (radians).  Singular pencils probe below 1e-15;
@@ -63,21 +65,19 @@ def _as_matrix(M, name):
     return M
 
 
-def numerical_rank(M, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Rank of ``M`` counted as singular values above ``tol * sigma_max``.
+def numerical_rank(M) -> int:
+    """Rank of ``M`` counted as singular values above ``RANK_TOL * sigma_max``.
 
-    The zero matrix has rank 0.  Raises :class:`InputError` for non-finite
-    input or non-positive tolerance.
+    The one rank decision of the package.  The zero matrix has rank 0.
+    Raises :class:`InputError` for non-finite input.
     """
     M = _as_matrix(M, "M")
-    if tol <= 0:
-        raise InputError("tol must be positive")
     if M.size == 0:
         return 0
     sv = np.linalg.svd(M, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sv > tol * sv[0]))
+    return int(np.count_nonzero(sv > RANK_TOL * sv[0]))
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,6 @@ class DescriptorSystem:
     B: np.ndarray
     C: np.ndarray
     alpha: float
-    rank_tol: float = DEFAULT_RANK_TOL
     r: int = field(init=False)
 
     def __post_init__(self):
@@ -115,7 +114,7 @@ class DescriptorSystem:
                 M = M.copy()  # freeze our own copy, never the caller's array
             M.flags.writeable = False
             object.__setattr__(self, name, M)
-        object.__setattr__(self, "r", numerical_rank(E, self.rank_tol))
+        object.__setattr__(self, "r", numerical_rank(E))
 
     @property
     def n(self) -> int:
@@ -132,19 +131,17 @@ class DescriptorSystem:
     def with_matrices(self, **kwargs) -> "DescriptorSystem":
         """Copy with some of E, A, B, C, alpha replaced."""
         data = {"E": self.E, "A": self.A, "B": self.B, "C": self.C,
-                "alpha": self.alpha, "rank_tol": self.rank_tol}
+                "alpha": self.alpha}
         data.update(kwargs)
         return DescriptorSystem(**data)
 
 
-def system_from_dict(doc: dict, rank_tol: float = DEFAULT_RANK_TOL) -> DescriptorSystem:
+def system_from_dict(doc: dict) -> DescriptorSystem:
     """Build a system from ``{"E": [[...]], "A": ..., "B": ..., "C": ..., "alpha": ...}``."""
     try:
         return DescriptorSystem(
             E=doc["E"], A=doc["A"], B=doc["B"], C=doc["C"],
-            alpha=float(doc["alpha"]),
-            rank_tol=rank_tol,
-        )
+            alpha=float(doc["alpha"]))
     except KeyError as exc:
         raise InputError(f"system document is missing field {exc}") from exc
 
@@ -168,7 +165,7 @@ class AnnihilatorPair:
     V1: np.ndarray
 
 
-def annihilators(E, r: int | None = None, tol: float = DEFAULT_RANK_TOL) -> AnnihilatorPair:
+def annihilators(E, r: int | None = None) -> AnnihilatorPair:
     """Null-space bases and row-space factors of a singular E, from one SVD.
 
     Raises :class:`NonsingularMatrixError` when r == n: a nonsingular E means
@@ -178,7 +175,7 @@ def annihilators(E, r: int | None = None, tol: float = DEFAULT_RANK_TOL) -> Anni
     E = _as_matrix(E, "E")
     n = E.shape[0]
     if r is None:
-        r = numerical_rank(E, tol)
+        r = numerical_rank(E)
     if r >= n:
         raise NonsingularMatrixError(
             "E is nonsingular; use the standard (non-singular) FOS path")
@@ -257,16 +254,13 @@ def _is_regular(E, A) -> bool:
     return False
 
 
-def analyze_pair(E, A, alpha, rank_tol: float = DEFAULT_RANK_TOL) -> AdmissibilityReport:
-    """Admissibility analysis of a bare pair {E, A} at order ``alpha``.
-
-    ``rank_tol`` only sets the numerical rank of E.
-    """
+def analyze_pair(E, A, alpha) -> AdmissibilityReport:
+    """Admissibility analysis of a bare pair {E, A} at order ``alpha``."""
     E = _as_matrix(E, "E")
     A = _as_matrix(A, "A")
     if A.shape != E.shape:
         raise InputError("E and A must have equal shape")
-    r = numerical_rank(E, rank_tol)
+    r = numerical_rank(E)
     regular = _is_regular(E, A)
     eigs, degree = (), -1
     if regular:
@@ -295,4 +289,4 @@ def analyze_pair(E, A, alpha, rank_tol: float = DEFAULT_RANK_TOL) -> Admissibili
 
 def analyze(sys: DescriptorSystem) -> AdmissibilityReport:
     """Admissibility (regular, impulse-free, stable) of the zero-input system."""
-    return analyze_pair(sys.E, sys.A, sys.alpha, sys.rank_tol)
+    return analyze_pair(sys.E, sys.A, sys.alpha)

@@ -46,7 +46,6 @@ __all__ = [
     "verify_loop",
     "transfer_function",
     "analyze_lifted_pair",
-    "admissible_lifted",
     "synth_observer_lifted",
     "synth_output_feedback_lifted",
 ]
@@ -94,7 +93,7 @@ def lift(sys: DescriptorSystem, k: int = DEFAULT_K) -> LiftedSystem:
     Cbar = np.zeros((sys.p, N))
     Cbar[:, :n] = sys.C
     lifted = DescriptorSystem(E=Ebar, A=Abar, B=Bbar, C=Cbar,
-                              alpha=sys.alpha / k, rank_tol=sys.rank_tol)
+                              alpha=sys.alpha / k)
     return LiftedSystem(base=sys, k=k, lifted=lifted)
 
 
@@ -156,46 +155,14 @@ class LiftedReport:
 
 
 def analyze_lifted_pair(Ebar, Abar, base_rank: int, k: int,
-                        beta: float, rank_tol: float = descriptor.DEFAULT_RANK_TOL
-                        ) -> LiftedReport:
+                        beta: float) -> LiftedReport:
     """Pencil analysis of a lifted pair with the structural degree threshold."""
-    strict = descriptor.analyze_pair(Ebar, Abar, beta, rank_tol)
+    strict = descriptor.analyze_pair(Ebar, Abar, beta)
     effective = strict.regular and strict.pencil_degree >= k * base_rank
     return LiftedReport(
         strict=strict, k=k, base_rank=base_rank, base_alpha=beta * k,
         effective_impulse_free=effective,
         admissible=strict.regular and effective and strict.stable)
-
-
-def admissible_lifted(sys: DescriptorSystem, k: int = DEFAULT_K) -> LiftedReport:
-    """Admissibility of an order-(1,2) plant decided through its lift.
-
-    Cross-checks the two spectral pictures: every finite eigenvalue mu of the
-    lifted pencil must satisfy the order-alpha/k sector test exactly when
-    mu^k (an eigenvalue of the original pencil) satisfies the order-alpha
-    test.  A disagreement indicates numerical trouble and raises.
-    """
-    ls = lift(sys, k)
-    report = analyze_lifted_pair(ls.lifted.E, ls.lifted.A, sys.r, k,
-                                 ls.lifted.alpha, sys.rank_tol)
-    base_report = descriptor.analyze(sys)
-    half_base = sys.alpha * np.pi / 2.0
-    half_lift = ls.lifted.alpha * np.pi / 2.0
-    for mu in report.strict.finite_eigenvalues:
-        if abs(mu) < 1e-9:
-            continue
-        lam = mu ** k
-        in_base = abs(np.angle(lam)) > half_base
-        in_lift = abs(np.angle(mu)) > half_lift
-        # Non-principal root branches always land outside the narrower
-        # sector, so only the principal branch carries information.
-        if abs(np.angle(mu)) <= np.pi / k and in_base != in_lift:
-            raise InputError(
-                f"sector verdicts disagree between the lifted eigenvalue {mu} "
-                f"and its power {lam}; analysis is numerically unreliable")
-    if base_report.regular != report.strict.regular:
-        raise InputError("regularity verdicts disagree between base and lift")
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +179,10 @@ def verify_loop(plant: LiftedSystem, controller):
     sys = plant.lifted
     E, A, _ = synthesis.closed_loop(sys, controller)
     if plant.k == 1:
-        return descriptor.analyze_pair(E, A, sys.alpha, sys.rank_tol)
+        return descriptor.analyze_pair(E, A, sys.alpha)
     copies = 2 if controller[0] == "observer" else 1
     return analyze_lifted_pair(E, A, copies * plant.base.r, plant.k,
-                               sys.alpha, sys.rank_tol)
+                               sys.alpha)
 
 
 def synth_observer_lifted(sys: DescriptorSystem, k: int = DEFAULT_K,

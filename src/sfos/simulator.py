@@ -47,6 +47,12 @@ All closed loops handled here are autonomous: the controller is folded in
 through :func:`sfos.synthesis.closed_loop`, which builds the same pair that
 verification analyzes, and the physical input u(t) is read off the whole
 trajectory afterwards through that function's input readout.
+
+An initial state that violates the algebraic rows is either projected onto
+them, keeping its row-space coordinates (``consistency="project"``, the
+default, with a warning), or refused (``"strict"``).  The projection takes
+the rank of E from :func:`sfos.descriptor.numerical_rank` and judges its
+fast block invertible at the same threshold.
 """
 
 from __future__ import annotations
@@ -91,9 +97,9 @@ class SimConfig:
     """Step size, horizon, and initial data.
 
     ``consistency`` controls inconsistent initial conditions: "project"
-    (default; warn and repair the fast components), "warn", or "strict"
-    (raise).  ``gate_first_input`` zeroes the reported input at t=0, which
-    some benchmark scenarios require for a consistent start.
+    (default; warn and repair the fast components) or "strict" (raise).
+    ``gate_first_input`` zeroes the reported input at t=0, which some
+    benchmark scenarios require for a consistent start.
     """
 
     h: float
@@ -109,8 +115,8 @@ class SimConfig:
                 raise InputError(f"{name} must be finite, got {value}")
         if self.h <= 0 or self.T < self.h:
             raise InputError("need h > 0 and T >= h")
-        if self.consistency not in ("project", "warn", "strict"):
-            raise InputError("consistency must be 'project', 'warn' or 'strict'")
+        if self.consistency not in ("project", "strict"):
+            raise InputError("consistency must be 'project' or 'strict'")
         for name in ("x0", "xhat0"):
             value = getattr(self, name)
             if value is None:
@@ -336,13 +342,13 @@ def _halve(lo, hi, leaf_steps, leaf, far_field):
     _halve(mid, hi, leaf_steps, leaf, far_field)
 
 
-def _project_consistent(E, A, x0, rank_tol, mode):
+def _project_consistent(E, A, x0, mode):
     """Repair the fast components of x0 so the algebraic rows hold at t=0."""
-    r = descriptor.numerical_rank(E, rank_tol)
+    r = descriptor.numerical_rank(E)
     n = E.shape[0]
     if r == n:
         return x0
-    ann = descriptor.annihilators(E, r, rank_tol)
+    ann = descriptor.annihilators(E, r)
     residual = float(np.linalg.norm(ann.E_left @ (A @ x0)))
     scale = max(float(np.linalg.norm(A @ x0)), 1.0)
     if residual <= 1e-9 * scale:
@@ -351,19 +357,14 @@ def _project_consistent(E, A, x0, rank_tol, mode):
         raise InputError(
             f"initial pseudo-state violates the algebraic constraint "
             f"(residual {residual:.3e}); provide a consistent x0")
-    if mode == "warn":
-        warnings.warn(
-            f"initial pseudo-state violates the algebraic constraint "
-            f"(residual {residual:.3e}); continuing unmodified")
-        return x0
     # Keep the row-space coordinates s = V1^T x0 and solve the algebraic rows
     # E_left A (V1 s + E_right f) = 0 for the null-space ones f.  The
     # (n-r) x (n-r) block E_left A E_right is invertible exactly when the
-    # pair is impulse-free.
+    # pair is impulse-free, judged at the rank threshold of E.
     left_A = ann.E_left @ A
     fast = left_A @ ann.E_right
     sv = np.linalg.svd(fast, compute_uv=False)
-    if sv[-1] <= rank_tol * max(sv[0], 1.0):
+    if sv[-1] <= descriptor.RANK_TOL * max(sv[0], 1.0):
         warnings.warn("initial state inconsistent but the pair is not "
                       "impulse-free; projection skipped")
         return x0
@@ -421,8 +422,7 @@ def simulate(sys, design, config: SimConfig) -> Trajectory:
             raise InputError(f"xhat0 must have length {n}")
         full0[N:N + n] = x0 - xhat0
 
-    full0 = _project_consistent(E_sim, A_sim, full0, base.rank_tol,
-                                config.consistency)
+    full0 = _project_consistent(E_sim, A_sim, full0, config.consistency)
 
     steps = int(round(config.T / config.h))
     Z = _march(E_sim, A_sim, full0, work.alpha, config.h, steps)
@@ -437,7 +437,7 @@ def simulate(sys, design, config: SimConfig) -> Trajectory:
     # gating; exact zero rows of E reduce to 0 = (A x + B u)_row, resolved by
     # the implicit solve.
     if base.r < n:
-        ann = descriptor.annihilators(base.E, base.r, base.rank_tol)
+        ann = descriptor.annihilators(base.E, base.r)
         resid = np.linalg.norm(
             (base.A @ xs.T + base.B @ us.T).T @ ann.E_left.T, axis=1)
     else:

@@ -26,10 +26,10 @@ recovered by inverting S.  Static output feedback is a two-stage scheme:
 the state-feedback LMI produces an intermediate gain K0, then a
 slack-variable inequality in a full n x n P and (Q, G, H) yields
 F = G^{-1} H.
-Stage 2 is not guaranteed solvable for every stage-1 K0, so infeasibility
-triggers re-sampling of K0 through a small seeded random linear tilt on the
-stage-1 objective; the design records the samples that failed.  The
-observer design makes one attempt.  Every solve
+Stage 2 is not guaranteed solvable for every stage-1 K0, so a stage 2 with
+no certificate, at any k, triggers re-sampling of K0 through a small seeded
+random linear tilt on the stage-1 objective; the design records the samples
+that failed.  The observer design makes one attempt.  Every solve
 runs :func:`sfos.lmi.solve_feasibility` at its default box and margin; the
 gain solves and stage 2 accept a certificate by one rule, in :func:`_solve`.
 """
@@ -115,7 +115,7 @@ def _criterion(sys: DescriptorSystem, side: str, suffix: str = "",
     """
     if side not in _GAIN_LABELS:
         raise InputError(f"side must be 'right' or 'left', got {side!r}")
-    ann = annihilators(sys.E, sys.r, sys.rank_tol)
+    ann = annihilators(sys.E, sys.r)
     n, r = sys.n, sys.r
     reg = VariableRegistry()
     blocks: list = []
@@ -425,6 +425,8 @@ class OutputFeedbackDesign:
 def _output_stage2(plant: lifting.LiftedSystem, K0):
     """Slack-variable stage: find (P, Q, G, H) certifying F = G^{-1}H.
 
+    Returns (F, certificate), with F None when the solve gave no values.
+
     P is the full n x n fractional-PD variable, not the r x r one of
     :func:`_criterion`.  Posed with an r x r P, this stage took 85 Newton
     steps against 23 in the order-0.6 demo design, and the k = 3 lifted
@@ -432,7 +434,7 @@ def _output_stage2(plant: lifting.LiftedSystem, K0):
     its intermediate gains.
     """
     sys = plant.lifted
-    ann = annihilators(sys.E, sys.r, sys.rank_tol)
+    ann = annihilators(sys.E, sys.r)
     n, m, p = sys.n, sys.m, sys.p
     Ac = sys.A + sys.B @ K0
     reg = VariableRegistry()
@@ -448,10 +450,6 @@ def _output_stage2(plant: lifting.LiftedSystem, K0):
     blocks.append(block_of(expr, label="output_feedback"))
     vals, sol = _solve(blocks, reg, plant)
     if vals is None:
-        # Lifted, an unclassified stage 2 only disqualifies this K0.
-        if sol.status == "NumericalFailure" and plant.k == 1:
-            raise LmiNumericalError(
-                "output-feedback stage-2 LMI could not be classified")
         return None, sol
     F = _recover_inverse(vals["G"], "slack variable G", sol) @ vals["H"]
     return F, sol
@@ -467,9 +465,10 @@ def synth_output_feedback(sys, seed: int = 0,
     Stage 1 solves the state-feedback relaxation for an intermediate gain
     K0; stage 2 searches for a slack pair (G, H) certifying F = G^{-1}H
     against that K0.  Because not every stabilizing K0 admits a stage-2
-    certificate, stage-2 infeasibility (or a verification miss) re-runs
-    stage 1 with a small seeded random objective tilt to land on a
-    different K0, up to :data:`RETRIES` extra attempts.  The failed attempts
+    certificate, a stage 2 without one (Infeasible or NumericalFailure, at
+    any k) or a verification miss re-runs stage 1 with a small seeded
+    random objective tilt to land on a different K0, up to :data:`RETRIES`
+    extra attempts.  The failed attempts, each stage 2 with its LMI status,
     are kept on the design, or on :class:`OutputStageExhausted`.
     """
     plant = lifting.as_plant(sys)
@@ -495,7 +494,7 @@ def synth_output_feedback(sys, seed: int = 0,
             continue
         if F is None:
             attempts.append({"attempt": attempt, "stage": 2,
-                             "status": "infeasible", "K0": K0.tolist()})
+                             "status": cert2.status, "K0": K0.tolist()})
             continue
         report = lifting.verify_loop(plant, ("output", F))
         if not report.admissible:

@@ -59,6 +59,13 @@ class TestAnalyze:
         assert cli.main(["simulate", write_problem(tmp_path, doc), "--out",
                          str(tmp_path / "o")]) == cli.EXIT_ERROR
         assert "memory_length" in capsys.readouterr().err
+        # An inconsistent x0 is projected or refused; no mode runs it as it is.
+        doc = problem_doc(simulation={"x0": BENCH_X0.tolist(),
+                                      "consistency": "warn"})
+        assert cli.main(["simulate", write_problem(tmp_path, doc), "--out",
+                         str(tmp_path / "o")]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "schema validation" in err and "consistency" in err
         # The solver's margin, box and retry count are constants, not
         # settings: a file that sets one is refused by name.
         for key, value in (("feas_margin", 1e-6), ("box_bound", 10.0),
@@ -99,7 +106,7 @@ class TestUsage:
         (["synth", "{path}", "--horizon", "2"], "--horizon"),
         (["synth", "{path}", "--feas-margin", "1e-6"], "--feas-margin"),
         (["simulate", "{path}", "--box-bound", "10"], "--box-bound"),
-        (["analyze", "{path}", "--tol", "abc"], "--tol")])
+        (["analyze", "{path}", "--tol", "1e-9"], "--tol")])
     def test_usage_error_exit_1(self, tmp_path, capsys, argv, named):
         path = write_problem(tmp_path, problem_doc(
             synthesis={"mode": "output"}, simulation={"x0": BENCH_X0.tolist()}))
@@ -111,8 +118,7 @@ class TestUsage:
         assert len(captured.err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("name, value", [
-        ("K", "abc"), ("TOL", "1e-"), ("H", "abc"), ("HORIZON", "abc"),
-        ("SEED", "abc")])
+        ("K", "abc"), ("H", "abc"), ("HORIZON", "abc"), ("SEED", "abc")])
     def test_malformed_flag_exit_1(self, tmp_path, capsys, name, value):
         # A setting's flag that does not parse stops the run before any work.
         flag = f"--{name.lower()}"

@@ -11,7 +11,7 @@ from scipy.optimize import linear_sum_assignment
 
 from conftest import (BENCH_A, BENCH_B, BENCH_C, BENCH_E, benchmark,
                       random_impulse_free_system)
-from sfos import descriptor, simulator
+from sfos import simulator
 from sfos.descriptor import (DescriptorSystem, analyze, analyze_pair,
                              annihilators, numerical_rank, system_from_dict)
 from sfos.errors import InputError, NonsingularMatrixError
@@ -54,9 +54,9 @@ class TestNumericalRank:
         assert numerical_rank(np.zeros((3, 3))) == 0
 
     def test_tolerance_threshold(self):
-        M = np.diag([1.0, 1e-12])
-        assert numerical_rank(M) == 1
-        assert numerical_rank(M, tol=1e-14) == 2
+        # One fixed threshold, RANK_TOL = 1e-9, pinned from both sides.
+        assert numerical_rank(np.diag([1.0, 1e-12])) == 1
+        assert numerical_rank(np.diag([1.0, 1e-8])) == 2
 
 
 class TestDescriptorSystem:
@@ -241,8 +241,7 @@ class TestProjection:
     @staticmethod
     def project(E, A, x0):
         with pytest.warns(UserWarning, match="projected"):
-            return simulator._project_consistent(
-                E, A, x0, descriptor.DEFAULT_RANK_TOL, "project")
+            return simulator._project_consistent(E, A, x0, "project")
 
     def test_reference_slow_spectrum(self, bench06):
         Aa, _, _ = _slow_fast(bench06.E, bench06.A, bench06.r)

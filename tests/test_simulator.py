@@ -61,8 +61,9 @@ class TestSimConfig:
         for h, T in ((0.0, 1.0), (-1e-3, 1.0), (1e-2, 1e-3)):
             with pytest.raises(InputError, match="h > 0"):
                 SimConfig(h=h, T=T, x0=x0)
-        with pytest.raises(InputError, match="consistency"):
-            SimConfig(h=1e-2, T=1.0, x0=x0, consistency="repair")
+        for mode in ("repair", "warn"):
+            with pytest.raises(InputError, match="consistency"):
+                SimConfig(h=1e-2, T=1.0, x0=x0, consistency=mode)
         # Non-finite settings are refused by name, not left to fail in the
         # march with a bare ValueError or OverflowError.
         nan, inf = float("nan"), float("inf")

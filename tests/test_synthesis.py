@@ -1,5 +1,6 @@
 """Admissibility-via-LMI and controller synthesis at orders in (0, 2)."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -315,24 +316,27 @@ class TestOutputFeedback:
         with pytest.raises(StateFeedbackInfeasible):
             synth_output_feedback(dead)
 
-    def test_retry_after_stage2_failure(self, bench06, monkeypatch):
-        # The first K0's stage 2 fails: stage 1 is re-solved with a tilt,
-        # and the design keeps the failed sample.
-        stage2, first = synthesis._output_stage2, []
+    @pytest.mark.parametrize("status", ["Infeasible", "NumericalFailure"])
+    def test_retry_after_stage2_failure(self, bench06, monkeypatch, status):
+        # The first K0's stage 2 gives no certificate, certified infeasible
+        # or unclassified alike, at k = 1 as above it: stage 1 is re-solved
+        # with a tilt, and the design keeps the failed sample and its status.
+        first_K0 = synthesis.solve_state_feedback(bench06)[0]
+        solve, failed = synthesis.solve_feasibility, []
 
-        def failing_once(plant, K0):
-            F, sol = stage2(plant, K0)
-            if first:
-                return F, sol
-            first.append(K0)
-            return None, sol
-        monkeypatch.setattr(synthesis, "_output_stage2", failing_once)
+        def failing_once(blocks, reg, **kwargs):
+            sol = solve(blocks, reg, **kwargs)
+            if blocks[-1].label == "output_feedback" and not failed:
+                failed.append(sol)
+                return dataclasses.replace(sol, status=status, assignment=None)
+            return sol
+        monkeypatch.setattr(synthesis, "solve_feasibility", failing_once)
         design = synth_output_feedback(bench06)
         assert verify(bench06, ("output", design.F)).admissible
-        assert not np.array_equal(design.K0, first[0])
+        assert not np.array_equal(design.K0, first_K0)
         assert design.attempts == [{"attempt": 0, "stage": 2,
-                                    "status": "infeasible",
-                                    "K0": first[0].tolist()}]
+                                    "status": status,
+                                    "K0": first_K0.tolist()}]
         assert design.to_dict()["attempts"] == design.attempts
 
     def test_retries_exhausted(self, bench06, failing_stage2):
