@@ -4,19 +4,21 @@
     python3 scripts/lmi_sweep.py [--src DIR]
 
 For each state size n in ``SIZES``, runs ``sfos.admissible_via_lmi`` on
-``PLANTS`` plants and prints one line a size, then one JSON object with
-every figure: decision slots (median a solve), Newton steps (total and
-median a solve), ms a Newton step
-(all solves of the size), median solve time, the solver's status counts
-(``NumericalFailure`` included) and the verdicts that disagree with the
-plant's known spectrum.  Each plant is a block-diagonal stack of random
+``PLANTS`` plants, on each side of the criterion, and prints one line a
+size and side, then one JSON object with every figure, by size and side:
+decision slots (median a solve), Newton steps (total and median a solve),
+ms a Newton step (all solves of the size and side), median solve time, the
+solver's status counts (``NumericalFailure`` included) and the verdicts
+that disagree with the plant's known spectrum.  Each plant is a
+block-diagonal stack of random
 impulse-free blocks of 2-4 states at order ``ORDER``, mixed by two random
 orthogonal transforms; a block's slow spectrum is placed on the stable or
 the unstable side of the sector boundary, so the verdict is known.  Even
 plants are admissible; odd ones have an unstable first block.  Plants are
-drawn from ``SEED``.  ``--src`` is the ``src`` directory to import ``sfos``
-from (default: this checkout's), so that two checkouts can be timed by the
-same script.  BLAS is pinned to one thread, as in ``perfbench/run.py``.
+drawn from ``SEED``, once for both sides.  ``--src`` is the ``src``
+directory to import ``sfos`` from (default: this checkout's), so that two
+checkouts can be timed by the same script.  BLAS is pinned to one thread,
+as in ``perfbench/run.py``.
 """
 
 import os
@@ -33,7 +35,8 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 import scipy.linalg as sla  # noqa: E402
 
-SIZES = (4, 8, 12, 16, 24)
+SIZES = (4, 8, 12, 16, 24, 32)
+SIDES = ("right", "left")
 PLANTS = 8
 ORDER = 0.7
 SEED = 0
@@ -102,50 +105,57 @@ def main(argv=None):
 
     # admissible_via_lmi raises on NumericalFailure; keep each solution
     # and its registry's slot count.
-    solutions, slot_counts = [], []
+    last = {}
     solve = synthesis.solve_feasibility
 
     def recording_solve(blocks, reg, *a, **kw):
-        slot_counts.append(reg.num_slots)
-        solutions.append(solve(blocks, reg, *a, **kw))
-        return solutions[-1]
+        last["slots"] = reg.num_slots
+        last["sol"] = solve(blocks, reg, *a, **kw)
+        return last["sol"]
     synthesis.solve_feasibility = recording_solve
 
     rng = np.random.default_rng(SEED)
     report = {}
     for n in SIZES:
-        seconds, steps, slots, wrong = [], [], [], 0
-        status = {"Feasible": 0, "Infeasible": 0, "NumericalFailure": 0}
+        runs = {side: {"seconds": [], "steps": [], "slots": [], "wrong": 0,
+                       "status": {"Feasible": 0, "Infeasible": 0,
+                                  "NumericalFailure": 0}}
+                for side in SIDES}
         for i in range(PLANTS):
             stable = i % 2 == 0
             E, A = plant(rng, n, stable)
             sysm = sfos.DescriptorSystem(E=E, A=A, B=np.ones((n, 1)),
                                          C=np.ones((1, n)), alpha=ORDER)
-            start = time.perf_counter()
-            try:
-                verdict = sfos.admissible_via_lmi(sysm)[0]
-            except sfos.LmiNumericalError:
-                verdict = None
-            seconds.append(time.perf_counter() - start)
-            sol = solutions[-1]
-            status[sol.status] += 1
-            steps.append(sol.newton_steps)
-            slots.append(slot_counts[-1])
-            wrong += verdict is not None and verdict != stable
-        report[n] = {
-            "median_slots": statistics.median(slots),
-            "newton_steps": sum(steps),
-            "median_steps": statistics.median(steps),
-            "ms_per_step": 1e3 * sum(seconds) / sum(steps),
-            "median_s": statistics.median(seconds),
-            "status": status,
-            "wrong_verdicts": wrong,
-        }
-        r = report[n]
-        print(f"n = {n:2d}: {r['median_slots']:g} slots, {r['newton_steps']:5d} steps (median {r['median_steps']:g}), "
-              f"{r['ms_per_step']:.3f} ms a step, median {r['median_s']:.2f} s a solve, "
-              f"{status['Feasible']}/{status['Infeasible']}/{status['NumericalFailure']} "
-              f"Feasible/Infeasible/NumericalFailure, {wrong} wrong", flush=True)
+            for side in SIDES:
+                run = runs[side]
+                start = time.perf_counter()
+                try:
+                    verdict = sfos.admissible_via_lmi(sysm, side)[0]
+                except sfos.LmiNumericalError:
+                    verdict = None
+                run["seconds"].append(time.perf_counter() - start)
+                sol = last["sol"]
+                run["status"][sol.status] += 1
+                run["steps"].append(sol.newton_steps)
+                run["slots"].append(last["slots"])
+                run["wrong"] += verdict is not None and verdict != stable
+        report[n] = {}
+        for side, run in runs.items():
+            steps, seconds, status = run["steps"], run["seconds"], run["status"]
+            r = report[n][side] = {
+                "median_slots": statistics.median(run["slots"]),
+                "newton_steps": sum(steps),
+                "median_steps": statistics.median(steps),
+                "ms_per_step": 1e3 * sum(seconds) / sum(steps),
+                "median_s": statistics.median(seconds),
+                "status": status,
+                "wrong_verdicts": run["wrong"],
+            }
+            print(f"n = {n:2d} {side:>5}: {r['median_slots']:g} slots, "
+                  f"{r['newton_steps']:5d} steps (median {r['median_steps']:g}), "
+                  f"{r['ms_per_step']:.3f} ms a step, median {r['median_s']:.2f} s a solve, "
+                  f"{status['Feasible']}/{status['Infeasible']}/{status['NumericalFailure']} "
+                  f"Feasible/Infeasible/NumericalFailure, {run['wrong']} wrong", flush=True)
     print(json.dumps({"plants": PLANTS, "order": ORDER, "seed": SEED,
                       "sizes": report}))
 

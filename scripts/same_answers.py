@@ -27,8 +27,10 @@ side's ``src``, with BLAS pinned to one thread:
   Compared: exit code, stdout, stderr and every file written, byte for byte,
   except that each warning's source file and line are dropped from stderr.
 
-Arrays are compared with ``np.array_equal``.  Every mismatch is printed;
-the exit code is 1 on any, else 0.
+Arrays are compared with ``np.array_equal``.  Every mismatch is printed,
+then one line a case family: the fields compared, the fields that differ,
+and how many of those are ``.verdict`` or ``.error`` fields.  The exit code
+is 1 on any mismatch, else 0.
 """
 
 import os
@@ -225,18 +227,38 @@ def describe(a, b):
                        for text in (repr(a), repr(b)))
 
 
-def compare(case, results):
-    """Print the case's mismatches; returns how many there are."""
-    parent, change = (results[side] for side in SIDES)
-    diffs = [key for key in sorted(parent.keys() | change.keys())
-             if key not in parent or key not in change
-             or not same(parent[key], change[key])]
-    for key in diffs:
-        print(f"DIFF  {case}: {key}: "
-              f"{describe(parent.get(key, MISSING), change.get(key, MISSING))}")
-    print(f"{'same' if not diffs else 'FAIL'}  {case} ({len(parent)} fields)",
-          flush=True)
-    return len(diffs)
+class Tally:
+    """Fields compared and fields that differ, by case family."""
+
+    def __init__(self):
+        self.families = {}
+
+    def compare(self, family, case, results):
+        """Print the case's mismatches and count them under ``family``."""
+        parent, change = (results[side] for side in SIDES)
+        keys = sorted(parent.keys() | change.keys())
+        diffs = [key for key in keys
+                 if key not in parent or key not in change
+                 or not same(parent[key], change[key])]
+        for key in diffs:
+            print(f"DIFF  {case}: {key}: "
+                  f"{describe(parent.get(key, MISSING), change.get(key, MISSING))}")
+        print(f"{'same' if not diffs else 'FAIL'}  {case} ({len(parent)} fields)",
+              flush=True)
+        fields, differ, verdicts = self.families.get(family, (0, 0, 0))
+        self.families[family] = (
+            fields + len(keys), differ + len(diffs),
+            verdicts + sum(key.endswith((".verdict", ".error")) for key in diffs))
+
+    @property
+    def mismatches(self):
+        return sum(differ for _, differ, _ in self.families.values())
+
+    def summary(self):
+        """One line a family: fields compared, differing, verdicts differing."""
+        return [f"{family}: {fields} fields compared, {differ} differ, "
+                f"{verdicts} .verdict/.error differ"
+                for family, (fields, differ, verdicts) in self.families.items()]
 
 
 def steps(result):
@@ -250,7 +272,7 @@ def main(argv=None):
     p.add_argument("--parent", required=True, help="parent revision")
     args = p.parse_args(argv)
 
-    diffs = 0
+    tally = Tally()
     context = multiprocessing.get_context("spawn")
     with tempfile.TemporaryDirectory(prefix="same-answers-parent-") as parent_root, \
             ProcessPoolExecutor(1, mp_context=context, max_tasks_per_child=1) as pool:
@@ -262,39 +284,41 @@ def main(argv=None):
             return {side: pool.submit(func, srcs[side], *case).result()
                     for side in SIDES}
 
+        def each_cli(argv, problem=None):
+            return {side: run_cli(root, argv, problem)
+                    for side, root in roots.items()}
+
         for case in DESIGNS:
             results = each_side(run_design, case)
             mode, alpha, k, _ = case
-            diffs += compare(f"design {mode} alpha={alpha} k={k} "
-                             f"[{steps(results['change'])}]", results)
+            tally.compare("DESIGNS", f"design {mode} alpha={alpha} k={k} "
+                          f"[{steps(results['change'])}]", results)
         plants = admissibility_plants()
-        diffs += compare(f"{2 * len(plants)} admissibility LMIs",
-                         each_side(run_admissibility, plants))
+        tally.compare("ADMISSIBILITY_PLANTS",
+                      f"{2 * len(plants)} admissibility LMIs",
+                      each_side(run_admissibility, plants))
         pencils = pencil_plants()
-        diffs += compare(f"{len(pencils)} pencil reports",
-                         each_side(run_pencil, pencils))
+        tally.compare("PENCIL_SIZES", f"{len(pencils)} pencil reports",
+                      each_side(run_pencil, pencils))
         for alpha in ANALYZE:
             problem = {"system": dict(PLANT, alpha=alpha)}
-            diffs += compare(f"sfos analyze alpha={alpha}",
-                             {side: run_cli(root, ["analyze", "problem.json"],
-                                            problem)
-                              for side, root in roots.items()})
+            tally.compare("ANALYZE", f"sfos analyze alpha={alpha}",
+                          each_cli(["analyze", "problem.json"], problem))
         for alpha, mode in SYNTH:
-            argv = ["synth", "problem.json", "--mode", mode]
             problem = {"system": dict(PLANT, alpha=alpha)}
-            diffs += compare(f"sfos synth alpha={alpha} --mode {mode}",
-                             {side: run_cli(root, argv, problem)
-                              for side, root in roots.items()})
-        argv = ["simulate", "problem.json", "--out", "out"]
-        diffs += compare("sfos simulate, inconsistent x0",
-                         {side: run_cli(root, argv, SIMULATE)
-                          for side, root in roots.items()})
+            tally.compare("SYNTH", f"sfos synth alpha={alpha} --mode {mode}",
+                          each_cli(["synth", "problem.json", "--mode", mode],
+                                   problem))
+        tally.compare("SIMULATE", "sfos simulate, inconsistent x0",
+                      each_cli(["simulate", "problem.json", "--out", "out"],
+                               SIMULATE))
         for example in DEMOS:
-            diffs += compare(f"sfos demo {example}",
-                             {side: run_cli(root, ["demo", example, "--out", "out"])
-                              for side, root in roots.items()})
-    print(f"{diffs} mismatches")
-    return 1 if diffs else 0
+            tally.compare("DEMOS", f"sfos demo {example}",
+                          each_cli(["demo", example, "--out", "out"]))
+    print(f"{tally.mismatches} mismatches")
+    for line in tally.summary():
+        print(line)
+    return 1 if tally.mismatches else 0
 
 
 if __name__ == "__main__":

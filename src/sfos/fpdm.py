@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .descriptor import numerical_rank
 from .errors import InputError, NotMemberError, RankDeficientError
 
 __all__ = [
@@ -107,6 +108,9 @@ def materialize(param: FpdmParam) -> np.ndarray:
 def congruence(param: FpdmParam, M) -> FpdmParam:
     """Transform a member by a full-column-rank M: (M^T X M, M^T Y M).
 
+    Full column rank is decided by :func:`sfos.descriptor.numerical_rank`;
+    a rank-deficient M raises :class:`RankDeficientError`.
+
     The result is again a member of the same set; materialize commutes with
     the transformation (materialize(result) == M^T materialize(param) M).
     """
@@ -115,8 +119,7 @@ def congruence(param: FpdmParam, M) -> FpdmParam:
         raise InputError("M must have n rows")
     if not np.all(np.isfinite(M)):
         raise InputError("M must be finite")
-    r = M.shape[1]
-    if np.linalg.matrix_rank(M) < r:
+    if numerical_rank(M) < M.shape[1]:
         raise RankDeficientError("M must have full column rank")
     if not is_member(param):
         lo = smallest_block_eigenvalue(param)

@@ -6,26 +6,30 @@ in (0, 2): :func:`sfos.lifting.as_plant` puts it into working coordinates
 :func:`sfos.lifting.verify_loop` judges the closed loop in the same
 coordinates.
 
-One criterion, posed on two sides by :func:`_criterion`, over a
-fractional-order positive-definite variable P and a free multiplier Q
-attached to a null-space basis of E.  The paper's inequalities hold P only
-in P E^T (right) or E^T P (left).  With E = U1 Sigma V1^T (r = rank E),
-only P's r x r compression onto E's row space (V1, right) or column space
-(U1, left) enters; the rest is absorbed by Q.  So an r x r variable P_r
-gives
+One criterion, posed on two sides, over a fractional-order positive-definite
+variable P and a free multiplier Q attached to a null-space basis of E.
+The paper's inequalities hold P only in P E^T (right) or E^T P (left).
+With E = U1 Sigma V1^T (r = rank E), only P's r x r compression onto E's
+row space (V1, right) or column space (U1, left) enters; the rest is
+absorbed by Q.  So an r x r variable P_r gives
 
 * right: sym(A S) < 0, S = V1 P_r Sigma U1^T + E_right Q;
-* left:  sym(S A) < 0, S = V1 Sigma P_r U1^T + Q E_left,
+* left:  sym(S A) < 0, S = V1 Sigma P_r U1^T + Q E_left.
 
-r^2 + n(n - r) slots in place of n^2 + n(n - r) for the full n x n P.
+The admissibility test needs no Q at all.  By the projection lemma
+(Gahinet & Apkarian, Int. J. Robust Nonlinear Control 4(4), 1994), Q
+exists exactly when the criterion holds on the orthogonal complement N of
+range(A E_right) (right) or on ker(E_left A) (left), so
+:func:`_projected` poses N^T sym(A V1 P_r Sigma U1^T) N < 0 or
+N^T sym(V1 Sigma P_r U1^T A) N < 0 in the r^2 slots of P_r alone.
+With a gain variable R, :func:`_criterion` keeps Q (r^2 + n(n - r) slots
+plus R's) and gives the two observer-based problems: the right side plus
+B R is the state-feedback LMI, the left side plus R C the output-injection
+LMI; their gains are recovered by inverting S.
 
-Alone it is the admissibility test.  With a gain variable R it gives the
-two observer-based problems: the right side plus B R is the state-feedback
-LMI, the left side plus R C the output-injection LMI; their gains are
-recovered by inverting S.  Static output feedback is a two-stage scheme:
-the state-feedback LMI produces an intermediate gain K0, then a
-slack-variable inequality in a full n x n P and (Q, G, H) yields
-F = G^{-1} H.
+Static output feedback is a two-stage scheme: the state-feedback LMI
+produces an intermediate gain K0, then a slack-variable inequality in a
+full n x n P and (Q, G, H) yields F = G^{-1} H.
 Stage 2 is not guaranteed solvable for every stage-1 K0, so a stage 2 with
 no certificate, at any k, triggers re-sampling of K0 through a small seeded
 random linear tilt on the stage-1 objective; the design records the samples
@@ -42,12 +46,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fpdm, lifting
-from .descriptor import DescriptorSystem, annihilators
+from .descriptor import DescriptorSystem, annihilators, numerical_rank
 from .errors import (GainRecoverySingular, InputError, LmiNumericalError,
                      OutputInjectionInfeasible, OutputStageExhausted,
                      StateFeedbackInfeasible, VerificationFailed)
-from .lmi import (AffineExpr, LmiSolution, VariableRegistry, block_of,
-                  solve_feasibility, sym_of)
+from .lmi import (DEFAULT_BOX_BOUND, DEFAULT_FEAS_MARGIN, AffineExpr,
+                  LmiSolution, VariableRegistry, block_of, solve_feasibility,
+                  sym_of)
 
 __all__ = [
     "ObserverDesign",
@@ -92,6 +97,11 @@ def _fpdm_expr(reg: VariableRegistry, blocks: list, prefix: str, n: int, alpha: 
 _GAIN_LABELS = {"right": "state_feedback", "left": "output_injection"}
 
 
+def _check_side(side: str):
+    if side not in ("right", "left"):
+        raise InputError(f"side must be 'right' or 'left', got {side!r}")
+
+
 def _multiplier(ann, side: str, P, Q):
     """S = V1 P Sigma U1^T + E_right Q (right) or V1 Sigma P U1^T + Q E_left (left).
 
@@ -103,18 +113,16 @@ def _multiplier(ann, side: str, P, Q):
     return (ann.V1 * ann.sigma) @ P @ ann.U1.T + Q @ ann.E_left
 
 
-def _criterion(sys: DescriptorSystem, side: str, suffix: str = "",
-               gain: bool = False):
-    """Pose the criterion on ``side``; returns (blocks, registry, annihilators).
+def _criterion(sys: DescriptorSystem, side: str, suffix: str):
+    """Pose the gain criterion on ``side``; returns (blocks, registry, annihilators).
 
-    right: sym(A V1 P Sigma U1^T + A E_right Q [+ B R]) < 0;
-    left:  sym(V1 Sigma P U1^T A + Q E_left A [+ R C]) < 0,
-    with E = U1 Sigma V1^T from one SVD, P r x r fractional-PD and the gain
-    term R only when ``gain`` is set.  The variables are P<suffix> (as X
-    then Y), Q<suffix> and R<suffix>, registered in that order.
+    right: sym(A V1 P Sigma U1^T + A E_right Q + B R) < 0;
+    left:  sym(V1 Sigma P U1^T A + Q E_left A + R C) < 0,
+    with E = U1 Sigma V1^T from one SVD and P r x r fractional-PD.  The
+    variables are P<suffix> (as X then Y), Q<suffix> and R<suffix>,
+    registered in that order.
     """
-    if side not in _GAIN_LABELS:
-        raise InputError(f"side must be 'right' or 'left', got {side!r}")
+    _check_side(side)
     ann = annihilators(sys.E, sys.r)
     n, r = sys.n, sys.r
     reg = VariableRegistry()
@@ -122,19 +130,41 @@ def _criterion(sys: DescriptorSystem, side: str, suffix: str = "",
     P = _fpdm_expr(reg, blocks, f"P{suffix}", r, sys.alpha)
     if side == "right":
         Q = reg.expr(reg.add(f"Q{suffix}", "rectangular", n - r, n))
-        expr = sys.A @ _multiplier(ann, side, P, Q)
-        if gain:
-            R = reg.expr(reg.add(f"R{suffix}", "rectangular", sys.m, n))
-            expr = expr + sys.B @ R
+        R = reg.expr(reg.add(f"R{suffix}", "rectangular", sys.m, n))
+        expr = sys.A @ _multiplier(ann, side, P, Q) + sys.B @ R
     else:
         Q = reg.expr(reg.add(f"Q{suffix}", "rectangular", n, n - r))
-        expr = _multiplier(ann, side, P, Q) @ sys.A
-        if gain:
-            R = reg.expr(reg.add(f"R{suffix}", "rectangular", n, sys.p))
-            expr = expr + R @ sys.C
-    label = _GAIN_LABELS[side] if gain else f"admissibility_{side}"
-    blocks.append(sym_of(expr, label=label))
+        R = reg.expr(reg.add(f"R{suffix}", "rectangular", n, sys.p))
+        expr = _multiplier(ann, side, P, Q) @ sys.A + R @ sys.C
+    blocks.append(sym_of(expr, label=_GAIN_LABELS[side]))
     return blocks, reg, ann
+
+
+def _projected(sys: DescriptorSystem, side: str):
+    """Pose the admissibility criterion on ``side`` with Q projected out.
+
+    right: N^T sym(A V1 P Sigma U1^T) N < 0, N an orthonormal basis of the
+    orthogonal complement of range(A E_right);
+    left:  N^T sym(V1 Sigma P U1^T A) N < 0, N one of ker(E_left A).
+    P, registered as P_X then P_Y, is the r x r fractional-PD variable and
+    the only one.  N comes from one SVD of A E_right or (E_left A)^T, cut
+    at :func:`sfos.descriptor.numerical_rank`.  Returns (blocks, registry);
+    with r = 0 and an empty N (E = 0, A nonsingular) no block is left.
+    """
+    _check_side(side)
+    ann = annihilators(sys.E, sys.r)
+    reg = VariableRegistry()
+    blocks: list = []
+    P = _fpdm_expr(reg, blocks, "P", sys.r, sys.alpha)
+    M = sys.A @ ann.E_right if side == "right" else (ann.E_left @ sys.A).T
+    N = np.linalg.svd(M)[0][:, numerical_rank(M):]
+    if side == "right":
+        front, back = N.T @ sys.A @ ann.V1, (ann.sigma[:, None] * ann.U1.T) @ N
+    else:
+        front, back = N.T @ (ann.V1 * ann.sigma), ann.U1.T @ sys.A @ N
+    if N.shape[1]:
+        blocks.append(sym_of(front @ P @ back, label=f"admissibility_{side}"))
+    return blocks, reg
 
 
 def _require_fractional_range(alpha: float):
@@ -230,14 +260,25 @@ def _recover_inverse(M: np.ndarray, what: str, certificate: LmiSolution) -> np.n
 def admissible_via_lmi(sys: DescriptorSystem, side: str = "right"):
     """Zero-input admissibility as a feasibility question.
 
-    ``side="right"`` tests sym(A V1 P Sigma U1^T + A E_right Q) < 0 with
-    Q free; ``side="left"`` tests sym(V1 Sigma P U1^T A + Q E_left A), with
-    P r x r fractional-PD (see :func:`_criterion`).  Returns
-    (verdict, LmiSolution); a solver NumericalFailure raises
+    ``side="right"`` tests N^T sym(A V1 P Sigma U1^T) N < 0 with N spanning
+    the complement of range(A E_right); ``side="left"`` tests
+    N^T sym(V1 Sigma P U1^T A) N < 0 with N spanning ker(E_left A); P is
+    r x r fractional-PD and the only variable (see :func:`_projected`).
+    This is the Q-multiplier criterion with Q projected out, so the verdict
+    is the same.  An empty N leaves nothing to solve (r = 0, A
+    nonsingular): the verdict is True, as a Feasible solution with no
+    blocks, no Newton steps and t = -inf.  Returns (verdict,
+    LmiSolution); a solver NumericalFailure raises
     :class:`LmiNumericalError` rather than counting as infeasible.
     """
     _require_fractional_range(sys.alpha)
-    blocks, reg, _ = _criterion(sys, side)
+    blocks, reg = _projected(sys, side)
+    if not blocks:
+        empty = np.zeros(0)
+        return True, LmiSolution(
+            status="Feasible", assignment=empty, witness=empty, margins=(),
+            t=-np.inf, lower_bound=-np.inf, newton_steps=0,
+            feas_margin=DEFAULT_FEAS_MARGIN, box_bound=DEFAULT_BOX_BOUND)
     sol = solve_feasibility(blocks, reg)
     if sol.status == "NumericalFailure":
         raise LmiNumericalError(
@@ -323,7 +364,7 @@ def solve_state_feedback(plant, objective_seed=None):
     """
     plant = lifting.as_plant(plant)
     sys = plant.lifted
-    blocks, reg, ann = _criterion(sys, "right", "1", gain=True)
+    blocks, reg, ann = _criterion(sys, "right", "1")
     objective = None
     if objective_seed is not None:
         rng = np.random.default_rng(objective_seed)
@@ -351,7 +392,7 @@ def solve_output_injection(plant):
     """
     plant = lifting.as_plant(plant)
     sys = plant.lifted
-    blocks, reg, ann = _criterion(sys, "left", "2", gain=True)
+    blocks, reg, ann = _criterion(sys, "left", "2")
     vals, sol = _solve(blocks, reg, plant)
     if vals is None:
         if sol.status == "Infeasible":

@@ -103,6 +103,13 @@ class TestCongruence:
         with pytest.raises(RankDeficientError):
             congruence(p, M)
 
+    def test_numerically_rank_deficient_transform_rejected(self):
+        # diag(1, 1e-12) has rank 1 at the package's one rank threshold;
+        # congruence by it would give a parameter that is not a member.
+        p = FpdmParam(X=np.eye(2), Y=np.zeros((2, 2)), alpha=0.6)
+        with pytest.raises(RankDeficientError):
+            congruence(p, np.diag([1.0, 1e-12]))
+
     def test_nonmember_input_rejected(self):
         p = FpdmParam(X=-np.eye(2), Y=np.zeros((2, 2)), alpha=0.5)
         with pytest.raises(NotMemberError):

@@ -15,7 +15,8 @@ from sfos.descriptor import DescriptorSystem, analyze, analyze_pair
 from sfos.errors import (InputError, OutputStageExhausted,
                          StateFeedbackInfeasible, VerificationFailed)
 from sfos.lifting import lift
-from sfos.lmi import AffineExpr, VariableRegistry, block_of, sym_of
+from sfos.lmi import (AffineExpr, VariableRegistry, block_of,
+                      solve_feasibility, sym_of)
 from sfos.synthesis import (admissible_via_lmi, closed_loop,
                             solve_output_injection, solve_state_feedback,
                             synth_observer, synth_output_feedback)
@@ -72,19 +73,21 @@ class TestAdmissibleViaLmi:
 def _reference_fpdm(reg, blocks, prefix, n, alpha):
     X = reg.expr(reg.add(f"{prefix}_X", "symmetric", n))
     Y = reg.expr(reg.add(f"{prefix}_Y", "skew", n))
-    blocks.append(block_of(
-        AffineExpr.bmat([[-X, -Y], [Y, -X]]), label=f"{prefix}_membership"))
+    if n:
+        blocks.append(block_of(
+            AffineExpr.bmat([[-X, -Y], [Y, -X]]), label=f"{prefix}_membership"))
     half = alpha * np.pi / 2.0
     return np.sin(half) * X + np.cos(half) * Y
 
 
 def _reference_blocks(sys, kind):
-    """The four inequalities posed by hand on E's row space.
+    """The four inequalities posed by hand on E's row space, Q free.
 
-    Kept here as the reference for the one criterion builder: admissibility
-    on the right and on the left, state feedback and output injection.  With
-    E = U1 Sigma V1^T (r = rank E), P is r x r; the null-space bases are
-    the remaining singular vectors.
+    The reference for the gain builder (state feedback and output
+    injection), and the multiplier form whose verdict the projected
+    admissibility criterion must reproduce on the right and on the left.
+    With E = U1 Sigma V1^T (r = rank E), P is r x r; the null-space bases
+    are the remaining singular vectors.
     """
     n, r = sys.n, sys.r
     U, sv, Vt = np.linalg.svd(sys.E)
@@ -120,22 +123,54 @@ def _criterion_plants():
     return plants
 
 
+def _small_plant(E, A):
+    n = len(E)
+    return DescriptorSystem(E=E, A=A, B=np.ones((n, 1)), C=np.ones((1, n)),
+                            alpha=0.6)
+
+
+#: Names of the plants on which the three admissibility verdicts must agree.
+ORACLE_PLANTS = ([f"criterion-{i}" for i in range(5)]
+                 + [f"random-{i}" for i in range(8)]
+                 + ["impulsive", "rank-zero", "rank-zero-singular"])
+
+
+def _oracle_plants():
+    """Each plant of :data:`ORACLE_PLANTS`, by name.
+
+    The five criterion plants; eight seeded random impulse-free plants;
+    a regular impulsive plant (E_left A E_right = 0); E = 0 with A
+    nonsingular, which leaves the projected criterion no block; and E = 0
+    with A singular, a singular pencil whose N is wider than r = 0.
+    """
+    rng = np.random.default_rng(17)
+    plants = {f"criterion-{i}": p for i, p in enumerate(_criterion_plants())}
+    for i in range(8):
+        plants[f"random-{i}"] = random_impulse_free_system(
+            rng, float(rng.uniform(0.3, 1.0)))[0]
+    plants["impulsive"] = _small_plant(
+        np.diag([1.0, 1.0, 0.0]),
+        np.array([[-1.0, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, 1.0, 0.0]]))
+    plants["rank-zero"] = _small_plant(np.zeros((2, 2)), -np.eye(2))
+    plants["rank-zero-singular"] = _small_plant(np.zeros((2, 2)),
+                                                np.diag([1.0, 0.0]))
+    return plants
+
+
 class TestCriterionBuilder:
-    """One builder poses the criterion on both sides, with or without a gain."""
+    """One builder poses the gain criterion on both sides."""
 
     @pytest.mark.parametrize("index", range(5))
-    @pytest.mark.parametrize("kind, side, suffix, gain", [
-        ("admissibility_right", "right", "", False),
-        ("admissibility_left", "left", "", False),
-        ("state_feedback", "right", "1", True),
-        ("output_injection", "left", "2", True)])
+    @pytest.mark.parametrize("kind, side, suffix", [
+        ("state_feedback", "right", "1"),
+        ("output_injection", "left", "2")])
     def test_matches_the_hand_built_inequalities(self, index, kind, side,
-                                                 suffix, gain):
+                                                 suffix):
         sysm = _criterion_plants()[index]
-        blocks, reg, _ = synthesis._criterion(sysm, side, suffix, gain)
+        blocks, reg, _ = synthesis._criterion(sysm, side, suffix)
         ref_blocks, ref_reg = _reference_blocks(sysm, kind)
         n, r = sysm.n, sysm.r
-        extra = (sysm.m * n if side == "right" else n * sysm.p) if gain else 0
+        extra = sysm.m * n if side == "right" else n * sysm.p
         assert reg.num_slots == ref_reg.num_slots == r * r + n * (n - r) + extra
         assert len(blocks) == len(ref_blocks) == 2
         assert blocks[0].dim == 2 * r and blocks[1].dim == n
@@ -143,6 +178,59 @@ class TestCriterionBuilder:
             assert got.label == ref.label
             for field in ("F0", "slots", "stack"):
                 assert np.array_equal(getattr(got, field), getattr(ref, field))
+
+
+class TestProjectedCriterion:
+    """Admissibility with Q projected out: N^T sym(...) N < 0 in P alone."""
+
+    @pytest.mark.parametrize("index", range(5))
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_poses_the_projected_inequality(self, index, side):
+        # The block's spectrum at a random P equals that of the inequality
+        # built here on scipy's null-space basis: two orthonormal bases of
+        # one subspace give orthogonally similar matrices.
+        sysm = _criterion_plants()[index]
+        blocks, reg = synthesis._projected(sysm, side)
+        r, A = sysm.r, sysm.A
+        U, sv, Vt = np.linalg.svd(sysm.E)
+        U1, V1, Sig = U[:, :r], Vt[:r].T, np.diag(sv[:r])
+        if side == "right":
+            N = sla.null_space((A @ Vt[r:].T).T)
+        else:
+            N = sla.null_space(U[:, r:].T @ A)
+        assert reg.num_slots == r * r
+        assert [b.label for b in blocks] == ["P_membership",
+                                             f"admissibility_{side}"]
+        assert blocks[0].dim == 2 * r and blocks[1].dim == N.shape[1] == r
+        x = np.random.default_rng(index).standard_normal(reg.num_slots)
+        half = sysm.alpha * np.pi / 2.0
+        P = (np.sin(half) * reg.materialize("P_X", x)
+             + np.cos(half) * reg.materialize("P_Y", x))
+        psi = A @ V1 @ P @ Sig @ U1.T if side == "right" else V1 @ Sig @ P @ U1.T @ A
+        want = np.linalg.eigvalsh(N.T @ (psi + psi.T) @ N)
+        got = np.linalg.eigvalsh(blocks[1].evaluate(x))
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+    @pytest.mark.parametrize("name", ORACLE_PLANTS)
+    def test_verdicts_agree(self, name):
+        # The multiplier form (Q free), the projected form and QZ agree.
+        sysm = _oracle_plants()[name]
+        truth = analyze(sysm).admissible
+        for side in ("right", "left"):
+            ref = solve_feasibility(*_reference_blocks(sysm, f"admissibility_{side}"))
+            assert ref.status == ("Feasible" if truth else "Infeasible")
+            verdict, sol = admissible_via_lmi(sysm, side)
+            assert verdict is truth
+            assert sol.status == ref.status
+
+    def test_empty_complement_needs_no_solve(self):
+        # E = 0 with A nonsingular: N is empty and no block is left.
+        sysm = _oracle_plants()["rank-zero"]
+        for side in ("right", "left"):
+            assert synthesis._projected(sysm, side)[0] == []
+            verdict, sol = admissible_via_lmi(sysm, side)
+            assert verdict is True and sol.feasible
+            assert sol.newton_steps == 0 and sol.block_labels == ()
 
 
 class TestReducedCriterionOracle:
