@@ -223,8 +223,11 @@ def describe(a, b):
         if x.shape == y.shape and x.size > 1:
             return (f"{np.count_nonzero(x != y)} of {x.size} entries differ, "
                     f"by up to {np.nanmax(np.abs(x - y)):.3g}")
+    # numpy wraps a long repr over lines: collapse that before cutting, so
+    # that each difference stays on its one labelled line.
+    texts = (" ".join(repr(value).split()) for value in (a, b))
     return " vs ".join(text if len(text) <= 80 else text[:80] + "..."
-                       for text in (repr(a), repr(b)))
+                       for text in texts)
 
 
 class Tally:

@@ -15,10 +15,10 @@ Submodules:
 from .descriptor import (AdmissibilityReport, DescriptorSystem, analyze,
                          analyze_pair, annihilators, system_from_dict)
 from .errors import (GainRecoverySingular, InputError, LmiNumericalError,
-                     NonsingularMatrixError, NotMemberError,
-                     OutputInjectionInfeasible, OutputStageExhausted,
-                     RankDeficientError, SfosError, StateFeedbackInfeasible,
-                     SynthesisError, VerificationFailed)
+                     NotMemberError, OutputInjectionInfeasible,
+                     OutputStageExhausted, RankDeficientError, SfosError,
+                     StateFeedbackInfeasible, SynthesisError,
+                     VerificationFailed)
 from .fpdm import FpdmParam, congruence, is_member, materialize
 from .synthesis import (ObserverDesign, OutputFeedbackDesign,
                         admissible_via_lmi, synth_observer,
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibilityReport", "DescriptorSystem", "analyze", "analyze_pair",
     "annihilators", "system_from_dict",
-    "SfosError", "InputError", "NonsingularMatrixError", "NotMemberError",
+    "SfosError", "InputError", "NotMemberError",
     "RankDeficientError", "LmiNumericalError",
     "SynthesisError", "StateFeedbackInfeasible", "OutputInjectionInfeasible",
     "OutputStageExhausted", "GainRecoverySingular", "VerificationFailed",

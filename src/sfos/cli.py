@@ -203,15 +203,10 @@ def _injected_controller(plant: lifting.LiftedSystem, gains: dict):
 
 
 def _sim_config(sim_cfg: dict, args) -> simulator.SimConfig:
-    if "x0" not in sim_cfg:
-        raise InputError("simulation requires an x0 in the problem file's "
-                         "simulation block")
     h = _resolve(args.h, sim_cfg.get("h"), DEFAULT_H)
     T = _resolve(args.horizon, sim_cfg.get("T"), DEFAULT_T)
     return simulator.SimConfig(
-        h=h, T=T, x0=np.array(sim_cfg["x0"], dtype=float),
-        xhat0=(None if "xhat0" not in sim_cfg
-               else np.array(sim_cfg["xhat0"], dtype=float)),
+        h=h, T=T, x0=sim_cfg.get("x0"), xhat0=sim_cfg.get("xhat0"),
         consistency=sim_cfg.get("consistency", "project"),
         gate_first_input=sim_cfg.get("gate_first_input", False))
 
@@ -417,10 +412,7 @@ def main(argv=None) -> int:
     except (OutputStageExhausted, VerificationFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
-    except SfosError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (SfosError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

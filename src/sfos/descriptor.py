@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import InputError, NonsingularMatrixError
+from .errors import InputError
 
 __all__ = [
     "DescriptorSystem",
@@ -75,8 +75,6 @@ def numerical_rank(M) -> int:
     if M.size == 0:
         return 0
     sv = np.linalg.svd(M, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
     return int(np.count_nonzero(sv > RANK_TOL * sv[0]))
 
 
@@ -85,7 +83,8 @@ class DescriptorSystem:
     """Immutable plant data (E, A, B, C) with fractional order ``alpha``.
 
     ``r`` is the numerical rank of E, computed at construction.  E may be
-    nonsingular (r == n); operations that need a singular E say so.
+    nonsingular (r == n, an ordinary fractional-order system): its null
+    spaces are empty.
     """
 
     E: np.ndarray
@@ -164,21 +163,23 @@ class AnnihilatorPair:
     sigma: np.ndarray
     V1: np.ndarray
 
+    @property
+    def T(self) -> "AnnihilatorPair":
+        """The same SVD read as E^T's: U1 and V1 swap, the null bases transpose."""
+        return AnnihilatorPair(E_right=self.E_left.T, E_left=self.E_right.T,
+                               U1=self.V1, sigma=self.sigma, V1=self.U1)
+
 
 def annihilators(E, r: int | None = None) -> AnnihilatorPair:
-    """Null-space bases and row-space factors of a singular E, from one SVD.
+    """Null-space bases and row-space factors of E, from one SVD.
 
-    Raises :class:`NonsingularMatrixError` when r == n: a nonsingular E means
-    the plant is an ordinary fractional-order system and the singular-system
-    criteria do not apply.
+    ``r`` defaults to :func:`numerical_rank`.  A nonsingular E (r = n) gives
+    empty null-space bases, n x 0 and 0 x n, and E = 0 empty row-space
+    factors.
     """
     E = _as_matrix(E, "E")
-    n = E.shape[0]
     if r is None:
         r = numerical_rank(E)
-    if r >= n:
-        raise NonsingularMatrixError(
-            "E is nonsingular; use the standard (non-singular) FOS path")
     U, sv, Vt = np.linalg.svd(E)
     parts = {"E_right": Vt[r:, :].T, "E_left": U[:, r:].T,
              "U1": U[:, :r], "sigma": sv[:r], "V1": Vt[:r, :].T}

@@ -9,10 +9,6 @@ class InputError(SfosError, ValueError):
     """Malformed or non-finite input data."""
 
 
-class NonsingularMatrixError(SfosError):
-    """E has full rank; the singular-system machinery does not apply."""
-
-
 class NotMemberError(SfosError):
     """A (X, Y) pair failed the positive-definiteness membership test."""
 

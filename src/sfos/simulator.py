@@ -1,10 +1,11 @@
 """Time-domain simulation by an implicit Grünwald-Letnikov scheme.
 
-The Caputo derivative of order 0 < alpha < 1 is realized discretely as
+The Caputo derivative of order 0 < alpha <= 1 is realized discretely as
 
     D^alpha x(t_s)  ~  h^-alpha * sum_{j=0}^{s} w_j (x_{s-j} - x_0),
 
-with the binomial weights w.  Subtracting the initial value makes the
+with the binomial weights w; at alpha = 1 they are (1, -1, 0, 0, ...), and
+the march is backward Euler.  Subtracting the initial value makes the
 operator vanish on constants, matching the Caputo (not Riemann-Liouville)
 initialization.  Each step solves the implicit linear system
 
@@ -80,10 +81,10 @@ def gl_weights(alpha: float, count: int) -> np.ndarray:
     """First ``count`` Grünwald-Letnikov binomial weights for order ``alpha``.
 
     w_0 = 1 and w_j = (1 - (alpha+1)/j) w_{j-1}; these are the coefficients
-    of (1 - z)^alpha.
+    of (1 - z)^alpha, so order 1 gives (1, -1, 0, 0, ...).
     """
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"weights are defined for orders in (0, 1), got {alpha}")
+    if not 0.0 < alpha <= 1.0:
+        raise InputError(f"weights are defined for orders in (0, 1], got {alpha}")
     if count < 1:
         raise InputError("count must be at least 1")
     w = np.empty(count)
@@ -117,6 +118,8 @@ class SimConfig:
             raise InputError("need h > 0 and T >= h")
         if self.consistency not in ("project", "strict"):
             raise InputError("consistency must be 'project' or 'strict'")
+        if self.x0 is None:
+            raise InputError("x0 is required: the initial pseudo-state")
         for name in ("x0", "xhat0"):
             value = getattr(self, name)
             if value is None:
@@ -343,12 +346,8 @@ def _halve(lo, hi, leaf_steps, leaf, far_field):
 
 
 def _project_consistent(E, A, x0, mode):
-    """Repair the fast components of x0 so the algebraic rows hold at t=0."""
-    r = descriptor.numerical_rank(E)
-    n = E.shape[0]
-    if r == n:
-        return x0
-    ann = descriptor.annihilators(E, r)
+    """Repair the fast components of x0 so the algebraic rows (if any) hold at t=0."""
+    ann = descriptor.annihilators(E)
     residual = float(np.linalg.norm(ann.E_left @ (A @ x0)))
     scale = max(float(np.linalg.norm(A @ x0)), 1.0)
     if residual <= 1e-9 * scale:
@@ -435,13 +434,10 @@ def simulate(sys, design, config: SimConfig) -> Trajectory:
 
     # Plant algebraic rows evaluated on the marched (x, u), before any input
     # gating; exact zero rows of E reduce to 0 = (A x + B u)_row, resolved by
-    # the implicit solve.
-    if base.r < n:
-        ann = descriptor.annihilators(base.E, base.r)
-        resid = np.linalg.norm(
-            (base.A @ xs.T + base.B @ us.T).T @ ann.E_left.T, axis=1)
-    else:
-        resid = np.zeros(steps + 1)
+    # the implicit solve.  A nonsingular E has none, and every residual is 0.
+    ann = descriptor.annihilators(base.E, base.r)
+    resid = np.linalg.norm(
+        (base.A @ xs.T + base.B @ us.T).T @ ann.E_left.T, axis=1)
     if config.gate_first_input:
         us[0] = 0.0
 

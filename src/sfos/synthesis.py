@@ -6,26 +6,26 @@ in (0, 2): :func:`sfos.lifting.as_plant` puts it into working coordinates
 :func:`sfos.lifting.verify_loop` judges the closed loop in the same
 coordinates.
 
-One criterion, posed on two sides, over a fractional-order positive-definite
-variable P and a free multiplier Q attached to a null-space basis of E.
-The paper's inequalities hold P only in P E^T (right) or E^T P (left).
-With E = U1 Sigma V1^T (r = rank E), only P's r x r compression onto E's
-row space (V1, right) or column space (U1, left) enters; the rest is
-absorbed by Q.  So an r x r variable P_r gives
+One criterion, posed once, as a right side.  The paper's inequalities hold
+the fractional-order positive-definite P only in P E^T, so with
+E = U1 Sigma V1^T (r = rank E) an r x r P on E's row space suffices, and a
+free multiplier Q on E's null space absorbs the rest:
 
-* right: sym(A S) < 0, S = V1 P_r Sigma U1^T + E_right Q;
-* left:  sym(S A) < 0, S = V1 Sigma P_r U1^T + Q E_left.
+    sym(A S) < 0,    S = V1 P Sigma U1^T + E_right Q.
 
-The admissibility test needs no Q at all.  By the projection lemma
-(Gahinet & Apkarian, Int. J. Robust Nonlinear Control 4(4), 1994), Q
-exists exactly when the criterion holds on the orthogonal complement N of
-range(A E_right) (right) or on ker(E_left A) (left), so
-:func:`_projected` poses N^T sym(A V1 P_r Sigma U1^T) N < 0 or
-N^T sym(V1 Sigma P_r U1^T A) N < 0 in the r^2 slots of P_r alone.
-With a gain variable R, :func:`_criterion` keeps Q (r^2 + n(n - r) slots
-plus R's) and gives the two observer-based problems: the right side plus
-B R is the state-feedback LMI, the left side plus R C the output-injection
-LMI; their gains are recovered by inverting S.
+At r = n there is no Q: this is the criterion of regular fractional-order
+systems (Lu & Chen, IEEE TAC 55(1), 2010).  The paper's left-side form,
+sym(S A) < 0 with S = V1 Sigma P U1^T + Q E_left, is this criterion on the
+dual plant (E^T, A^T, C^T), with its slots (X, Y, Q, R) read as
+(X, -Y, Q^T, R^T) and E's one SVD read transposed
+(:attr:`sfos.descriptor.AnnihilatorPair.T`).
+
+The admissibility test needs no Q: by the projection lemma (Gahinet &
+Apkarian, Int. J. Robust Nonlinear Control 4(4), 1994), :func:`_projected`
+poses N^T sym(A V1 P Sigma U1^T) N < 0, N spanning the complement of
+range(A E_right), in the r^2 slots of P alone.  :func:`_criterion` keeps Q
+and adds a gain variable R: plus B R it is the state-feedback LMI, with
+K = R S^{-1}; on the dual, plus C^T R, the output-injection LMI, L = K^T.
 
 Static output feedback is a two-stage scheme: the state-feedback LMI
 produces an intermediate gain K0, then a slack-variable inequality in a
@@ -77,100 +77,67 @@ RETRIES = 8
 # The criterion and its solve
 # ---------------------------------------------------------------------------
 
-def _fpdm_expr(reg: VariableRegistry, blocks: list, prefix: str, n: int, alpha: float):
-    """Register (X sym, Y skew) for one n x n fractional-PD variable.
+def _fpdm_expr(prefix: str, n: int, alpha: float):
+    """Start a problem with one n x n fractional-PD variable; returns (reg, blocks, P).
 
-    Returns the affine expression P = sin(alpha*pi/2) X + cos(alpha*pi/2) Y
-    and appends the membership side-block -[[X, Y], [-Y, X]] < 0 (none for
-    n = 0, which has no slots).
+    The registry holds (X sym, Y skew), P is the affine expression
+    sin(alpha*pi/2) X + cos(alpha*pi/2) Y, and blocks holds the membership
+    side-block -[[X, Y], [-Y, X]] < 0 (none for n = 0, which has no slots).
     """
+    reg = VariableRegistry()
+    blocks: list = []
     X = reg.expr(reg.add(f"{prefix}_X", "symmetric", n))
     Y = reg.expr(reg.add(f"{prefix}_Y", "skew", n))
     if n:
         blocks.append(block_of(
             AffineExpr.bmat([[-X, -Y], [Y, -X]]), label=f"{prefix}_membership"))
     half = alpha * np.pi / 2.0
-    return np.sin(half) * X + np.cos(half) * Y
+    return reg, blocks, np.sin(half) * X + np.cos(half) * Y
 
 
-#: Block label of each side's criterion with its gain term.
-_GAIN_LABELS = {"right": "state_feedback", "left": "output_injection"}
-
-
-def _check_side(side: str):
-    if side not in ("right", "left"):
-        raise InputError(f"side must be 'right' or 'left', got {side!r}")
-
-
-def _multiplier(ann, side: str, P, Q):
-    """S = V1 P Sigma U1^T + E_right Q (right) or V1 Sigma P U1^T + Q E_left (left).
-
-    The criterion's multiplier of A, from the r x r P and the free Q; the
-    same formula poses it on expressions and recovers it from values.
-    """
-    if side == "right":
-        return ann.V1 @ P @ (ann.sigma[:, None] * ann.U1.T) + ann.E_right @ Q
-    return (ann.V1 * ann.sigma) @ P @ ann.U1.T + Q @ ann.E_left
-
-
-def _criterion(sys: DescriptorSystem, side: str, suffix: str):
-    """Pose the gain criterion on ``side``; returns (blocks, registry, annihilators).
-
-    right: sym(A V1 P Sigma U1^T + A E_right Q + B R) < 0;
-    left:  sym(V1 Sigma P U1^T A + Q E_left A + R C) < 0,
-    with E = U1 Sigma V1^T from one SVD and P r x r fractional-PD.  The
-    variables are P<suffix> (as X then Y), Q<suffix> and R<suffix>,
-    registered in that order.
-    """
-    _check_side(side)
+def _right_side(sys: DescriptorSystem, dual: bool = False):
+    """(A, B, E's factors) of the plant, or of its dual: A^T, C^T, E's SVD transposed."""
     ann = annihilators(sys.E, sys.r)
-    n, r = sys.n, sys.r
-    reg = VariableRegistry()
-    blocks: list = []
-    P = _fpdm_expr(reg, blocks, f"P{suffix}", r, sys.alpha)
-    if side == "right":
-        Q = reg.expr(reg.add(f"Q{suffix}", "rectangular", n - r, n))
-        R = reg.expr(reg.add(f"R{suffix}", "rectangular", sys.m, n))
-        expr = sys.A @ _multiplier(ann, side, P, Q) + sys.B @ R
-    else:
-        Q = reg.expr(reg.add(f"Q{suffix}", "rectangular", n, n - r))
-        R = reg.expr(reg.add(f"R{suffix}", "rectangular", n, sys.p))
-        expr = _multiplier(ann, side, P, Q) @ sys.A + R @ sys.C
-    blocks.append(sym_of(expr, label=_GAIN_LABELS[side]))
-    return blocks, reg, ann
+    if dual:
+        return sys.A.T, sys.C.T, ann.T
+    return sys.A, sys.B, ann
 
 
-def _projected(sys: DescriptorSystem, side: str):
-    """Pose the admissibility criterion on ``side`` with Q projected out.
+def _multiplier(ann, P, Q):
+    """S = V1 P Sigma U1^T + E_right Q, posed on expressions or recovered from values."""
+    return ann.V1 @ P @ (ann.sigma[:, None] * ann.U1.T) + ann.E_right @ Q
 
-    right: N^T sym(A V1 P Sigma U1^T) N < 0, N an orthonormal basis of the
-    orthogonal complement of range(A E_right);
-    left:  N^T sym(V1 Sigma P U1^T A) N < 0, N one of ker(E_left A).
-    P, registered as P_X then P_Y, is the r x r fractional-PD variable and
-    the only one.  N comes from one SVD of A E_right or (E_left A)^T, cut
-    at :func:`sfos.descriptor.numerical_rank`.  Returns (blocks, registry);
-    with r = 0 and an empty N (E = 0, A nonsingular) no block is left.
+
+def _criterion(A, B, ann, alpha: float, suffix: str, label: str):
+    """Pose sym(A V1 P Sigma U1^T + A E_right Q + B R) < 0; returns (blocks, registry).
+
+    E = U1 Sigma V1^T is read from ``ann`` and P is r x r fractional-PD.
+    The variables are P<suffix> (as X then Y), Q<suffix> and R<suffix>,
+    registered in that order; the criterion's block is labelled ``label``.
     """
-    _check_side(side)
-    ann = annihilators(sys.E, sys.r)
-    reg = VariableRegistry()
-    blocks: list = []
-    P = _fpdm_expr(reg, blocks, "P", sys.r, sys.alpha)
-    M = sys.A @ ann.E_right if side == "right" else (ann.E_left @ sys.A).T
-    N = np.linalg.svd(M)[0][:, numerical_rank(M):]
-    if side == "right":
-        front, back = N.T @ sys.A @ ann.V1, (ann.sigma[:, None] * ann.U1.T) @ N
-    else:
-        front, back = N.T @ (ann.V1 * ann.sigma), ann.U1.T @ sys.A @ N
-    if N.shape[1]:
-        blocks.append(sym_of(front @ P @ back, label=f"admissibility_{side}"))
+    n, r = A.shape[0], ann.sigma.size
+    reg, blocks, P = _fpdm_expr(f"P{suffix}", r, alpha)
+    Q = reg.expr(reg.add(f"Q{suffix}", "rectangular", n - r, n))
+    R = reg.expr(reg.add(f"R{suffix}", "rectangular", B.shape[1], n))
+    blocks.append(sym_of(A @ _multiplier(ann, P, Q) + B @ R, label=label))
     return blocks, reg
 
 
-def _require_fractional_range(alpha: float):
-    if not 0.0 < alpha <= 1.0:
-        raise InputError(
-            f"criteria require order in (0, 1]; rewrite order {alpha} via lifting first")
+def _projected(A, ann, alpha: float, label: str):
+    """Pose N^T sym(A V1 P Sigma U1^T) N < 0 in P alone; returns (blocks, registry).
+
+    N is an orthonormal basis of the complement of range(A E_right), from
+    one SVD cut at :func:`sfos.descriptor.numerical_rank`; P (P_X, P_Y) is
+    r x r fractional-PD.  An empty N (E = 0, A nonsingular) leaves no
+    criterion block.
+    """
+    reg, blocks, P = _fpdm_expr("P", ann.sigma.size, alpha)
+    M = A @ ann.E_right
+    N = np.linalg.svd(M)[0][:, numerical_rank(M):]
+    if N.shape[1]:
+        front, back = N.T @ A @ ann.V1, (ann.sigma[:, None] * ann.U1.T) @ N
+        blocks.append(sym_of(front @ P @ back, label=label))
+    return blocks, reg
 
 
 #: Largest positive main-block margin tolerated when a marginal (weakly
@@ -260,19 +227,25 @@ def _recover_inverse(M: np.ndarray, what: str, certificate: LmiSolution) -> np.n
 def admissible_via_lmi(sys: DescriptorSystem, side: str = "right"):
     """Zero-input admissibility as a feasibility question.
 
-    ``side="right"`` tests N^T sym(A V1 P Sigma U1^T) N < 0 with N spanning
-    the complement of range(A E_right); ``side="left"`` tests
-    N^T sym(V1 Sigma P U1^T A) N < 0 with N spanning ker(E_left A); P is
-    r x r fractional-PD and the only variable (see :func:`_projected`).
-    This is the Q-multiplier criterion with Q projected out, so the verdict
-    is the same.  An empty N leaves nothing to solve (r = 0, A
-    nonsingular): the verdict is True, as a Feasible solution with no
-    blocks, no Newton steps and t = -inf.  Returns (verdict,
-    LmiSolution); a solver NumericalFailure raises
+    :func:`_projected` on the plant (``side="right"``) or on its dual
+    (``"left"``: N^T sym(V1 Sigma P U1^T A) N < 0, N spanning
+    ker(E_left A)), whose verdict is the Q-multiplier criterion's.  An
+    empty N leaves nothing to solve (r = 0, A nonsingular): the verdict is
+    True, as a Feasible solution with no blocks, no Newton steps and
+    t = -inf.  ``sys`` is a plain plant at an order in (0, 1].  Returns
+    (verdict, LmiSolution); a solver NumericalFailure raises
     :class:`LmiNumericalError` rather than counting as infeasible.
     """
-    _require_fractional_range(sys.alpha)
-    blocks, reg = _projected(sys, side)
+    if not isinstance(sys, DescriptorSystem):
+        raise InputError("admissible_via_lmi takes a DescriptorSystem, "
+                         f"not a {type(sys).__name__}")
+    if not 0.0 < sys.alpha <= 1.0:
+        raise InputError(f"criteria require order in (0, 1]; rewrite order "
+                         f"{sys.alpha} via lifting first")
+    if side not in ("right", "left"):
+        raise InputError(f"side must be 'right' or 'left', got {side!r}")
+    A, _, ann = _right_side(sys, dual=side == "left")
+    blocks, reg = _projected(A, ann, sys.alpha, f"admissibility_{side}")
     if not blocks:
         empty = np.zeros(0)
         return True, LmiSolution(
@@ -353,57 +326,59 @@ def closed_loop(sys: DescriptorSystem, controller):
     raise InputError(f"unknown controller kind {kind!r}")
 
 
-def solve_state_feedback(plant, objective_seed=None):
-    """Feasibility of sym(A S + B R) < 0; returns (K, certificate).
+def _solve_gain(plant: lifting.LiftedSystem, dual: bool, suffix: str,
+                label: str, infeasible, objective_seed=None):
+    """:func:`_criterion` on the working plant or its dual; returns (K = R S^{-1}, sol).
 
-    S = V1 P Sigma U1^T + E_right Q with P r x r (see :func:`_criterion`),
-    and K = R S^{-1}.  ``plant`` is a plant or a
-    :class:`sfos.lifting.LiftedSystem`; the inequality is posed in its
-    working coordinates.  ``objective_seed`` activates the random tilt used
-    by output-feedback retries.
+    A certified infeasible solve raises ``infeasible``, an unclassified one
+    :class:`LmiNumericalError`.  ``objective_seed`` activates the random
+    tilt on R used by output-feedback retries.
     """
-    plant = lifting.as_plant(plant)
     sys = plant.lifted
-    blocks, reg, ann = _criterion(sys, "right", "1")
+    A, B, ann = _right_side(sys, dual)
+    blocks, reg = _criterion(A, B, ann, sys.alpha, suffix, label)
     objective = None
     if objective_seed is not None:
         rng = np.random.default_rng(objective_seed)
-        W = rng.standard_normal((sys.m, sys.n))
-        entry = reg.entry("R1")
+        W = rng.standard_normal((B.shape[1], sys.n))
+        entry = reg.entry(f"R{suffix}")
         objective = {entry.start + i: RETRY_TILT * w
                      for i, w in enumerate(W.ravel())}
     vals, sol = _solve(blocks, reg, plant, objective)
     if vals is None:
+        what = label.replace("_", "-")
         if sol.status == "Infeasible":
-            raise StateFeedbackInfeasible(
-                "state-feedback LMI certified infeasible: no stabilizing gain exists")
-        raise LmiNumericalError("state-feedback LMI could not be classified")
-    Pm = _materialize_fpdm(vals, "P1", sys.alpha, repair=sol.status == "Marginal")
-    S = _multiplier(ann, "right", Pm, vals["Q1"])
-    K = vals["R1"] @ _recover_inverse(S, "V1 P Sigma U1^T + E_right Q", sol)
+            raise infeasible(
+                f"{what} LMI certified infeasible: no stabilizing gain exists")
+        raise LmiNumericalError(f"{what} LMI could not be classified")
+    Pm = _materialize_fpdm(vals, f"P{suffix}", sys.alpha,
+                           repair=sol.status == "Marginal")
+    S = _multiplier(ann, Pm, vals[f"Q{suffix}"])
+    K = vals[f"R{suffix}"] @ _recover_inverse(S, "V1 P Sigma U1^T + E_right Q", sol)
     return K, sol
+
+
+def solve_state_feedback(plant, objective_seed=None):
+    """Feasibility of sym(A S + B R) < 0; returns (K, certificate).
+
+    K = R S^{-1} (see :func:`_criterion`).  ``plant`` is a plant or a
+    :class:`sfos.lifting.LiftedSystem`, posed in its working coordinates;
+    ``objective_seed`` activates the random tilt of output-feedback retries.
+    """
+    return _solve_gain(lifting.as_plant(plant), False, "1", "state_feedback",
+                       StateFeedbackInfeasible, objective_seed)
 
 
 def solve_output_injection(plant):
     """Feasibility of sym(S A + R C) < 0; returns (L, certificate).
 
-    S = V1 Sigma P U1^T + Q E_left with P r x r (see :func:`_criterion`),
-    and L = S^{-1} R.  ``plant`` is taken as by :func:`solve_state_feedback`.
+    S = V1 Sigma P U1^T + Q E_left, and L = S^{-1} R: the state-feedback
+    criterion of the dual plant (E^T, A^T, C^T), whose gain is L^T.
+    ``plant`` is taken as by :func:`solve_state_feedback`.
     """
-    plant = lifting.as_plant(plant)
-    sys = plant.lifted
-    blocks, reg, ann = _criterion(sys, "left", "2")
-    vals, sol = _solve(blocks, reg, plant)
-    if vals is None:
-        if sol.status == "Infeasible":
-            raise OutputInjectionInfeasible(
-                "output-injection LMI certified infeasible: "
-                "no stabilizing injection exists")
-        raise LmiNumericalError("output-injection LMI could not be classified")
-    Pm = _materialize_fpdm(vals, "P2", sys.alpha, repair=sol.status == "Marginal")
-    S = _multiplier(ann, "left", Pm, vals["Q2"])
-    L = _recover_inverse(S, "V1 Sigma P U1^T + Q E_left", sol) @ vals["R2"]
-    return L, sol
+    K, sol = _solve_gain(lifting.as_plant(plant), True, "2", "output_injection",
+                         OutputInjectionInfeasible)
+    return K.T, sol
 
 
 def synth_observer(sys, decay_shift_state: float = 0.0,
@@ -478,9 +453,7 @@ def _output_stage2(plant: lifting.LiftedSystem, K0):
     ann = annihilators(sys.E, sys.r)
     n, m, p = sys.n, sys.m, sys.p
     Ac = sys.A + sys.B @ K0
-    reg = VariableRegistry()
-    blocks: list = []
-    P = _fpdm_expr(reg, blocks, "P", n, sys.alpha)
+    reg, blocks, P = _fpdm_expr("P", n, sys.alpha)
     Q = reg.expr(reg.add("Q", "rectangular", n, n - sys.r))
     G = reg.expr(reg.add("G", "rectangular", m, m))
     H = reg.expr(reg.add("H", "rectangular", m, p))

@@ -209,6 +209,21 @@ class TestSynth:
             assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("mode", ["observer", "output"])
+    def test_nonsingular_e_exit_0(self, tmp_path, capsys, mode):
+        # E = I is an ordinary fractional-order plant; it is designed, not
+        # refused.
+        doc = {"system": {"E": [[1.0, 0.0], [0.0, 1.0]],
+                          "A": [[1.0, 0.0], [0.0, -1.0]],
+                          "B": [[1.0], [0.0]], "C": [[1.0, 0.0]],
+                          "alpha": 0.6}}
+        path = write_problem(tmp_path, doc)
+        assert cli.main(["synth", path, "--mode", mode]) == cli.EXIT_OK
+        design = json.loads(capsys.readouterr().out)
+        assert design["closed_loop_report"]["admissible"] is True
+        assert all(cert["status"] == "Feasible"
+                   for cert in design["certificates"].values())
+
     def test_uncontrollable_exit_3(self, tmp_path):
         doc = problem_doc()
         doc["system"]["B"] = [[0.0], [0.0], [0.0]]
@@ -287,6 +302,18 @@ class TestSimulate:
                          "--out", str(out)]) == cli.EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         assert summary["controller"] == "none"
+
+    def test_order_one_exit_0(self, tmp_path):
+        # Order exactly 1 is marched as it is (backward Euler), not lifted.
+        doc = {"system": {"E": [[1.0]], "A": [[-1.0]], "B": [[0.0]],
+                          "C": [[1.0]], "alpha": 1.0},
+               "simulation": {"x0": [1.0], "h": 1e-2, "T": 1.0}}
+        out = tmp_path / "run"
+        assert cli.main(["simulate", write_problem(tmp_path, doc),
+                         "--out", str(out)]) == cli.EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["k"] == 1
+        assert summary["final_norm"] == pytest.approx(1.01 ** -100, rel=1e-12)
 
     def test_missing_x0_exit_1(self, tmp_path):
         path = write_problem(tmp_path, problem_doc())

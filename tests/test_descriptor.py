@@ -14,7 +14,7 @@ from conftest import (BENCH_A, BENCH_B, BENCH_C, BENCH_E, benchmark,
 from sfos import simulator
 from sfos.descriptor import (DescriptorSystem, analyze, analyze_pair,
                              annihilators, numerical_rank, system_from_dict)
-from sfos.errors import InputError, NonsingularMatrixError
+from sfos.errors import InputError
 
 
 def _matched(got, want):
@@ -130,9 +130,35 @@ class TestAnnihilators:
         with pytest.raises(ValueError):
             ann.V1[0, 0] = 1.0
 
-    def test_nonsingular_rejected(self):
-        with pytest.raises(NonsingularMatrixError):
-            annihilators(np.eye(3))
+    def test_nonsingular_gives_empty_null_spaces(self):
+        # r = n is an ordinary fractional-order system: no algebraic rows.
+        E = np.random.default_rng(3).standard_normal((3, 3))
+        ann = annihilators(E)
+        assert ann.E_right.shape == (3, 0) and ann.E_left.shape == (0, 3)
+        assert ann.U1.shape == ann.V1.shape == (3, 3)
+        assert np.allclose(ann.U1 @ np.diag(ann.sigma) @ ann.V1.T, E,
+                           atol=1e-13)
+
+    @pytest.mark.parametrize("E", [BENCH_E, np.eye(3), np.zeros((2, 2)),
+                                   np.diag([2.0, 1.0, 0.0, 0.0])],
+                             ids=["paper", "identity", "zero", "rank-2-of-4"])
+    def test_transpose_factors_e_transposed(self, E):
+        # .T reads the one SVD of E as one of E^T, with no new SVD: the same
+        # arrays, U1 and V1 swapped, the null-space bases transposed.
+        ann = annihilators(E)
+        dual = ann.T
+        n, r = E.shape[0], ann.sigma.size
+        assert dual.U1 is ann.V1 and dual.V1 is ann.U1
+        assert dual.sigma is ann.sigma
+        assert np.array_equal(dual.E_right, ann.E_left.T)
+        assert np.array_equal(dual.E_left, ann.E_right.T)
+        assert dual.E_right.shape == (n, n - r) and dual.E_left.shape == (n - r, n)
+        assert np.allclose(dual.U1 @ np.diag(dual.sigma) @ dual.V1.T, E.T,
+                           atol=1e-13)
+        assert np.abs(E.T @ dual.E_right).max(initial=0.0) < 1e-12
+        assert np.abs(dual.E_left @ E.T).max(initial=0.0) < 1e-12
+        for name in ("E_right", "E_left", "U1", "sigma", "V1"):
+            assert np.array_equal(getattr(dual.T, name), getattr(ann, name))
 
 
 class TestAnalyze:

@@ -49,8 +49,11 @@ class TestGlWeights:
         assert w[2] == pytest.approx(-0.125)
 
     def test_range_validation(self):
-        with pytest.raises(InputError):
-            gl_weights(1.0, 5)
+        # Orders in (0, 1]: order 1 is the first difference, (1, -1, 0, ...).
+        assert np.array_equal(gl_weights(1.0, 5), [1.0, -1.0, 0.0, 0.0, 0.0])
+        for alpha in (0.0, 1.2, -0.5):
+            with pytest.raises(InputError, match=r"\(0, 1\]"):
+                gl_weights(alpha, 5)
         with pytest.raises(InputError):
             gl_weights(0.5, 0)
 
@@ -76,6 +79,10 @@ class TestSimConfig:
                 SimConfig(h=1e-2, T=1.0, x0=start)
             with pytest.raises(InputError, match="^xhat0 must be finite"):
                 SimConfig(h=1e-2, T=1.0, x0=x0, xhat0=start)
+        # A missing initial state is refused by name, not left to fail in
+        # simulate with an AttributeError.
+        with pytest.raises(InputError, match="^x0 is required"):
+            SimConfig(h=1e-2, T=1.0, x0=None)
         # There is no short-memory option; the history is always summed in full.
         for memory in ("full", 100):
             with pytest.raises(TypeError, match="memory_length"):
@@ -90,6 +97,16 @@ class TestScalarAccuracy:
             idx = int(round(t_probe / cfg.h))
             exact = mittag_leffler_half(t_probe)
             assert traj.x[idx, 0] == pytest.approx(exact, rel=0.02)
+
+    def test_order_one_is_backward_euler(self):
+        # At order 1 the weights are (1, -1, 0, ...), so the march is
+        # backward Euler: for D x = -x, x_N = (1 + h)^-N exactly, through
+        # every leaf, direct and FFT history sum of a 20 000-step march.
+        cfg = SimConfig(h=1e-3, T=20.0, x0=np.array([1.0]))
+        traj = simulate(scalar_relaxation(1.0), None, cfg)
+        want = (1.0 + cfg.h) ** -np.arange(traj.x.shape[0])
+        assert np.abs(traj.x[:, 0] - want).max() <= 1e-12
+        assert traj.k == 1 and not traj.algebraic_residual.any()
 
     def test_first_order_convergence(self):
         errs = []

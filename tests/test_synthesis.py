@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import GAINS_06, GAINS_12, benchmark, random_impulse_free_system
-from sfos import lifting, synthesis
+from sfos import lifting, lmi, synthesis
 from sfos.descriptor import DescriptorSystem, analyze, analyze_pair
 from sfos.errors import (InputError, OutputStageExhausted,
                          StateFeedbackInfeasible, VerificationFailed)
@@ -59,6 +59,12 @@ class TestAdmissibleViaLmi:
     def test_order_above_one_rejected(self, bench12):
         with pytest.raises(InputError, match="lift"):
             admissible_via_lmi(bench12)
+
+    def test_lifted_plant_rejected(self, bench12):
+        # The criterion is posed on a plain plant; a lifted one is refused
+        # by its type, not with an AttributeError.
+        with pytest.raises(InputError, match="LiftedSystem"):
+            admissible_via_lmi(lift(bench12, 2))
 
     def test_agreement_with_pencil_analysis(self):
         rng = np.random.default_rng(101)
@@ -129,10 +135,37 @@ def _small_plant(E, A):
                             alpha=0.6)
 
 
+def _nonsingular_plant(rng, alpha, stable):
+    """A 3-state plant with a random nonsingular E and a known spectrum.
+
+    E^{-1} A is similar to a complex pair and a real eigenvalue, placed at
+    least 0.05 rad inside or outside the sector |arg| > alpha*pi/2; B and
+    C are random.
+    """
+    half = alpha * np.pi / 2.0
+    theta = (rng.uniform(half + 0.05, np.pi) if stable
+             else rng.uniform(0.0, half - 0.05))
+    a, b = rng.uniform(0.3, 3.0) * np.array([np.cos(theta), np.sin(theta)])
+    lam = rng.uniform(0.3, 3.0) * (-1.0 if stable else 1.0)
+    D = sla.block_diag([[a, b], [-b, a]], [[lam]])
+    T = np.linalg.qr(rng.standard_normal((3, 3)))[0] @ np.diag(rng.uniform(0.7, 1.4, 3))
+    E = np.linalg.qr(rng.standard_normal((3, 3)))[0] @ np.diag(rng.uniform(0.5, 2.0, 3))
+    return DescriptorSystem(E=E, A=E @ np.linalg.solve(T, D @ T),
+                            B=rng.standard_normal((3, 1)),
+                            C=rng.standard_normal((1, 3)), alpha=alpha)
+
+
+#: E = I, A = diag(1, -1), B = e1, C = e1^T: an unstable plant with a
+#: nonsingular E, whose criteria have no multiplier Q.
+IDENTITY_E = DescriptorSystem(E=np.eye(2), A=np.diag([1.0, -1.0]),
+                              B=np.array([[1.0], [0.0]]),
+                              C=np.array([[1.0, 0.0]]), alpha=0.6)
+
 #: Names of the plants on which the three admissibility verdicts must agree.
 ORACLE_PLANTS = ([f"criterion-{i}" for i in range(5)]
                  + [f"random-{i}" for i in range(8)]
-                 + ["impulsive", "rank-zero", "rank-zero-singular"])
+                 + ["impulsive", "rank-zero", "rank-zero-singular",
+                    "identity", "identity-stable", "nonsingular"])
 
 
 def _oracle_plants():
@@ -140,8 +173,10 @@ def _oracle_plants():
 
     The five criterion plants; eight seeded random impulse-free plants;
     a regular impulsive plant (E_left A E_right = 0); E = 0 with A
-    nonsingular, which leaves the projected criterion no block; and E = 0
-    with A singular, a singular pencil whose N is wider than r = 0.
+    nonsingular, which leaves the projected criterion no block; E = 0
+    with A singular, a singular pencil whose N is wider than r = 0; and
+    three with r = n: :data:`IDENTITY_E`, E = I with A = -I, and a seeded
+    random nonsingular E with a stable spectrum.
     """
     rng = np.random.default_rng(17)
     plants = {f"criterion-{i}": p for i, p in enumerate(_criterion_plants())}
@@ -154,30 +189,75 @@ def _oracle_plants():
     plants["rank-zero"] = _small_plant(np.zeros((2, 2)), -np.eye(2))
     plants["rank-zero-singular"] = _small_plant(np.zeros((2, 2)),
                                                 np.diag([1.0, 0.0]))
+    plants["identity"] = IDENTITY_E
+    plants["identity-stable"] = _small_plant(np.eye(2), -np.eye(2))
+    plants["nonsingular"] = _nonsingular_plant(rng, 0.7, stable=True)
     return plants
 
 
+def _admissibility(sysm, side):
+    """(blocks, registry) of the admissibility criterion on ``side``.
+
+    Posed as :func:`sfos.synthesis.admissible_via_lmi` poses it: the left
+    side is the right side of the dual plant.
+    """
+    A, _, ann = synthesis._right_side(sysm, dual=side == "left")
+    return synthesis._projected(A, ann, sysm.alpha, f"admissibility_{side}")
+
+
+def _dual_assignment(reg, ref_reg, x):
+    """The slots of the dual's output-injection registry ``reg`` at ``x``.
+
+    ``x`` assigns the left-side reference registry ``ref_reg``; its
+    variables map to the dual's by (X, Y, Q, R) -> (X, -Y, Q^T, R^T).
+    """
+    y = np.zeros(reg.num_slots)
+    for name, image in (("P2_X", lambda M: M), ("P2_Y", lambda M: -M),
+                        ("Q2", np.transpose), ("R2", np.transpose)):
+        entry = reg.entry(name)
+        i, j = lmi._positions(entry)
+        y[entry.start:entry.start + entry.count] = image(
+            ref_reg.materialize(name, x))[i, j]
+    return y
+
+
 class TestCriterionBuilder:
-    """One builder poses the gain criterion on both sides."""
+    """One builder poses the gain criterion: on the plant, and on its dual."""
 
     @pytest.mark.parametrize("index", range(5))
-    @pytest.mark.parametrize("kind, side, suffix", [
-        ("state_feedback", "right", "1"),
-        ("output_injection", "left", "2")])
-    def test_matches_the_hand_built_inequalities(self, index, kind, side,
-                                                 suffix):
+    @pytest.mark.parametrize("kind", ["state_feedback", "output_injection"])
+    def test_matches_the_hand_built_inequalities(self, index, kind):
+        # State feedback is the reference right side, bit for bit.  Output
+        # injection is posed on the dual plant: at random assignments of the
+        # left reference, mapped by (X, Y, Q, R) -> (X, -Y, Q^T, R^T), its
+        # criterion block is the reference's, and its membership block is
+        # the reference's conjugated by J = diag(I, -I).
         sysm = _criterion_plants()[index]
-        blocks, reg, _ = synthesis._criterion(sysm, side, suffix)
+        dual = kind == "output_injection"
+        suffix = "2" if dual else "1"
+        A, B, ann = synthesis._right_side(sysm, dual)
+        blocks, reg = synthesis._criterion(A, B, ann, sysm.alpha, suffix, kind)
         ref_blocks, ref_reg = _reference_blocks(sysm, kind)
         n, r = sysm.n, sysm.r
-        extra = sysm.m * n if side == "right" else n * sysm.p
+        extra = n * (sysm.p if dual else sysm.m)
         assert reg.num_slots == ref_reg.num_slots == r * r + n * (n - r) + extra
-        assert len(blocks) == len(ref_blocks) == 2
+        assert ([b.label for b in blocks] == [b.label for b in ref_blocks]
+                == [f"P{suffix}_membership", kind])
         assert blocks[0].dim == 2 * r and blocks[1].dim == n
-        for got, ref in zip(blocks, ref_blocks):
-            assert got.label == ref.label
-            for field in ("F0", "slots", "stack"):
-                assert np.array_equal(getattr(got, field), getattr(ref, field))
+        if not dual:
+            for got, ref in zip(blocks, ref_blocks):
+                for field in ("F0", "slots", "stack"):
+                    assert np.array_equal(getattr(got, field), getattr(ref, field))
+            return
+        J = np.diag(np.r_[np.ones(r), -np.ones(r)])
+        rng = np.random.default_rng(index)
+        for _ in range(3):
+            x = rng.standard_normal(ref_reg.num_slots)
+            y = _dual_assignment(reg, ref_reg, x)
+            for got, want in ((blocks[0].evaluate(y), J @ ref_blocks[0].evaluate(x) @ J),
+                              (blocks[1].evaluate(y), ref_blocks[1].evaluate(x))):
+                assert np.allclose(got, want, rtol=0.0,
+                                   atol=1e-12 * np.abs(want).max())
 
 
 class TestProjectedCriterion:
@@ -188,9 +268,10 @@ class TestProjectedCriterion:
     def test_poses_the_projected_inequality(self, index, side):
         # The block's spectrum at a random P equals that of the inequality
         # built here on scipy's null-space basis: two orthonormal bases of
-        # one subspace give orthogonally similar matrices.
+        # one subspace give orthogonally similar matrices.  The left side is
+        # posed on the dual, whose P is the transpose of the left form's.
         sysm = _criterion_plants()[index]
-        blocks, reg = synthesis._projected(sysm, side)
+        blocks, reg = _admissibility(sysm, side)
         r, A = sysm.r, sysm.A
         U, sv, Vt = np.linalg.svd(sysm.E)
         U1, V1, Sig = U[:, :r], Vt[:r].T, np.diag(sv[:r])
@@ -206,7 +287,7 @@ class TestProjectedCriterion:
         half = sysm.alpha * np.pi / 2.0
         P = (np.sin(half) * reg.materialize("P_X", x)
              + np.cos(half) * reg.materialize("P_Y", x))
-        psi = A @ V1 @ P @ Sig @ U1.T if side == "right" else V1 @ Sig @ P @ U1.T @ A
+        psi = A @ V1 @ P @ Sig @ U1.T if side == "right" else V1 @ Sig @ P.T @ U1.T @ A
         want = np.linalg.eigvalsh(N.T @ (psi + psi.T) @ N)
         got = np.linalg.eigvalsh(blocks[1].evaluate(x))
         assert np.allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
@@ -227,7 +308,7 @@ class TestProjectedCriterion:
         # E = 0 with A nonsingular: N is empty and no block is left.
         sysm = _oracle_plants()["rank-zero"]
         for side in ("right", "left"):
-            assert synthesis._projected(sysm, side)[0] == []
+            assert _admissibility(sysm, side)[0] == []
             verdict, sol = admissible_via_lmi(sysm, side)
             assert verdict is True and sol.feasible
             assert sol.newton_steps == 0 and sol.block_labels == ()
@@ -260,6 +341,31 @@ class TestReducedCriterionOracle:
             assert admissible_via_lmi(sysm, side)[0]
         K, _ = solve_state_feedback(sysm)
         assert analyze_pair(sysm.E, sysm.A + sysm.B @ K, 0.6).admissible
+
+
+class TestNonsingularE:
+    """r = n: the criteria are the regular fractional-order LMIs, with no Q."""
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.0, 1.4])
+    def test_identity_e_designs_verify(self, alpha):
+        sysm = IDENTITY_E.with_matrices(alpha=alpha)
+        assert not analyze(sysm).admissible
+        for design in (synth_observer(sysm), synth_output_feedback(sysm)):
+            assert design.closed_loop_report.admissible
+            for cert in design.certificates.values():
+                assert cert.status == "Feasible"
+
+    def test_verdicts_and_gains(self):
+        # Both sides' verdicts against QZ, and an observer design that
+        # verifies, on seeded random nonsingular-E plants.
+        rng = np.random.default_rng(41)
+        for trial in range(8):
+            stable = trial % 2 == 0
+            sysm = _nonsingular_plant(rng, float(rng.uniform(0.3, 1.0)), stable)
+            assert sysm.r == sysm.n and analyze(sysm).admissible is stable
+            for side in ("right", "left"):
+                assert admissible_via_lmi(sysm, side)[0] is stable
+            assert synth_observer(sysm).closed_loop_report.admissible
 
 
 class TestStateFeedback:
