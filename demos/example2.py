@@ -1,13 +1,14 @@
 """Benchmark walkthrough at fractional order 1.2.
 
-Same plant as demos/example1.py, but the order now lies in (1, 2), so the
-synthesis LMIs do not apply directly.  The order-lifting transform rewrites
-the dynamics as an equivalent order-0.6 descriptor system of twice the
-dimension.  ``synth_observer`` and ``synth_output_feedback`` lift the plant
-themselves (k = 2) and design in lifted coordinates; the resulting gains act
-on the original plant.  The script also shows why the lifted pair
-can never be impulse-free in the strict sense and how the effective
-criterion accounts for the structural rank deficit.
+Same plant as demos/example1.py, but the order now lies in (1, 2), where
+the stable region |arg z| > alpha*pi/2 is a convex cone.  ``synth_observer``
+and ``synth_output_feedback`` pose the conic-sector LMIs on the order-1.2
+plant itself, with strict certificates.  Verification and simulation run on
+the order-lifting transform, an equivalent order-0.6 descriptor system of
+twice the dimension (k = 2), so K and L are returned on the lifted state.
+The script also shows why the lifted pair can never be impulse-free in the
+strict sense and how the effective criterion accounts for the structural
+rank deficit.
 
 Run:  python3 demos/example2.py [output-dir]
 """
@@ -43,7 +44,7 @@ def main(out_dir="example2-out"):
     print(f"regular / impulse-free / stable: {report.regular} / "
           f"{report.impulse_free} / {report.stable}")
     print("-> same pencil as the order-0.6 case, but the stability sector "
-          "|arg z| > alpha*pi/2 is now wider, so stabilizing is harder.")
+          "|arg z| > alpha*pi/2 is now narrower, so stabilizing is harder.")
 
     banner("Order lifting (k = 2)")
     ls = lift(PLANT, 2)
@@ -56,20 +57,18 @@ def main(out_dir="example2-out"):
           "rank to E)")
     print(f"effective impulse-freeness: {lifted_report.effective_impulse_free}")
 
-    banner("Synthesis in lifted coordinates")
-    obs = synth_observer(ls)
+    banner("Synthesis on the order-1.2 plant")
+    obs = synth_observer(ls, decay_shift_state=1.0, decay_shift_injection=1.0)
     out = synth_output_feedback(ls, decay_shift=1.0)
-    print(f"K (1x6, acts on the lifted state): {np.round(obs.K, 4)}")
+    print(f"K (1x6, the plant's K on the lifted state): {np.round(obs.K, 4)}")
     print(f"L (6x1): {np.round(obs.L.ravel(), 4)}")
     print(f"F (static, order-independent): "
           f"{np.round(np.atleast_2d(out.F), 4)}")
     print("certificates:",
           {k: c.status for k, c in obs.certificates.items()},
           {k: c.status for k, c in out.certificates.items()})
-    print("-> 'Marginal' certificates are expected here: the structural "
-          "rank deficit makes the lifted LMIs only weakly feasible, so the "
-          "design is accepted on the strength of the independent "
-          "closed-loop verification below.")
+    print("-> strictly Feasible certificates: the sector LMIs hold on the "
+          "plant itself, and the lifted loop below is the lift of its loop.")
     print(f"closed loops admissible: observer "
           f"{obs.closed_loop_report.admissible}, output "
           f"{out.closed_loop_report.admissible}")

@@ -15,12 +15,16 @@ from ``tests/conftest.py``, each family from ``np.random.default_rng(SEED)``:
 
 Every plant is single-input, single-output (B and C are all ones), so a
 design exists iff some scalar F places the closed-loop pencil in the
-sector; this script does not sweep F, it reports what the design returns.
+sector.  The oracle ``f_exists`` sweeps F over ``F_GRID`` (+-|F| in
+[1e-3, 1e3], 3000 points) and asks ``sfos.analyze_pair`` (QZ) whether
+(E, A + B F C) is admissible at the plant's own order; it is exact up to
+the grid's resolution, and independent of the LMIs.
 
 Prints one line a plant: its outcome ("designed" or the error's class),
 the attempt that won or ended the design (0 is the untilted K0; counted as
-stage-1 solves less one), and the wall time; then one JSON object with
-every plant, outcome counts, winning attempts and total seconds per
+stage-1 solves less one), whether an F exists, and the wall time of the
+design; then one JSON object with every plant, outcome counts, outcome
+counts split by the oracle, winning attempts and total seconds per
 family.  ``--src`` is the ``src`` directory to import ``sfos`` from
 (default: this checkout's), so that two checkouts run the same plants.
 BLAS is pinned to one thread, as in ``perfbench/run.py``.
@@ -45,6 +49,8 @@ SISO_PLANTS = 60
 LIFTED_BASE_ORDERS = (0.6, 0.7, 0.8)
 LIFTED_PLANTS = 30
 LIFTED_K = 2
+#: The F values the oracle tries: +-|F| on a log grid over [1e-3, 1e3].
+F_GRID = np.concatenate([s * np.logspace(-3.0, 3.0, 1500) for s in (1.0, -1.0)])
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -66,6 +72,12 @@ def lifted_plants(sfos, draw):
                                      alpha=2.0 * base.alpha)
         if not sfos.analyze(sysm).stable:
             yield sysm, LIFTED_K
+
+
+def f_exists(sfos, sysm):
+    """Whether some F of F_GRID makes (E, A + B F C) admissible, by QZ."""
+    return any(sfos.analyze_pair(sysm.E, sysm.A + f * sysm.B @ sysm.C,
+                                 sysm.alpha).admissible for f in F_GRID)
 
 
 def main(argv=None):
@@ -102,23 +114,29 @@ def main(argv=None):
             except sfos.SfosError as exc:
                 outcome, error = type(exc).__name__, str(exc)
             seconds = time.perf_counter() - start
+            exists = f_exists(sfos, sysm)
             rows.append({"n": sysm.n, "alpha": sysm.alpha, "outcome": outcome,
-                         "attempt": len(stage1) - 1, "seconds": seconds,
-                         "error": error})
+                         "attempt": len(stage1) - 1, "f_exists": exists,
+                         "seconds": seconds, "error": error})
             print(f"{family} {i:2d}: n = {sysm.n}, alpha = {sysm.alpha:g}, "
-                  f"{outcome} at attempt {len(stage1) - 1}, {seconds:.2f} s",
+                  f"{outcome} at attempt {len(stage1) - 1}, "
+                  f"F exists: {'yes' if exists else 'no'}, {seconds:.2f} s",
                   flush=True)
         won = collections.Counter(row["attempt"] for row in rows
                                   if row["outcome"] == "designed")
+        by_oracle = {label: dict(collections.Counter(
+            row["outcome"] for row in rows if row["f_exists"] == exists))
+            for label, exists in (("F exists", True), ("no F", False))}
         report[family] = {
             "outcomes": dict(collections.Counter(row["outcome"] for row in rows)),
+            "by_oracle": by_oracle,
             "won_at": {str(a): won[a] for a in sorted(won)},
             "seconds": sum(row["seconds"] for row in rows),
             "plants": rows,
         }
         print(f"{family}: {report[family]['outcomes']}, won at attempt "
-              f"{report[family]['won_at']}, {report[family]['seconds']:.1f} s",
-              flush=True)
+              f"{report[family]['won_at']}, {report[family]['seconds']:.1f} s; "
+              f"by oracle {by_oracle}", flush=True)
     print(json.dumps({"seed": SEED, "families": report}))
 
 

@@ -267,7 +267,7 @@ DEMO_SIMULATION = {"x0": [-0.25, 2.0, 0.25], "gate_first_input": True}
 DEMO_SHIFTS = {
     "example1": {"decay_shift_state": 2.0, "decay_shift_injection": 6.0,
                  "decay_shift": 2.0},
-    "example2": {"decay_shift_state": 0.0, "decay_shift_injection": 0.0,
+    "example2": {"decay_shift_state": 1.0, "decay_shift_injection": 1.0,
                  "decay_shift": 1.0},
 }
 

@@ -22,10 +22,11 @@ impulse-free pair at the original order), and reports carry both the strict
 and the effective verdict.
 
 This module alone decides whether a plant is handled lifted or as it is, and
-owns that degree threshold: :func:`as_plant` puts any plant into the
-coordinates its criteria hold in (lifted only for orders above 1), and
-:func:`verify_loop` judges a controller's closed loop there.  Synthesis and
-simulation take a plant of any order and go through these two functions.
+owns that degree threshold: :func:`as_plant` puts any plant into working
+coordinates (lifted only for orders above 1), :func:`embed` puts a gain of
+the plant's own state there, and :func:`verify_loop` judges a controller's
+closed loop there.  Synthesis designs on the plant itself at every order;
+verification and the march (orders up to 1) run in working coordinates.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "lift",
     "as_plant",
     "verify_loop",
+    "embed",
     "transfer_function",
     "analyze_lifted_pair",
     "synth_observer_lifted",
@@ -81,18 +83,14 @@ def lift(sys: DescriptorSystem, k: int = DEFAULT_K) -> LiftedSystem:
     if k < 2:
         raise InputError("k must be at least 2")
     n = sys.n
-    N = k * n
-    Ebar = np.eye(N)
+    pad = (k - 1) * n
+    Ebar = np.eye(k * n)
     Ebar[:n, :n] = sys.E
-    Abar = np.zeros((N, N))
-    for i in range(k - 1):
-        Abar[i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] = np.eye(n)
-    Abar[(k - 1) * n:, :n] = sys.A
-    Bbar = np.zeros((N, sys.m))
-    Bbar[(k - 1) * n:, :] = sys.B
-    Cbar = np.zeros((sys.p, N))
-    Cbar[:, :n] = sys.C
-    lifted = DescriptorSystem(E=Ebar, A=Abar, B=Bbar, C=Cbar,
+    Abar = np.eye(k * n, k=n)  # identity blocks on the block superdiagonal
+    Abar[pad:, :n] = sys.A
+    lifted = DescriptorSystem(E=Ebar, A=Abar,
+                              B=np.vstack([np.zeros((pad, sys.m)), sys.B]),
+                              C=np.hstack([sys.C, np.zeros((sys.p, pad))]),
                               alpha=sys.alpha / k)
     return LiftedSystem(base=sys, k=k, lifted=lifted)
 
@@ -183,6 +181,18 @@ def verify_loop(plant: LiftedSystem, controller):
     copies = 2 if controller[0] == "observer" else 1
     return analyze_lifted_pair(E, A, copies * plant.base.r, plant.k,
                                sys.alpha)
+
+
+def embed(plant: LiftedSystem, K, L):
+    """Gains K (m x n) and L (n x p) of the plant's own state, on its working state.
+
+    K becomes [K, 0, ..., 0], as C is lifted, and L becomes [0; ...; 0; L],
+    as B is, so the lifted loop is the lift of the base loop.  At k = 1
+    they come back as they are.
+    """
+    pad = plant.lifted.n - plant.base.n
+    return (np.hstack([K, np.zeros((K.shape[0], pad))]),
+            np.vstack([np.zeros((pad, L.shape[1])), L]))
 
 
 def synth_observer_lifted(sys: DescriptorSystem, k: int = DEFAULT_K,

@@ -356,9 +356,8 @@ class LmiSolution:
 
     status: str                         # "Feasible" | "Infeasible" | "NumericalFailure"
     assignment: np.ndarray | None
-    #: Final interior iterate regardless of status.  Weakly feasible
-    #: (marginal) problems never produce a strict witness; callers that can
-    #: verify a recovered design independently may fall back on this.
+    #: Final interior iterate regardless of status, kept for inspection;
+    #: only ``assignment`` certifies anything.
     witness: np.ndarray | None
     margins: tuple
     t: float

@@ -177,6 +177,56 @@ class TestLiftedAnalysis:
         assert report.effective_impulse_free
 
 
+def _matched(got, expected):
+    """Whether two lists of eigenvalues agree as multisets, to 1e-6 relative."""
+    got = list(got)
+    if len(got) != len(expected):
+        return False
+    for lam in expected:
+        dist = np.abs(np.array(got) - lam)
+        if dist.min() > 1e-6 * max(1.0, abs(lam)):
+            return False
+        got.pop(int(np.argmin(dist)))
+    return True
+
+
+class TestEmbed:
+    """A base gain on the lifted state: the lifted loop is the base loop's lift."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_finite_eigenvalues_are_kth_roots(self, k):
+        # Oracle: each finite eigenvalue of the embedded loop is one of the
+        # k k-th roots of a finite eigenvalue of the base loop, all of them
+        # once, as det(mu^k E - A) = det(mu Ebar - Abar) says.  Random gains
+        # may leave the base loop impulsive; the roots match all the same.
+        rng = np.random.default_rng(30 + k)
+        for _ in range(6):
+            base, _ = random_impulse_free_system(rng, 0.7)
+            base = base.with_matrices(alpha=1.4)
+            plant = lifting.as_plant(base, k)
+            K = rng.standard_normal((base.m, base.n))
+            L = rng.standard_normal((base.n, base.p))
+            Kbar, Lbar = lifting.embed(plant, K, L)
+            for ctrl, lifted in ((("state", K), ("state", Kbar)),
+                                 (("observer", K, L), ("observer", Kbar, Lbar))):
+                E, A, _ = synthesis.closed_loop(base, ctrl)
+                Ebar, Abar, _ = synthesis.closed_loop(plant.lifted, lifted)
+                base_eigs = descriptor.analyze_pair(E, A, 1.4).finite_eigenvalues
+                roots = [lam ** (1.0 / k) * np.exp(2j * np.pi * j / k)
+                         for lam in base_eigs for j in range(k)]
+                report = descriptor.analyze_pair(Ebar, Abar, 1.4 / k)
+                assert _matched(report.finite_eigenvalues, roots)
+
+    def test_layout(self, bench06, bench12):
+        K, L = np.arange(1.0, 4.0)[None], np.arange(4.0, 7.0)[:, None]
+        Kbar, Lbar = lifting.embed(lifting.as_plant(bench12, 3), K, L)
+        assert np.array_equal(Kbar, np.hstack([K, np.zeros((1, 6))]))
+        assert np.array_equal(Lbar, np.vstack([np.zeros((6, 1)), L]))
+        for got, want in zip(lifting.embed(lifting.as_plant(bench06), K, L),
+                             (K, L)):
+            assert np.array_equal(got, want)
+
+
 class TestLiftedSynthesis:
     def test_published_gains_verify(self, bench12):
         ls = lift(bench12)
@@ -197,11 +247,23 @@ class TestLiftedSynthesis:
         design = synth_observer(bench12)
         assert design.K.shape == (1, 6) and design.L.shape == (6, 1)
         assert design.closed_loop_report.admissible
-        # certificates are Feasible or Marginal; marginal ones stay within
-        # the slack that the independent verification then covers
+        # designed at order 1.2 on the plant itself: strict certificates
         for cert in design.certificates.values():
-            assert cert.status in ("Feasible", "Marginal")
-            assert max(cert.margins) <= synthesis.MARGINAL_SLACK
+            assert cert.status == "Feasible"
+            assert max(cert.margins) <= -cert.feas_margin
+
+    @pytest.mark.parametrize("alpha, k", [(1.5, 3), (1.8, 3), (1.2, 4)])
+    def test_designs_that_raised_not_member_error(self, alpha, k):
+        # At example1's observer shifts, lifted LMIs left these three
+        # observers with a fractional-PD parameter outside the set; designed
+        # on the plant they verify.
+        design = synth_observer(lifting.as_plant(benchmark(alpha), k),
+                                decay_shift_state=2.0, decay_shift_injection=6.0)
+        assert design.K.shape == (1, 3 * k) and design.L.shape == (3 * k, 1)
+        assert design.closed_loop_report.admissible
+        for cert in design.certificates.values():
+            assert cert.status == "Feasible"
+            assert max(cert.margins) <= -cert.feas_margin
 
     def test_synth_output_feedback_lifted(self, bench12):
         design = synth_output_feedback(bench12)

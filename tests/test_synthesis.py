@@ -12,7 +12,7 @@ import scipy.linalg as sla
 from conftest import GAINS_06, GAINS_12, benchmark, random_impulse_free_system
 from sfos import lifting, lmi, synthesis
 from sfos.descriptor import DescriptorSystem, analyze, analyze_pair
-from sfos.errors import (InputError, OutputStageExhausted,
+from sfos.errors import (InputError, LmiNumericalError, OutputStageExhausted,
                          StateFeedbackInfeasible, VerificationFailed)
 from sfos.lifting import lift
 from sfos.lmi import (AffineExpr, VariableRegistry, block_of,
@@ -56,9 +56,15 @@ class TestAdmissibleViaLmi:
         with pytest.raises(InputError):
             admissible_via_lmi(bench06, side="up")
 
-    def test_order_above_one_rejected(self, bench12):
-        with pytest.raises(InputError, match="lift"):
-            admissible_via_lmi(bench12)
+    def test_order_above_one_decided_directly(self, bench12):
+        # Above order 1 the plant itself is decided, by the conic sector
+        # with its multiplier Q, not refused with advice to lift it.
+        for side in ("right", "left"):
+            verdict, sol = admissible_via_lmi(bench12, side)
+            assert verdict is False and sol.status == "Infeasible"
+            assert sol.block_labels == ("P_membership", f"admissibility_{side}")
+            verdict, sol = admissible_via_lmi(stable_singular_system(1.5), side)
+            assert verdict is True and max(sol.margins) <= -sol.feas_margin
 
     def test_lifted_plant_rejected(self, bench12):
         # The criterion is posed on a plain plant; a lifted one is refused
@@ -368,6 +374,140 @@ class TestNonsingularE:
             assert synth_observer(sysm).closed_loop_report.admissible
 
 
+def _regular_impulsive_system(rng, alpha):
+    """A seeded plant whose pencil is regular but not impulse-free.
+
+    Its fast block A4 is singular, so det(sE - A) has degree below rank E;
+    draws that QZ finds singular or impulse-free are skipped.
+    """
+    def transform(k):
+        return (np.linalg.qr(rng.standard_normal((k, k)))[0]
+                @ np.diag(rng.uniform(0.7, 1.4, k)))
+    while True:
+        n = int(rng.integers(2, 5))
+        r = int(rng.integers(1, n))
+        At = rng.standard_normal((n, n))
+        At[r:, r:] = transform(n - r) @ np.diag([1.0] * (n - r - 1) + [0.0]) \
+            @ transform(n - r)
+        M, N = transform(n), transform(n)
+        sysm = DescriptorSystem(E=M @ np.diag([1.0] * r + [0.0] * (n - r)) @ N,
+                                A=M @ At @ N, B=np.ones((n, 1)),
+                                C=np.ones((1, n)), alpha=alpha)
+        report = analyze(sysm)
+        if report.regular and not report.impulse_free:
+            return sysm
+
+
+SECTOR_ORDERS = (1.2, 1.5, 1.8)
+
+
+class TestSectorCriterion:
+    """Above order 1: the conic-sector criterion on the plant itself."""
+
+    def test_verdicts_agree_with_qz(self):
+        # Oracle: QZ, both sides, on seeded impulse-free plants.
+        rng = np.random.default_rng(2024)
+        stable_count = 0
+        for trial in range(60):
+            sysm, _ = random_impulse_free_system(rng, SECTOR_ORDERS[trial % 3])
+            truth = analyze(sysm).admissible
+            stable_count += truth
+            for side in ("right", "left"):
+                assert admissible_via_lmi(sysm, side)[0] is truth
+        assert 15 <= stable_count <= 45
+
+    def test_impulsive_plants_never_admissible(self):
+        # A refusal is allowed; a True verdict is not.
+        rng = np.random.default_rng(5)
+        infeasible = 0
+        for trial in range(30):
+            sysm = _regular_impulsive_system(rng, SECTOR_ORDERS[trial % 3])
+            for side in ("right", "left"):
+                try:
+                    verdict, sol = admissible_via_lmi(sysm, side)
+                except LmiNumericalError:
+                    continue
+                assert verdict is False and sol.status == "Infeasible"
+                infeasible += 1
+        assert infeasible >= 50
+
+    def test_gains_verify(self):
+        # K and L designed at the plant's own order give loops that QZ
+        # finds admissible at that order.
+        rng = np.random.default_rng(7)
+        for trial in range(30):
+            sysm, _ = random_impulse_free_system(rng, SECTOR_ORDERS[trial % 3])
+            K, cert_k = solve_state_feedback(sysm)
+            L, cert_l = solve_output_injection(sysm)
+            assert cert_k.feasible and cert_l.feasible
+            assert analyze_pair(sysm.E, sysm.A + sysm.B @ K, sysm.alpha).admissible
+            assert analyze_pair(sysm.E, sysm.A + L @ sysm.C, sysm.alpha).admissible
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_block_is_the_conic_sector(self, dual):
+        # At random assignments: -P, and the real form of the sector,
+        # [[s sym(M), c (M - M^T)], [c (M^T - M), s sym(M)]] with
+        # M = A S + B R built here, s = sin(alpha pi/2), c = -cos(alpha pi/2).
+        rng = np.random.default_rng(3)
+        bench = benchmark(1.5)
+        sysm = bench.with_matrices(B=rng.standard_normal((3, 2)))
+        A, B, ann = synthesis._right_side(sysm, dual)
+        blocks, reg = synthesis._criterion(A, B, ann, 1.5, "1", "state_feedback")
+        n, r, m = 3, sysm.r, B.shape[1]
+        assert reg.num_slots == r * (r + 1) // 2 + n * (n - r) + m * n
+        assert [b.label for b in blocks] == ["P1_membership", "state_feedback"]
+        s, c = np.sin(0.75 * np.pi), -np.cos(0.75 * np.pi)
+        for _ in range(3):
+            x = rng.standard_normal(reg.num_slots)
+            P, Q, R = (reg.materialize(name, x) for name in ("P1", "Q1", "R1"))
+            M = A @ (ann.V1 @ P @ np.diag(ann.sigma) @ ann.U1.T
+                     + ann.E_right @ Q) + B @ R
+            want = np.block([[s * (M + M.T), c * (M - M.T)],
+                             [c * (M.T - M), s * (M + M.T)]])
+            assert np.array_equal(blocks[0].evaluate(x), -P)
+            assert np.allclose(blocks[1].evaluate(x), want, rtol=0.0,
+                               atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.5])
+    def test_stage2_congruence_leaves_the_closed_loop(self, alpha, monkeypatch):
+        # With H = G F, the stage-2 block under congruence by
+        # [I; I (x) (F C - K0)] is the sector block of S (A + B F C),
+        # S = E^T P + Q E_left, built here.
+        sysm = benchmark(alpha)
+        solve, posed = synthesis.solve_feasibility, []
+
+        def capture(blocks, reg, **kwargs):
+            posed.append((blocks, reg))
+            return solve(blocks, reg, **kwargs)
+        monkeypatch.setattr(synthesis, "solve_feasibility", capture)
+        rng = np.random.default_rng(11)
+        K0 = rng.standard_normal((1, 3))
+        synthesis._output_stage2(sysm, K0)
+        (blocks, reg), = posed
+        x = rng.standard_normal(reg.num_slots)
+        F = rng.standard_normal((1, 1))
+        H = reg.entry("H")
+        x[H.start:H.start + H.count] = (reg.materialize("G", x) @ F).ravel()
+        half = alpha * np.pi / 2.0
+        if alpha > 1.0:
+            P = reg.materialize("P", x)
+            theta = np.array([[np.sin(half), -np.cos(half)],
+                              [np.cos(half), np.sin(half)]])
+        else:
+            P = np.sin(half) * reg.materialize("P_X", x) \
+                + np.cos(half) * reg.materialize("P_Y", x)
+            theta = np.ones((1, 1))
+        U = np.linalg.svd(sysm.E)[0]
+        S = sysm.E.T @ P + reg.materialize("Q", x) @ U[:, sysm.r:].T
+        copies = np.eye(len(theta))
+        T = np.vstack([np.eye(3 * len(theta)),
+                       np.kron(copies, F @ sysm.C - K0)])
+        M = np.kron(theta, S @ (sysm.A + sysm.B @ F @ sysm.C))
+        want = M + M.T
+        got = T.T @ blocks[-1].evaluate(x) @ T
+        assert np.allclose(got, want, rtol=0.0, atol=1e-10 * np.abs(want).max())
+
+
 class TestStateFeedback:
     def test_benchmark_gain_stabilizes(self, bench06):
         K, cert = solve_state_feedback(bench06)
@@ -614,22 +754,3 @@ class TestAnyOrder:
             lifting.as_plant(bench12, 1)
         with pytest.raises(InputError, match="^k must be at least 2"):
             lifting.LiftedSystem(base=bench12, k=1, lifted=bench12)
-
-
-class TestMarginalRepair:
-    def test_fpdm_repair_restores_membership(self):
-        # A slightly indefinite membership block is corrected by a diagonal
-        # shift before P is formed from a marginal witness.
-        X = np.diag([1.0, -1e-7])
-        Y = np.zeros((2, 2))
-        vals = {"P_X": X, "P_Y": Y}
-        P = synthesis._materialize_fpdm(vals, "P", 0.5, repair=True)
-        # repaired X must be positive definite, so P's symmetric part is too
-        assert np.linalg.eigvalsh((P + P.T) / 2.0)[0] > 0
-
-    def test_no_repair_for_strict_certificates(self):
-        X = np.diag([2.0, 1.0])
-        Y = np.zeros((2, 2))
-        P = synthesis._materialize_fpdm({"P_X": X, "P_Y": Y}, "P", 0.5,
-                                        repair=False)
-        assert np.allclose(P, np.sin(0.25 * np.pi) * X)
