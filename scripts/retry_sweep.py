@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Outcome of the output-feedback design and its retries on random plants.
 
-    python3 scripts/retry_sweep.py [--src DIR]
+    python3 scripts/retry_sweep.py [--src DIR] [--plant-seed N]
 
-Runs ``sfos.synth_output_feedback`` (seed 0, no decay shift) on two
-families of open-loop unstable plants drawn by ``random_impulse_free_system``
-from ``tests/conftest.py``, each family from ``np.random.default_rng(SEED)``:
+Runs ``sfos.synth_output_feedback`` (no decay shift) on two families of
+open-loop unstable plants drawn by ``random_impulse_free_system`` from
+``tests/conftest.py``, each family from
+``np.random.default_rng(--plant-seed)`` (default ``PLANT_SEED``):
 
 * ``siso``: an order drawn from ``SISO_ORDERS`` before each plant; draws the
   generator marks stable are skipped until there are ``SISO_PLANTS``.
@@ -21,13 +22,14 @@ sector.  The oracle ``f_exists`` sweeps F over ``F_GRID`` (+-|F| in
 the grid's resolution, and independent of the LMIs.
 
 Prints one line a plant: its outcome ("designed" or the error's class),
-the attempt that won or ended the design (0 is the untilted K0; counted as
-stage-1 solves less one), whether an F exists, and the wall time of the
-design; then one JSON object with every plant, outcome counts, outcome
-counts split by the oracle, winning attempts and total seconds per
-family.  ``--src`` is the ``src`` directory to import ``sfos`` from
-(default: this checkout's), so that two checkouts run the same plants.
-BLAS is pinned to one thread, as in ``perfbench/run.py``.
+the attempt that won or ended the design (0 is the first K0, solved on
+the plant itself; counted as stage-1 solves less one), whether an F
+exists, and the wall time of the design; then one JSON object with every
+plant, outcome counts, outcome counts split by the oracle, winning
+attempts and total seconds per family.  ``--src`` is the ``src``
+directory to import ``sfos`` from (default: this checkout's), so that two
+checkouts run the same plants.  BLAS is pinned to one thread, as in
+``perfbench/run.py``.
 """
 
 import os
@@ -43,7 +45,7 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-SEED = 11
+PLANT_SEED = 11
 SISO_ORDERS = (0.4, 0.6, 0.8)
 SISO_PLANTS = 60
 LIFTED_BASE_ORDERS = (0.6, 0.7, 0.8)
@@ -54,18 +56,18 @@ F_GRID = np.concatenate([s * np.logspace(-3.0, 3.0, 1500) for s in (1.0, -1.0)])
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def siso_plants(draw):
+def siso_plants(draw, seed):
     """(plant, k) of each open-loop unstable draw at order in SISO_ORDERS."""
-    rng = np.random.default_rng(SEED)
+    rng = np.random.default_rng(seed)
     while True:
         sysm, stable = draw(rng, rng.choice(SISO_ORDERS))
         if not stable:
             yield sysm, 1
 
 
-def lifted_plants(sfos, draw):
+def lifted_plants(sfos, draw, seed):
     """(plant, k) of each draw at order 2 a0 that analyze calls unstable."""
-    rng = np.random.default_rng(SEED)
+    rng = np.random.default_rng(seed)
     while True:
         base, _ = draw(rng, rng.choice(LIFTED_BASE_ORDERS))
         sysm = sfos.DescriptorSystem(E=base.E, A=base.A, B=base.B, C=base.C,
@@ -83,6 +85,8 @@ def f_exists(sfos, sysm):
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", default=os.path.join(ROOT, "src"))
+    p.add_argument("--plant-seed", type=int, default=PLANT_SEED,
+                   help="seed of both families' plant generators")
     args = p.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     sys.path.insert(1, os.path.join(ROOT, "tests"))
@@ -102,8 +106,9 @@ def main(argv=None):
     report = {}
     draw = random_impulse_free_system
     for family, plants, count in (
-            ("siso", siso_plants(draw), SISO_PLANTS),
-            ("lifted", lifted_plants(sfos, draw), LIFTED_PLANTS)):
+            ("siso", siso_plants(draw, args.plant_seed), SISO_PLANTS),
+            ("lifted", lifted_plants(sfos, draw, args.plant_seed),
+             LIFTED_PLANTS)):
         rows = []
         for i, (sysm, k) in zip(range(count), plants):
             stage1.clear()
@@ -137,7 +142,7 @@ def main(argv=None):
         print(f"{family}: {report[family]['outcomes']}, won at attempt "
               f"{report[family]['won_at']}, {report[family]['seconds']:.1f} s; "
               f"by oracle {by_oracle}", flush=True)
-    print(json.dumps({"seed": SEED, "families": report}))
+    print(json.dumps({"plant_seed": args.plant_seed, "families": report}))
 
 
 if __name__ == "__main__":

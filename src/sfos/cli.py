@@ -8,10 +8,11 @@ Subcommands::
     sfos demo     example1|example2 --out d   one-command benchmark runs
 
 Each subcommand takes only the flags it reads: ``--out`` on all four;
-``--k`` and ``--seed`` on ``synth``, ``simulate`` and ``demo``; ``--mode``
-on ``synth``; ``--h`` and ``--horizon`` on ``simulate`` and ``demo``.  The
-LMI solver's margin and box and the rank threshold of E
-(:data:`sfos.descriptor.RANK_TOL`) are constants, not options.  ``synth``
+``--k`` on ``synth``, ``simulate`` and ``demo``; ``--mode`` on ``synth``;
+``--h`` and ``--horizon`` on ``simulate`` and ``demo``.  The LMI solver's
+margin and box, the rank threshold of E (:data:`sfos.descriptor.RANK_TOL`)
+and the output-feedback retries (:data:`sfos.synthesis.RETRY_SHIFTS`) are
+constants, not options.  ``synth``
 writes each LMI solve's certificate with its iterates.
 
 Exit codes are a stable contract: 0 success / admissible, 1 error (bad
@@ -20,10 +21,10 @@ failure), 2 analyzed and not admissible, 3 synthesis certified infeasible,
 4 no design verified (output-feedback retries exhausted, or the observer
 loop failed the closed-loop pencil check).
 
-The CLI reads its flags and the problem file, nothing else.  h, T and the
-seed resolve as the command-line flag, then the problem-file value, then
-this module's ``DEFAULT_H``, ``DEFAULT_T`` or ``DEFAULT_SEED``; ``--k`` has
-no slot in the file and defaults to :data:`sfos.lifting.DEFAULT_K`.
+The CLI reads its flags and the problem file, nothing else.  h and T
+resolve as the command-line flag, then the problem-file value, then this
+module's ``DEFAULT_H`` or ``DEFAULT_T``; ``--k`` has no slot in the file
+and defaults to :data:`sfos.lifting.DEFAULT_K`.
 The plant carries ``--k`` into synthesis and simulation, lifted by
 :func:`sfos.lifting.as_plant` (orders in (0, 1] are never lifted).
 """
@@ -75,7 +76,6 @@ PROBLEM_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "mode": {"enum": ["observer", "output"]},
-                "seed": {"type": "integer"},
                 "decay_shift": {"type": "number", "minimum": 0},
                 "decay_shift_state": {"type": "number", "minimum": 0},
                 "decay_shift_injection": {"type": "number", "minimum": 0},
@@ -102,11 +102,9 @@ PROBLEM_SCHEMA = {
 }
 
 
-#: Step, horizon and synthesis seed when neither a flag nor the problem
-#: file sets them.
+#: Step and horizon when neither a flag nor the problem file sets them.
 DEFAULT_H = 1e-3
 DEFAULT_T = 20.0
-DEFAULT_SEED = 0
 
 
 def load_problem(path) -> dict:
@@ -158,8 +156,7 @@ def _resolve(flag_value, file_value, fallback):
     return fallback
 
 
-def _run_synthesis(plant: lifting.LiftedSystem, synth_cfg: dict, args,
-                   mode=None):
+def _run_synthesis(plant: lifting.LiftedSystem, synth_cfg: dict, mode=None):
     """Design in ``mode``, else in the problem file's synthesis.mode."""
     mode = mode or synth_cfg.get("mode")
     if mode is None:
@@ -171,15 +168,14 @@ def _run_synthesis(plant: lifting.LiftedSystem, synth_cfg: dict, args,
             decay_shift_state=synth_cfg.get("decay_shift_state", 0.0),
             decay_shift_injection=synth_cfg.get("decay_shift_injection", 0.0))
     return synthesis.synth_output_feedback(
-        plant, decay_shift=synth_cfg.get("decay_shift", 0.0),
-        seed=_resolve(args.seed, synth_cfg.get("seed"), DEFAULT_SEED))
+        plant, decay_shift=synth_cfg.get("decay_shift", 0.0))
 
 
 def cmd_synth(args) -> int:
     doc = load_problem(args.problem)
     synth_cfg = doc.get("synthesis", {})
     sysm = descriptor.system_from_dict(doc["system"])
-    design = _run_synthesis(lifting.as_plant(sysm, args.k), synth_cfg, args,
+    design = _run_synthesis(lifting.as_plant(sysm, args.k), synth_cfg,
                             args.mode)
     _emit(design.to_dict(), args.out)
     return EXIT_OK
@@ -225,7 +221,7 @@ def cmd_simulate(args) -> int:
         verification = report.to_dict()
         admissible = report.admissible
     elif "synthesis" in doc:
-        controller = _run_synthesis(plant, doc["synthesis"], args)
+        controller = _run_synthesis(plant, doc["synthesis"])
         admissible = True
     else:
         controller = None
@@ -284,8 +280,8 @@ def cmd_demo(args) -> int:
     cfg_obs = _sim_config(dict(DEMO_SIMULATION, xhat0=[0.0, 0.0, 0.0]), args)
     cfg_out = _sim_config(DEMO_SIMULATION, args)
     shifts = DEMO_SHIFTS[args.example]
-    obs = _run_synthesis(plant, shifts, args, "observer")
-    out = _run_synthesis(plant, shifts, args, "output")
+    obs = _run_synthesis(plant, shifts, "observer")
+    out = _run_synthesis(plant, shifts, "output")
     traj_obs = simulator.simulate(plant, obs, cfg_obs)
     traj_out = simulator.simulate(plant, out, cfg_out)
 
@@ -349,8 +345,8 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """The parser.
 
-    h, T and the seed default to None: the subcommands fall back on the
-    problem file before ``DEFAULT_H``, ``DEFAULT_T`` and ``DEFAULT_SEED``.
+    h and T default to None: the subcommands fall back on the problem file
+    before ``DEFAULT_H`` and ``DEFAULT_T``.
     """
     parser = _Parser(
         prog="sfos",
@@ -361,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     def design(p):
         p.add_argument("--k", type=int, default=lifting.DEFAULT_K,
                        help="lifting factor for orders in (1, 2)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for synthesis retry tilts")
 
     def march(p):
         p.add_argument("--h", type=float, default=None, help="simulation step")

@@ -56,7 +56,8 @@ class FpdmParam:
             raise InputError("X and Y must be finite")
         if not 0.0 < self.alpha <= 1.0:
             raise InputError(
-                f"alpha must lie in (0, 1] (lift higher orders first), got {self.alpha}")
+                "alpha must lie in (0, 1] (above order 1, P is symmetric "
+                f"positive definite), got {self.alpha}")
         scale = max(np.abs(X).max(), np.abs(Y).max(), 1.0)
         if np.abs(X - X.T).max() > STRUCTURE_TOL * scale:
             raise InputError("X must be symmetric")

@@ -356,9 +356,6 @@ class LmiSolution:
 
     status: str                         # "Feasible" | "Infeasible" | "NumericalFailure"
     assignment: np.ndarray | None
-    #: Final interior iterate regardless of status, kept for inspection;
-    #: only ``assignment`` certifies anything.
-    witness: np.ndarray | None
     margins: tuple
     t: float
     lower_bound: float
@@ -376,7 +373,6 @@ class LmiSolution:
         return {
             "status": self.status,
             "assignment": None if self.assignment is None else list(self.assignment),
-            "witness": None if self.witness is None else list(self.witness),
             "margins": list(self.margins),
             "t": self.t,
             "lower_bound": self.lower_bound,
@@ -470,11 +466,11 @@ class _Barrier:
         H.reshape(-1)[self.diag] += up ** 2 + dn ** 2
         return g, H
 
-    def dual_lower_bound(self, factors, tilt_x):
-        """Rigorous lower bound on min(t + tilt_x . x) from the current slacks.
+    def dual_lower_bound(self, factors):
+        """Rigorous lower bound on min t from the current slacks.
 
         For any Z_j >= 0 with sum tr(Z_j) = 1, weak duality gives the bound
-        sum_j <F_j0, Z_j> - box * sum_i |c_i + sum_j <F_ji, Z_j>| where the
+        sum_j <F_j0, Z_j> - box * sum_i |sum_j <F_ji, Z_j>| where the
         second term absorbs the x-stationarity residual into the box
         multipliers.  Z_j is taken proportional to the inverse slacks, which
         tightens the bound as the iterate approaches the central path, but
@@ -484,7 +480,7 @@ class _Barrier:
                  for L in factors]
         total = sum(np.trace(S) for S in Sinvs)
         bound = 0.0
-        resid = tilt_x.copy()
+        resid = np.zeros(self.nx)
         for b, Sinv in zip(self.blocks, Sinvs):
             Z = Sinv / total
             bound += float(np.sum(b.F0 * Z))
@@ -492,8 +488,8 @@ class _Barrier:
         return bound - self.box * float(np.sum(np.abs(resid)))
 
 
-def solve_feasibility(blocks, registry, box_bound: float = DEFAULT_BOX_BOUND,
-                      objective=None) -> LmiSolution:
+def solve_feasibility(blocks, registry,
+                      box_bound: float = DEFAULT_BOX_BOUND) -> LmiSolution:
     """Decide strict feasibility of F_j(x) < 0 over the registry's slots.
 
     Minimizes t subject to F_j(x) <= t*I and |x_i| <= box_bound by
@@ -503,12 +499,8 @@ def solve_feasibility(blocks, registry, box_bound: float = DEFAULT_BOX_BOUND,
     Infeasible when the duality lower bound proves no point in the box
     reaches -m; NumericalFailure when the step budget runs out in the gap
     between the two.  The two verdicts share the same threshold, so
-    "Infeasible" means precisely "not feasible at margin m".
-
-    ``objective`` optionally adds a linear tilt c^T x (a slot-indexed dict)
-    to the minimized t; used by synthesis retries to sample different
-    feasible points.  A tilted solve still reports Feasible only on the
-    strength of its witness.  The solve does no I/O.
+    "Infeasible" means precisely "not feasible at margin m".  The path stops
+    at the first outer step that gives either verdict.  The solve does no I/O.
     """
     if not blocks:
         raise InputError("no LMI blocks given")
@@ -523,12 +515,6 @@ def solve_feasibility(blocks, registry, box_bound: float = DEFAULT_BOX_BOUND,
             raise InputError(f"block {b.label!r} references unknown slots {unknown.tolist()}")
         if np.any(np.diff(b.slots) <= 0):
             raise InputError(f"slots of block {b.label!r} are not strictly increasing")
-
-    tilt = np.zeros(nx + 1)
-    tilt[-1] = 1.0
-    if objective:
-        for s, c in objective.items():
-            tilt[s] += c
 
     barrier = _Barrier(blocks, nx, box_bound)
     z = np.zeros(nx + 1)
@@ -553,13 +539,12 @@ def solve_feasibility(blocks, registry, box_bound: float = DEFAULT_BOX_BOUND,
     eta = 1.0
     steps = 0
     best_lower = -np.inf
-    untilted = not objective
     consecutive_stalls = 0
 
     def classify(zc, lower):
         x = zc[:-1]
         margins = tuple(float(np.linalg.eigvalsh(b.evaluate(x))[-1]) for b in blocks)
-        t = max(margins)  # effective achieved epigraph value at the witness
+        t = max(margins)  # effective achieved epigraph value at the iterate
         if t <= -DEFAULT_FEAS_MARGIN:
             return "Feasible", margins, t
         if lower > -DEFAULT_FEAS_MARGIN:
@@ -568,15 +553,15 @@ def solve_feasibility(blocks, registry, box_bound: float = DEFAULT_BOX_BOUND,
 
     while True:
         # Center (approximately) for the current eta.  The per-round cap
-        # keeps a single hard centering problem (tilted objectives converge
-        # slowly) from exhausting the whole step budget at one eta.
+        # keeps a single hard centering problem from exhausting the whole
+        # step budget at one eta.
         stalled = False
         last_decrement2 = np.inf
         round_steps = 0
         while steps < MAX_NEWTON_STEPS and round_steps < 100:
             round_steps += 1
             g, H = barrier.grad_hess(z, factors)
-            g = g + eta * tilt
+            g[-1] += eta
             Hr = H + ident * (1e-14 * max(np.trace(H) / (nx + 1), 1.0))
             try:
                 step = -np.linalg.solve(Hr, g)
@@ -588,14 +573,14 @@ def solve_feasibility(blocks, registry, box_bound: float = DEFAULT_BOX_BOUND,
                 break
             # Backtracking line search: stay interior, Armijo decrease.
             # phi is the barrier value at z, kept from the step that accepted z.
-            base = eta * float(tilt @ z) + phi
+            base = eta * float(z[-1]) + phi
             size = 1.0
             for _ in range(60):
                 z_new = z + size * step
                 f_new = barrier.slacks(z_new)
                 if f_new is not None:
                     phi_new = barrier.value(z_new, f_new)
-                    val = eta * float(tilt @ z_new) + phi_new
+                    val = eta * float(z_new[-1]) + phi_new
                     if val <= base - 0.01 * size * decrement2:
                         break
                 size *= 0.5
@@ -611,7 +596,7 @@ def solve_feasibility(blocks, registry, box_bound: float = DEFAULT_BOX_BOUND,
             if decrement2 < CENTERING_TOL:
                 break
 
-        best_lower = max(best_lower, barrier.dual_lower_bound(factors, tilt[:-1]))
+        best_lower = max(best_lower, barrier.dual_lower_bound(factors))
         if last_decrement2 <= 1e-2:
             # Near-centered iterate (Newton decrement <= 0.1): the
             # path-following duality measure bounds the optimality gap; the
@@ -622,26 +607,19 @@ def solve_feasibility(blocks, registry, box_bound: float = DEFAULT_BOX_BOUND,
             best_lower = max(best_lower, float(z[-1]) - 2.0 * barrier.nu / eta)
         consecutive_stalls = consecutive_stalls + 1 if stalled else 0
         status, margins, t = classify(z, best_lower)
-        if untilted and status != "NumericalFailure":
+        if status != "NumericalFailure":
             break
         if steps >= MAX_NEWTON_STEPS or consecutive_stalls >= 3 \
                 or barrier.nu / eta <= DUALITY_TOL:
             break
         eta *= 10.0
 
-    lower = best_lower
-    if objective:
-        # A tilt invalidates the epigraph lower bound as an infeasibility
-        # certificate; only the witness-based verdict stands.
-        if status == "Infeasible":
-            status = "NumericalFailure"
     return LmiSolution(
         status=status,
         assignment=z[:-1].copy() if status == "Feasible" else None,
-        witness=z[:-1].copy(),
         margins=margins,
         t=float(t),
-        lower_bound=float(lower),
+        lower_bound=float(best_lower),
         newton_steps=steps,
         feas_margin=DEFAULT_FEAS_MARGIN,
         box_bound=box_bound,

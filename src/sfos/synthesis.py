@@ -34,11 +34,12 @@ Static output feedback is a two-stage scheme: the state-feedback LMI
 produces an intermediate gain K0, then a slack-variable inequality in a
 full n x n P and (Q, G, H) yields F = G^{-1} H.
 Stage 2 is not guaranteed solvable for every stage-1 K0, so a stage 2 with
-no certificate triggers re-sampling of K0 through a small seeded random
-linear tilt on the stage-1 objective; the design records the samples that
-failed.  The observer design makes one attempt.  Every solve runs
-:func:`sfos.lmi.solve_feasibility` at its default box and margin, and only
-a strict certificate yields a gain.
+no certificate, or a loop that fails verification, re-solves stage 1 on
+the plant shifted by the next decay shift of :data:`RETRY_SHIFTS` for
+another K0; stage 2 and verification do not see that shift, and the
+design records the K0 that failed.  The observer design makes one
+attempt.  Every solve runs :func:`sfos.lmi.solve_feasibility` at its
+default box and margin, and only a strict certificate yields a gain.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ import numpy as np
 from . import fpdm, lifting
 from .descriptor import DescriptorSystem, annihilators, numerical_rank
 from .errors import (GainRecoverySingular, InputError, LmiNumericalError,
-                     OutputInjectionInfeasible, OutputStageExhausted,
-                     StateFeedbackInfeasible, VerificationFailed)
+                     NotMemberError, OutputInjectionInfeasible,
+                     OutputStageExhausted, StateFeedbackInfeasible,
+                     VerificationFailed)
 from .lmi import (DEFAULT_BOX_BOUND, DEFAULT_FEAS_MARGIN, AffineExpr,
                   LmiSolution, VariableRegistry, block_of, solve_feasibility,
                   sym_of)
@@ -68,11 +70,9 @@ __all__ = [
 #: Condition-number ceiling for the matrices inverted during gain recovery.
 RECOVERY_COND_LIMIT = 1e12
 
-#: Magnitude of the random stage-1 objective tilt used by output-feedback retries.
-RETRY_TILT = 1e-3
-
-#: Extra stage-1 samples of K0 that output feedback tries after the first.
-RETRIES = 8
+#: Decay shifts of the stage-1 plant that output feedback tries for K0, in
+#: order; the first is the plant itself.
+RETRY_SHIFTS = (0.0, 0.5, -0.5, 2.0, -2.0, 8.0, -8.0, 32.0, -32.0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def admissible_via_lmi(sys: DescriptorSystem, side: str = "right"):
     if not blocks:
         empty = np.zeros(0)
         return True, LmiSolution(
-            status="Feasible", assignment=empty, witness=empty, margins=(),
+            status="Feasible", assignment=empty, margins=(),
             t=-np.inf, lower_bound=-np.inf, newton_steps=0,
             feas_margin=DEFAULT_FEAS_MARGIN, box_bound=DEFAULT_BOX_BOUND)
     sol = solve_feasibility(blocks, reg)
@@ -310,23 +310,15 @@ def closed_loop(sys: DescriptorSystem, controller):
 
 
 def _solve_gain(sys: DescriptorSystem, dual: bool, suffix: str,
-                label: str, infeasible, objective_seed=None):
+                label: str, infeasible):
     """:func:`_criterion` on the plant or its dual; returns (K = R S^{-1}, sol).
 
     A certified infeasible solve raises ``infeasible``, an unclassified one
-    :class:`LmiNumericalError`.  ``objective_seed`` activates the random
-    tilt on R used by output-feedback retries.
+    :class:`LmiNumericalError`.
     """
     A, B, ann = _right_side(sys, dual)
     blocks, reg = _criterion(A, B, ann, sys.alpha, suffix, label)
-    objective = None
-    if objective_seed is not None:
-        rng = np.random.default_rng(objective_seed)
-        W = rng.standard_normal((B.shape[1], sys.n))
-        entry = reg.entry(f"R{suffix}")
-        objective = {entry.start + i: RETRY_TILT * w
-                     for i, w in enumerate(W.ravel())}
-    sol = solve_feasibility(blocks, reg, objective=objective)
+    sol = solve_feasibility(blocks, reg)
     if not sol.feasible:
         what = label.replace("_", "-")
         if sol.status == "Infeasible":
@@ -340,15 +332,14 @@ def _solve_gain(sys: DescriptorSystem, dual: bool, suffix: str,
     return K, sol
 
 
-def solve_state_feedback(plant, objective_seed=None):
+def solve_state_feedback(plant):
     """Feasibility of sym(Theta (x) (A S + B R)) < 0; returns (K, certificate).
 
     K = R S^{-1} (see :func:`_criterion`).  ``plant`` is a plain plant, at
-    its own order; ``objective_seed`` activates the random tilt of
-    output-feedback retries.
+    its own order.
     """
     return _solve_gain(plant, False, "1", "state_feedback",
-                       StateFeedbackInfeasible, objective_seed)
+                       StateFeedbackInfeasible)
 
 
 def solve_output_injection(plant):
@@ -403,7 +394,7 @@ class OutputFeedbackDesign:
     """Intermediate gain K0, output gain F, and their evidence.
 
     K0 acts on the plant's own state, F on its output.  ``attempts`` lists
-    the K0 samples that failed before the one that won.
+    the K0 that failed before the one that won.
     """
 
     K0: np.ndarray
@@ -463,24 +454,29 @@ def synth_output_feedback(sys, seed: int = 0,
     plant at its own order, and F acts on its output, which a lift keeps.
     Stage 1 solves the state-feedback relaxation for an intermediate gain
     K0; stage 2 searches for a slack pair (G, H) certifying F = G^{-1}H
-    against that K0.  Because not every stabilizing K0 admits a stage-2
-    certificate, a stage 2 without one (Infeasible or NumericalFailure) or
-    a verification miss re-runs stage 1 with a small seeded random
-    objective tilt to land on a different K0, up to :data:`RETRIES` extra
-    attempts.  The failed attempts, each stage 2 with its LMI status,
-    are kept on the design, or on :class:`OutputStageExhausted`.
+    against that K0.  ``decay_shift`` > 0 designs against A + gamma*E, as
+    in :func:`synth_observer`.  Because not every stabilizing K0 admits a
+    stage-2 certificate, a stage 2 without one (Infeasible or
+    NumericalFailure) or a verification miss re-solves stage 1 on that
+    plant shifted further by the next entry of :data:`RETRY_SHIFTS`, for
+    another K0; stage 2 keeps that plant, and verification the plant
+    itself.  The failed attempts, each with its stage and status, are kept
+    on the design, or on :class:`OutputStageExhausted`.  ``seed`` is
+    ignored: nothing in the design is random, and the keyword stays only
+    for existing callers.
     """
     plant = lifting.as_plant(sys)
     work = _shifted(plant.base, decay_shift)
     attempts = []
-    for attempt in range(RETRIES + 1):
-        objective_seed = None if attempt == 0 else (seed, attempt)
+    for attempt, gamma in enumerate(RETRY_SHIFTS):
         try:
-            K0, cert1 = solve_state_feedback(work, objective_seed=objective_seed)
+            K0, cert1 = solve_state_feedback(_shifted(work, gamma))
         except (StateFeedbackInfeasible, LmiNumericalError,
-                GainRecoverySingular) as exc:
-            # A tilted solve cannot certify infeasibility, and may fail where
-            # the untilted one succeeded: that only disqualifies this K0.
+                GainRecoverySingular, NotMemberError) as exc:
+            # Only the plant itself decides that no design exists; a shifted
+            # stage 1 that fails only disqualifies its K0.  On large shifts
+            # fpdm.materialize's relative margin can refuse a P that the
+            # solver's absolute margin certified (NotMemberError).
             if attempt == 0:
                 raise
             attempts.append({"attempt": attempt, "stage": 1, "status": str(exc)})
@@ -505,5 +501,6 @@ def synth_output_feedback(sys, seed: int = 0,
                                     certificates={"stage1": cert1, "stage2": cert2},
                                     closed_loop_report=report, attempts=attempts)
     raise OutputStageExhausted(
-        f"output-feedback stage 2 failed for all {RETRIES + 1} intermediate gains",
+        f"output-feedback stage 2 failed for all {len(RETRY_SHIFTS)} "
+        "intermediate gains",
         attempts=attempts)

@@ -68,7 +68,7 @@ def failing_stage2(monkeypatch):
     stage2 = synthesis._output_stage2
     monkeypatch.setattr(synthesis, "_output_stage2",
                         lambda plant, K0: (None, stage2(plant, K0)[1]))
-    monkeypatch.setattr(synthesis, "RETRIES", 1)
+    monkeypatch.setattr(synthesis, "RETRY_SHIFTS", synthesis.RETRY_SHIFTS[:2])
 
 
 def random_impulse_free_system(rng, alpha, boundary_margin=0.05):

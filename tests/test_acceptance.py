@@ -55,17 +55,12 @@ def test_criterion_2_published_gain_verification():
 
 
 def test_criterion_3_synthesis_soundness():
-    """Fresh designs at both orders verify independently; strict certificates
-    re-evaluate below -1e-7, marginal ones (possible only in lifted
-    coordinates, where strict feasibility is structurally excluded) stay
-    within the documented slack and are covered by the verification."""
+    """Fresh designs at both orders verify independently, and every
+    certificate is Feasible with each block re-evaluated below -1e-7."""
     def check_certs(design):
         for cert in design.certificates.values():
-            if cert.status == "Feasible":
-                assert max(cert.margins) <= -1e-7
-            else:
-                assert cert.status == "Marginal"
-                assert max(cert.margins) <= synthesis.MARGINAL_SLACK
+            assert cert.status == "Feasible"
+            assert max(cert.margins) <= -1e-7
 
     timings = {}
     sys06 = benchmark(0.6)

@@ -66,10 +66,10 @@ class TestAnalyze:
                          str(tmp_path / "o")]) == cli.EXIT_ERROR
         err = capsys.readouterr().err
         assert "schema validation" in err and "consistency" in err
-        # The solver's margin, box and retry count are constants, not
+        # The solver's margin, box and retries are constants, not
         # settings: a file that sets one is refused by name.
         for key, value in (("feas_margin", 1e-6), ("box_bound", 10.0),
-                           ("retries", 2)):
+                           ("retries", 2), ("seed", 3)):
             doc = problem_doc(synthesis={"mode": "output", key: value})
             assert cli.main(["synth", write_problem(tmp_path, doc)]
                             ) == cli.EXIT_ERROR
@@ -106,7 +106,8 @@ class TestUsage:
         (["synth", "{path}", "--horizon", "2"], "--horizon"),
         (["synth", "{path}", "--feas-margin", "1e-6"], "--feas-margin"),
         (["simulate", "{path}", "--box-bound", "10"], "--box-bound"),
-        (["analyze", "{path}", "--tol", "1e-9"], "--tol")])
+        (["analyze", "{path}", "--tol", "1e-9"], "--tol"),
+        (["synth", "{path}", "--seed", "3"], "--seed")])
     def test_usage_error_exit_1(self, tmp_path, capsys, argv, named):
         path = write_problem(tmp_path, problem_doc(
             synthesis={"mode": "output"}, simulation={"x0": BENCH_X0.tolist()}))
@@ -118,7 +119,7 @@ class TestUsage:
         assert len(captured.err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("name, value", [
-        ("K", "abc"), ("H", "abc"), ("HORIZON", "abc"), ("SEED", "abc")])
+        ("K", "abc"), ("H", "abc"), ("HORIZON", "abc")])
     def test_malformed_flag_exit_1(self, tmp_path, capsys, name, value):
         # A setting's flag that does not parse stops the run before any work.
         flag = f"--{name.lower()}"
@@ -198,7 +199,7 @@ class TestSynth:
         capsys.readouterr()
         # simulate resolves the mode by the same rule: a synthesis block
         # without one is refused, not run as an observer design.
-        doc = problem_doc(synthesis={"seed": 3},
+        doc = problem_doc(synthesis={"decay_shift": 1.0},
                           simulation={"x0": BENCH_X0.tolist(), "T": 0.1})
         path = write_problem(tmp_path, doc)
         for argv in (["synth", path],

@@ -33,7 +33,7 @@ class TestFpdmParam:
             FpdmParam(X=np.eye(2), Y=np.eye(2), alpha=0.5)
 
     def test_alpha_above_one_rejected(self):
-        with pytest.raises(InputError, match="lift"):
+        with pytest.raises(InputError, match="above order 1"):
             FpdmParam(X=np.eye(2), Y=np.zeros((2, 2)), alpha=1.2)
 
     def test_shape_mismatch(self):

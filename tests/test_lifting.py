@@ -277,7 +277,7 @@ class TestLiftedSynthesis:
     def test_lifted_designs_at_k3(self, bench12):
         plant = lifting.as_plant(bench12, 3)
         obs = synth_observer(plant)
-        out = synth_output_feedback(plant, seed=0)
+        out = synth_output_feedback(plant)
         assert obs.K.shape == (1, 9) and obs.L.shape == (9, 1)
         assert obs.closed_loop_report.admissible
         assert out.closed_loop_report.admissible

@@ -548,25 +548,6 @@ class TestSolveFeasibility:
         assert small.feasible and large.feasible
         assert large.t < small.t / 10.0
 
-    def test_objective_tilt_moves_solution(self):
-        rng = np.random.default_rng(9)
-        A, b, reg, blocks = _lp_problem(rng, 3, 4)
-        b -= 5.0
-        blocks = [block_of(A[j:j + 1, :] @ reg.expr("x") + np.array([[b[j]]]))
-                  for j in range(4)]
-        plain = solve_feasibility(blocks, reg, box_bound=10.0)
-        tilted = solve_feasibility(blocks, reg, box_bound=10.0,
-                                   objective={0: 0.01, 2: -0.01})
-        assert plain.feasible and tilted.feasible
-        assert not np.allclose(plain.assignment, tilted.assignment, atol=1e-6)
-
-    def test_tilted_solve_never_reports_infeasible(self):
-        reg = VariableRegistry()
-        reg.add("x", "rectangular", 1, 1)
-        blk = block_of(np.eye(1) + 0.0 * reg.expr("x"), label="constant")
-        sol = solve_feasibility([blk], reg, objective={0: 1.0})
-        assert sol.status == "NumericalFailure"
-
     def test_badly_scaled_start(self):
         # lambda_max(F0) = 1e17, where a start margin of 1 rounds away and
         # t I - F0 is singular; a relative margin starts inside.

@@ -12,7 +12,8 @@ import scipy.linalg as sla
 from conftest import GAINS_06, GAINS_12, benchmark, random_impulse_free_system
 from sfos import lifting, lmi, synthesis
 from sfos.descriptor import DescriptorSystem, analyze, analyze_pair
-from sfos.errors import (InputError, LmiNumericalError, OutputStageExhausted,
+from sfos.errors import (GainRecoverySingular, InputError, LmiNumericalError,
+                         NotMemberError, OutputStageExhausted,
                          StateFeedbackInfeasible, VerificationFailed)
 from sfos.lifting import lift
 from sfos.lmi import (AffineExpr, VariableRegistry, block_of,
@@ -640,9 +641,9 @@ class TestOutputFeedback:
             return max(ev.real for ev in rep.finite_eigenvalues)
         assert max_real(shifted.F) < max_real(plain.F)
 
-    def test_deterministic_under_seed(self, bench06):
-        d1 = synth_output_feedback(bench06, seed=5)
-        d2 = synth_output_feedback(bench06, seed=5)
+    def test_deterministic(self, bench06):
+        d1 = synth_output_feedback(bench06)
+        d2 = synth_output_feedback(bench06)
         assert np.array_equal(d1.F, d2.F)
 
     def test_uncontrollable_certified_infeasible(self, bench06):
@@ -653,8 +654,8 @@ class TestOutputFeedback:
     @pytest.mark.parametrize("status", ["Infeasible", "NumericalFailure"])
     def test_retry_after_stage2_failure(self, bench06, monkeypatch, status):
         # The first K0's stage 2 gives no certificate, certified infeasible
-        # or unclassified alike, at k = 1 as above it: stage 1 is re-solved
-        # with a tilt, and the design keeps the failed sample and its status.
+        # or unclassified alike: stage 1 is re-solved on the next shift of
+        # the schedule, and the design keeps the failed K0 and its status.
         first_K0 = synthesis.solve_state_feedback(bench06)[0]
         solve, failed = synthesis.solve_feasibility, []
 
@@ -672,6 +673,52 @@ class TestOutputFeedback:
                                     "status": status,
                                     "K0": first_K0.tolist()}]
         assert design.to_dict()["attempts"] == design.attempts
+
+    def test_shift_schedule_designs_a_plant_the_first_k0_misses(self):
+        # SISO plant 49 of scripts/retry_sweep.py (plant seed 11): stage 2
+        # has no certificate for the K0 of the plant itself, nor for that of
+        # the plant shifted by 0.5; the K0 of the -0.5 shift gives one.
+        rng = np.random.default_rng(11)
+        unstable = []
+        while len(unstable) < 50:
+            plant, stable = random_impulse_free_system(
+                rng, rng.choice((0.4, 0.6, 0.8)))
+            if not stable:
+                unstable.append(plant)
+        plant = unstable[49]
+        design = synth_output_feedback(plant)
+        assert [(a["attempt"], a["stage"]) for a in design.attempts] \
+            == [(0, 2), (1, 2)]
+        assert design.certificates["stage2"].status == "Feasible"
+        # Oracle: QZ on the plant's own pencil.
+        assert analyze_pair(plant.E, plant.A + plant.B @ design.F @ plant.C,
+                            plant.alpha).admissible
+
+    @pytest.mark.parametrize("error", [
+        StateFeedbackInfeasible("certified infeasible"),
+        LmiNumericalError("could not be classified"),
+        GainRecoverySingular("numerically singular"),
+        NotMemberError("(X, Y) is not a member")])
+    def test_shifted_stage1_failure_disqualifies_its_k0(
+            self, bench06, monkeypatch, failing_stage2, error):
+        # A stage 1 on a shifted plant that fails, in any of the ways a
+        # gain solve can, only ends its attempt; the schedule runs out into
+        # OutputStageExhausted, not into the stage-1 error.
+        solve, calls = synthesis.solve_state_feedback, []
+
+        def failing_after_first(plant):
+            calls.append(plant)
+            if len(calls) > 1:
+                raise error
+            return solve(plant)
+        monkeypatch.setattr(synthesis, "solve_state_feedback",
+                            failing_after_first)
+        with pytest.raises(OutputStageExhausted) as info:
+            synth_output_feedback(bench06)
+        attempts = info.value.attempts
+        assert [(a["attempt"], a["stage"]) for a in attempts] == [(0, 2), (1, 1)]
+        assert attempts[1]["status"] == str(error)
+        assert np.array_equal(calls[1].A, bench06.A + 0.5 * bench06.E)
 
     def test_retries_exhausted(self, bench06, failing_stage2):
         with pytest.raises(OutputStageExhausted) as info:
@@ -742,8 +789,8 @@ class TestAnyOrder:
         ref = lifting.synth_observer_lifted(bench12, k=2)
         assert np.array_equal(obs.K, ref.K) and np.array_equal(obs.L, ref.L)
         assert obs.K.shape == (1, 6) and obs.closed_loop_report.admissible
-        out = synth_output_feedback(bench12, seed=0)
-        ref = lifting.synth_output_feedback_lifted(bench12, k=2, seed=0)
+        out = synth_output_feedback(bench12)
+        ref = lifting.synth_output_feedback_lifted(bench12, k=2)
         assert np.array_equal(out.K0, ref.K0) and np.array_equal(out.F, ref.F)
         assert out.F.shape == (1, 1) and out.closed_loop_report.admissible
 
