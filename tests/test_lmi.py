@@ -548,6 +548,36 @@ class TestSolveFeasibility:
         assert small.feasible and large.feasible
         assert large.t < small.t / 10.0
 
+    def test_first_certificate_ends_the_same_path_early(self):
+        # x < 0 in the box: the default path drives t toward -box; the
+        # first-certificate path is its prefix up to the first t <= -margin.
+        reg = VariableRegistry()
+        reg.add("x", "rectangular", 1, 1)
+        blk = block_of(reg.expr("x"), label="hom")
+        full = solve_feasibility([blk], reg)
+        first = solve_feasibility([blk], reg, first_certificate=True)
+        assert full.feasible and first.feasible
+        k = len(first.iterates)
+        assert first.iterates == full.iterates[:k] and k < len(full.iterates)
+        assert first.iterates[-1][1] <= -first.feas_margin
+        assert all(row[1] > -first.feas_margin for row in first.iterates[:-1])
+        assert first.newton_steps < full.newton_steps
+        lam = np.linalg.eigvalsh(blk.evaluate(first.assignment))[-1]
+        assert lam == pytest.approx(first.t, abs=1e-12)
+        # The dual bound is taken at the stopping point and still bounds
+        # the optimum.
+        assert np.isfinite(first.lower_bound) and first.lower_bound <= full.t
+
+    def test_first_certificate_leaves_infeasible_solves_alone(self):
+        reg = VariableRegistry()
+        reg.add("x", "rectangular", 1, 1)
+        x = reg.expr("x")
+        blocks = [block_of(np.eye(1) + 0.0 * x, label="constant"),
+                  block_of(x - 1.0, label="bounded")]
+        first = solve_feasibility(blocks, reg, first_certificate=True)
+        assert first.status == "Infeasible"
+        assert first == solve_feasibility(blocks, reg)
+
     def test_badly_scaled_start(self):
         # lambda_max(F0) = 1e17, where a start margin of 1 rounds away and
         # t I - F0 is singular; a relative margin starts inside.

@@ -11,7 +11,7 @@ from conftest import BENCH_X0, GAINS_06, GAINS_12, benchmark
 from sfos.descriptor import DescriptorSystem
 from sfos.errors import InputError
 from sfos.simulator import (SimConfig, Trajectory, gl_weights, simulate,
-                            tail_decay_exponent)
+                            tail_decay_exponent, write_csv)
 from sfos import lifting, simulator, synthesis
 
 
@@ -426,6 +426,19 @@ class TestTrajectoryOutputs:
         first = np.fromstring(lines[1], sep=",")
         assert first[0] == 0.0
         assert np.allclose(first[1:4], BENCH_X0)
+
+    def test_csv_bytes_match_savetxt(self, tmp_path):
+        # One % over the whole block writes what np.savetxt writes a row at
+        # a time, special values included.
+        t = np.linspace(0.0, 1.0, 7)
+        data = np.array([[np.nan, -0.0], [1e300, -1e-300], [np.inf, -np.inf],
+                         [5e-324, 1.0 / 3.0], [-2.5, 123456789012345.0],
+                         [0.1, 1e-7], [7.0, -0.0]])
+        ref, path = tmp_path / "ref.csv", tmp_path / "run.csv"
+        np.savetxt(ref, np.hstack([t[:, None], data]), delimiter=",",
+                   header="t,a,b", comments="", fmt="%.12g")
+        write_csv(path, ["t", "a", "b"], t, data)
+        assert path.read_bytes() == ref.read_bytes()
 
     def test_summary_and_json(self, bench06):
         traj = self.make_traj(bench06)

@@ -53,6 +53,19 @@ class TestAdmissibleViaLmi:
             assert verdict is True
             assert max(sol.margins) <= -sol.feas_margin
 
+    def test_feasible_stops_at_first_certificate(self):
+        # The verdict needs one certifying point, so a Feasible path ends at
+        # the first step whose t clears the margin.  The gain solves run to
+        # the end of their round (test_decay_shift_strengthens_gain).
+        for alpha in (0.6, 1.5):
+            for side in ("right", "left"):
+                verdict, sol = admissible_via_lmi(stable_singular_system(alpha), side)
+                ts = [row[1] for row in sol.iterates]
+                assert verdict is True and ts[-1] <= -sol.feas_margin
+                assert all(t > -sol.feas_margin for t in ts[:-1])
+                assert max(sol.margins) <= -sol.feas_margin
+                assert sol.lower_bound <= sol.t
+
     def test_bad_side_rejected(self, bench06):
         with pytest.raises(InputError):
             admissible_via_lmi(bench06, side="up")
