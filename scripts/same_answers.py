@@ -23,7 +23,8 @@ side's ``src``, with BLAS pinned to one thread:
   design JSON holds each solve's iterates; ``SIMULATE``: ``sfos simulate``
   of the published order-0.6 output gain from an x0 off the algebraic
   constraint, which the simulator projects; ``DEMOS``: ``sfos demo`` at its
-  default h and T.
+  default h and T; ``REFUSED``: ``sfos analyze`` on problem files that the
+  schema refuses or that are not JSON, whose error line must not change.
   Compared: exit code, stdout, stderr and every file written, byte for byte,
   except that each warning's source file and line are dropped from stderr.
 
@@ -82,6 +83,32 @@ SYNTH = tuple((alpha, mode) for alpha in (0.6, 1.2)
 SIMULATE = {"system": dict(PLANT, alpha=0.6), "gains": {"F": [[-3.6723]]},
             "simulation": {"x0": [1.0, 0.0, 0.0], "T": 2.0}}
 DEMOS = ("example1", "example2")
+
+#: (label, problem file) of each refused analyze: a document that the
+#: schema refuses, or text that is not JSON.
+REFUSED = (
+    ("no system", {}),
+    ("not an object", [1, 2]),
+    ("extra key", {"system": dict(PLANT, alpha=0.6), "gain": {}}),
+    ("alpha 3", {"system": dict(PLANT, alpha=3)}),
+    ("alpha string", {"system": dict(PLANT, alpha="0.6")}),
+    ("string in A", {"system": dict(PLANT, A=[[1, "2", 3]] * 3, alpha=0.6)}),
+    ("true in B", {"system": dict(PLANT, B=[[True], [1], [1]], alpha=0.6)}),
+    ("empty E", {"system": dict(PLANT, E=[], alpha=0.6)}),
+    ("empty E row", {"system": dict(PLANT, E=[[]], alpha=0.6)}),
+    ("no C", {"system": {key: value for key, value in
+                         dict(PLANT, alpha=0.6).items() if key != "C"}}),
+    ("bad mode", {"system": dict(PLANT, alpha=0.6),
+                  "synthesis": {"mode": "state"}}),
+    ("bad consistency", {"system": dict(PLANT, alpha=0.6),
+                         "simulation": {"consistency": "warn"}}),
+    ("two violations", {"system": dict(PLANT, alpha=-1),
+                        "gains": {"F": [["x"]]}}),
+    ("not JSON", "{not json"),
+    ("empty file", ""),
+    ("cut short", '{"system": {"E": [[1, 0],'),
+    ("trailing comma", '{"system": {},}'),
+)
 
 CERTIFICATE_FIELDS = ("status", "newton_steps", "t", "lower_bound", "margins",
                       "assignment")
@@ -186,11 +213,18 @@ _WARNING = re.compile(rb"^\S+:\d+: (\w+: .*\n)(?:  .*\n)?", re.M)
 
 
 def run_cli(root, argv, problem=None):
-    """Exit code, stdout, stderr and written files of one ``sfos`` call."""
+    """Exit code, stdout, stderr and written files of one ``sfos`` call.
+
+    ``problem`` is written to ``problem.json``: a string as it is, anything
+    else as JSON.
+    """
     with tempfile.TemporaryDirectory(prefix="same-answers-") as cwd:
         if problem is not None:
             with open(os.path.join(cwd, "problem.json"), "w", encoding="utf-8") as fh:
-                json.dump(problem, fh)
+                if isinstance(problem, str):
+                    fh.write(problem)
+                else:
+                    json.dump(problem, fh)
         env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
         proc = subprocess.run([sys.executable, "-m", "sfos.cli", *argv], cwd=cwd,
                               env=env, capture_output=True)
@@ -318,6 +352,9 @@ def main(argv=None):
         for example in DEMOS:
             tally.compare("DEMOS", f"sfos demo {example}",
                           each_cli(["demo", example, "--out", "out"]))
+        for label, problem in REFUSED:
+            tally.compare("REFUSED", f"sfos analyze, {label}",
+                          each_cli(["analyze", "problem.json"], problem))
     print(f"{tally.mismatches} mismatches")
     for line in tally.summary():
         print(line)

@@ -21,7 +21,10 @@ failure), 2 analyzed and not admissible, 3 synthesis certified infeasible,
 4 no design verified (output-feedback retries exhausted, or the observer
 loop failed the closed-loop pencil check).
 
-The CLI reads its flags and the problem file, nothing else.  h and T
+The CLI reads its flags and the problem file, nothing else.  A problem
+file is read as UTF-8 JSON and validated in full against ``PROBLEM_SCHEMA``
+by one validator built per process; that the schema itself is a valid
+2020-12 schema is checked once, by the test suite.  h and T
 resolve as the command-line flag, then the problem-file value, then this
 module's ``DEFAULT_H`` or ``DEFAULT_T``; ``--k`` has no slot in the file
 and defaults to :data:`sfos.lifting.DEFAULT_K`.
@@ -32,6 +35,7 @@ The plant carries ``--k`` into synthesis and simulation, lifted by
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -106,25 +110,42 @@ DEFAULT_H = 1e-3
 DEFAULT_T = 20.0
 
 
+@functools.cache
+def _problem_validator():
+    """The validator of :data:`PROBLEM_SCHEMA`, built once per process.
+
+    ``jsonschema.validate`` would check the constant schema against its
+    metaschema on every call; the test suite checks it once instead.
+    """
+    # Imported here: of the whole CLI, only a problem file needs it.
+    import jsonschema
+    return jsonschema.Draft202012Validator(PROBLEM_SCHEMA)
+
+
 def load_problem(path) -> dict:
-    """Parse and schema-validate a problem file."""
+    """Parse and schema-validate a problem file.
+
+    The whole document is validated against :data:`PROBLEM_SCHEMA` by a
+    validator built once per process, and the error reported is the one
+    ``jsonschema.validate`` would raise: the best match of all of them.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno}): "
             f"{exc.msg}") from exc
-    # Imported here: of the whole CLI, only a problem file needs it.
-    import jsonschema
-    try:
-        jsonschema.validate(doc, PROBLEM_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    from jsonschema.exceptions import best_match
+    error = best_match(_problem_validator().iter_errors(doc))
+    if error is not None:
         raise InputError(
-            f"{path} fails schema validation at {exc.json_path}: "
-            f"{exc.message}") from exc
+            f"{path} fails schema validation at {error.json_path}: "
+            f"{error.message}") from error
     return doc
 
 

@@ -62,7 +62,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from . import descriptor, lifting, synthesis
 from .errors import InputError
@@ -232,6 +231,8 @@ def _leaf_steps(n: int) -> int:
 
 def _march(E, A, x0, alpha, h, steps):
     """March the autonomous pair E D^alpha x = A x from x0; returns N+1 x n."""
+    # Imported here: only a march needs it, and far_field closes over it.
+    import scipy.fft as sfft
     n = E.shape[0]
     ha = h ** (-alpha)
     step_matrix = ha * E - A

@@ -11,6 +11,7 @@ import pytest
 from conftest import (BENCH_A, BENCH_B, BENCH_C, BENCH_E, BENCH_X0, GAINS_06,
                       GAINS_12)
 from sfos import cli
+from sfos.errors import InputError
 
 
 def problem_doc(alpha=0.6, **extra):
@@ -44,14 +45,16 @@ class TestAnalyze:
         assert cli.main(["analyze", write_problem(tmp_path, doc)]) == cli.EXIT_OK
 
     def test_jsonschema_loads_with_a_problem_file_only(self):
-        # sfos demo reads no problem file, so importing the CLI skips it.
+        # sfos demo reads no problem file, so importing the CLI skips it;
+        # scipy.fft waits for the first march.
         root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, sfos.cli; print('jsonschema' in sys.modules)"],
+             "import sys, sfos.cli; "
+             "print('jsonschema' in sys.modules, 'scipy.fft' in sys.modules)"],
             env=dict(os.environ, PYTHONPATH=root), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
 
     def test_malformed_json_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -89,6 +92,15 @@ class TestAnalyze:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and key in err
 
+    def test_not_utf8_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert cli.main(["analyze", str(path)]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path} is not UTF-8 text")
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_missing_file_exit_1(self):
         assert cli.main(["analyze", "/nonexistent.json"]) == cli.EXIT_ERROR
 
@@ -106,6 +118,75 @@ class TestAnalyze:
         cli.main(["analyze", path, "--out", str(out)])
         assert json.loads(out.read_text())["pencil_degree"] == 2
         assert capsys.readouterr().out == ""
+
+
+def _invalid_documents():
+    """Documents that PROBLEM_SCHEMA refuses, each with its label as id."""
+    def with_system(**changes):
+        doc = problem_doc()
+        doc["system"].update(changes)
+        return doc
+
+    no_c = problem_doc()
+    del no_c["system"]["C"]
+    two = with_system(alpha=-1)
+    two["gains"] = {"F": [["x"]]}
+    cases = [
+        ("no-system", {}),
+        ("not-an-object", []),
+        ("extra-top-level-key", problem_doc(extra=1)),
+        ("alpha-3", with_system(alpha=3)),
+        ("alpha--1", with_system(alpha=-1)),
+        ("alpha-string", with_system(alpha="x")),
+        ("string-in-matrix", with_system(A=[[1, "2", 3]] * 3)),
+        ("true-in-matrix", with_system(B=[[True], [1.0], [1.0]])),
+        ("E-empty", with_system(E=[])),
+        ("E-empty-row", with_system(E=[[]])),
+        ("bad-mode", problem_doc(synthesis={"mode": "state"})),
+        ("bad-consistency", problem_doc(simulation={"consistency": "warn"})),
+        ("no-C", no_c),
+        ("two-violations", two),
+    ]
+    return [pytest.param(doc, id=label) for label, doc in cases]
+
+
+class TestSchema:
+    """PROBLEM_SCHEMA is checked once, here; each file is checked in full."""
+
+    def test_schema_is_a_valid_2020_12_schema(self):
+        import jsonschema
+        jsonschema.Draft202012Validator.check_schema(cli.PROBLEM_SCHEMA)
+        # load_problem builds this class directly: it is the one
+        # jsonschema.validate would pick for the schema.
+        assert (jsonschema.validators.validator_for(cli.PROBLEM_SCHEMA)
+                is jsonschema.Draft202012Validator)
+
+    def test_load_problem_does_not_recheck_the_schema(self, tmp_path,
+                                                      monkeypatch):
+        import jsonschema
+
+        def refuse(cls, schema):
+            raise AssertionError("the schema was checked again")
+
+        monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema",
+                            classmethod(refuse))
+        doc = problem_doc()
+        assert cli.load_problem(write_problem(tmp_path, doc)) == doc
+        doc["system"]["alpha"] = 3
+        with pytest.raises(InputError, match="fails schema validation"):
+            cli.load_problem(write_problem(tmp_path, doc))
+
+    @pytest.mark.parametrize("doc", _invalid_documents())
+    def test_message_is_that_of_jsonschema_validate(self, tmp_path, doc):
+        import jsonschema
+        path = write_problem(tmp_path, doc)
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(doc, cli.PROBLEM_SCHEMA)
+        with pytest.raises(InputError) as got:
+            cli.load_problem(path)
+        assert str(got.value) == (
+            f"{path} fails schema validation at {expected.value.json_path}: "
+            f"{expected.value.message}")
 
 
 class TestUsage:
