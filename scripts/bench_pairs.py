@@ -15,6 +15,15 @@ alternates from seed to seed.
 The output file holds every run's result line, and for each end-to-end
 metric named in ``BENCHMARK.json``: both sides' median and quartiles, and
 how many pairs the change won (ties count for neither side).
+
+``setup_s`` is scaled by the run's reference-kernel speed, like every
+timing of the result line, so a host that is slow during the passes but not
+during set-up (or the other way round) moves it.  Each run entry therefore
+also keeps, from that side's ``.perfbench/<workload>-seed<N>-trace0.json``,
+the raw set-up samples (``setup_raw_s``, seconds from process start to
+inputs ready) and the median reference-kernel time (``reference_s``).  The
+summary gives ``setup_raw_s`` (the median of each run's samples) the same
+spread and wins, beside the scaled metric.
 """
 
 import argparse
@@ -56,14 +65,24 @@ def export(rev, directory):
 
 
 def run_once(root, workload, seed, seconds):
-    """One untraced benchmark run from ``root``; its final JSON line."""
+    """One untraced benchmark run from ``root``.
+
+    Its final JSON line, with the raw set-up samples and the reference time
+    of the run's detail record added as ``setup_raw_s`` and ``reference_s``.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"error: {' '.join(cmd)} in {root} exited "
                  f"{proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    detail = os.path.join(root, ".perfbench", f"{workload}-seed{seed}-trace0.json")
+    with open(detail, encoding="utf-8") as fh:
+        record = json.load(fh)
+    result["setup_raw_s"] = record["setup_s"]
+    result["reference_s"] = record["reference_s"]
+    return result
 
 
 def spread(values):
@@ -74,25 +93,32 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def compare(pairs, better):
+    """Spread of each side and the change's wins over (parent, change) pairs."""
+    sign = 1.0 if better == "lower" else -1.0
+    return {
+        "better": better,
+        "parent": spread([p for p, _ in pairs]),
+        "change": spread([c for _, c in pairs]),
+        "change_wins": sum(sign * (p - c) > 0 for p, c in pairs),
+        "parent_wins": sum(sign * (c - p) > 0 for p, c in pairs),
+        "pairs": len(pairs),
+    }
+
+
 def summarize(runs, metrics):
-    """Per-metric spread of each side and the change's wins over pairs."""
+    """Per-metric :func:`compare`, and the same for the raw set-up time."""
     out = {}
     for name, better in metrics.items():
         pairs = [(r["parent"]["metrics"][name]["value"],
                   r["change"]["metrics"][name]["value"]) for r in runs
                  if name in r["parent"]["metrics"]
                  and name in r["change"]["metrics"]]
-        if not pairs:
-            continue
-        sign = 1.0 if better == "lower" else -1.0
-        out[name] = {
-            "better": better,
-            "parent": spread([p for p, _ in pairs]),
-            "change": spread([c for _, c in pairs]),
-            "change_wins": sum(sign * (p - c) > 0 for p, c in pairs),
-            "parent_wins": sum(sign * (c - p) > 0 for p, c in pairs),
-            "pairs": len(pairs),
-        }
+        if pairs:
+            out[name] = compare(pairs, better)
+    out["setup_raw_s"] = compare(
+        [tuple(statistics.median(r[side]["setup_raw_s"]) for side in SIDES)
+         for r in runs], "lower")
     return out
 
 

@@ -30,13 +30,24 @@ reference), so the speed costs no change in any iterate.
 ``python3 scripts/lmi_sweep.py`` times the admissibility LMI alone, in
 Newton steps and ms a step.
 
-A caller that needs only the verdict passes ``first_certificate``: one
-point with t <= -margin proves feasibility, so the path stops at the first
-Newton step that reaches it (Boyd & Vandenberghe, *Convex Optimization*,
-11.4.1), not at the end of its centering round.  The admissibility test
-does; the gain solves do not, since their gains come from the deeper
-iterate.  On ``scripts/lmi_sweep.py``'s Feasible solves that cuts the Newton
-steps by 65-84 % at every size and side; Infeasible solves do not change.
+A caller that needs only the verdict passes ``first_certificate``: the
+path stops at the first certificate of either verdict, checked after every
+accepted Newton step, not at the end of its centering round.  One point
+with t <= -margin proves feasibility (Boyd & Vandenberghe, *Convex
+Optimization*, 11.4.1); one dual point whose weak-duality bound clears
+-margin proves infeasibility.  An infeasible strict LMI always has such a
+witness, Z >= 0 with A*(Z) = 0 (theorem of alternatives, ibid. 5.9), and
+the dual bound looks for it as the Frobenius projection of the inverse
+slacks onto A*(Z) = 0, so it can certify at the first centering round
+(eta = 1), where the central-path bound t - 2 nu / eta needs eta up to
+1e3-1e9.  The admissibility test passes it; the gain solves do not, since
+their gains come from the deeper iterate (their round-end bound holds the
+projection too).  On ``scripts/lmi_sweep.py`` that cuts the Feasible
+solves' Newton steps by 65-84 % at every size and side, and the Infeasible
+ones' from 96-289 to 4-235 at n <= 12; from n = 16 on, where a stable mode
+beside the unstable one holds slots at the box, the projection is not
+positive semidefinite and Infeasible solves take the central-path bound's
+steps as before.
 
 A solve does no I/O: its iterates, one (eta, t, decrement2, step_size) row a
 Newton step, are returned with its verdict on :class:`LmiSolution`.
@@ -358,11 +369,16 @@ class LmiSolution:
     ``t`` is the achieved epigraph value, max(margins), at the returned
     iterate: the end of the last centering round, or for a
     ``first_certificate`` solve that is Feasible, the first iterate that
-    certifies.  ``lower_bound`` is the barrier-duality lower bound on the
-    optimal t.  Feasible guarantees every margin (the independently
+    certifies.  ``lower_bound`` is the best weak-duality lower bound on the
+    optimal t taken at a round's end (or at a ``first_certificate`` stop),
+    from the inverse slacks or their projection onto A*(Z) = 0, and the
+    central-path bound t - 2 nu / eta; an Infeasible verdict has it above
+    -feas_margin.  Feasible guarantees every margin (the independently
     recomputed lambda_max of each block) is <= -feas_margin.
     ``iterates`` has one (eta, t, decrement2, step_size) row a Newton step;
     a step with a non-positive decrement is counted but not recorded.
+    An Infeasible ``first_certificate`` solve ends at the first iterate
+    whose bound certifies, so its t and margins are that point's.
     """
 
     status: str                         # "Feasible" | "Infeasible" | "NumericalFailure"
@@ -436,6 +452,20 @@ class _Barrier:
                 stack2d=b.stack.reshape(-1, b.dim ** 2), idx=idx,
                 flat=(idx[:, None] * (num_slots + 1) + idx).ravel()))
         self.diag = np.arange(num_slots) * (num_slots + 2)
+        # The slots' Gram matrix M_ik = sum_j <F_ji, F_jk>, for the dual
+        # bound's projection onto A*(Z) = 0 (with no slots, A* = 0 and there
+        # is nothing to project).  It is the Hessian's LMI part at S = I,
+        # scattered the same way, without the t row and column.  A shift of
+        # one rounding unit of its trace lets a slot that no block uses, or
+        # dependent slots, factor too; the bound recomputes its residual, so
+        # it stays rigorous.
+        gram = np.zeros((num_slots + 1, num_slots + 1))
+        for op in self.ops:
+            Gf = op.G.reshape(len(op.G), -1)
+            gram.reshape(-1)[op.flat] += (Gf @ Gf.T).ravel()
+        gram = gram[:-1, :-1]
+        gram.flat[::num_slots + 1] += np.finfo(float).eps * gram.trace()
+        self.gram_factor = _chol_or_none(gram) if num_slots else None
 
     def slacks(self, z):
         """Cholesky factors of t*I - F_j(x), or None if not interior."""
@@ -481,22 +511,49 @@ class _Barrier:
         """Rigorous lower bound on min t from the current slacks.
 
         For any Z_j >= 0 with sum tr(Z_j) = 1, weak duality gives the bound
-        sum_j <F_j0, Z_j> - box * sum_i |sum_j <F_ji, Z_j>| where the
-        second term absorbs the x-stationarity residual into the box
-        multipliers.  Z_j is taken proportional to the inverse slacks, which
-        tightens the bound as the iterate approaches the central path, but
-        the bound is valid at every interior point.
+        sum_j <F_j0, Z_j> - box * sum_i |r_i|, r = A*(Z) = (sum_j <F_ji,
+        Z_j>)_i, where the second term absorbs the x-stationarity residual
+        into the box multipliers.  Two Z are tried, and the larger bound is
+        returned; both are valid at every interior point:
+
+        * Z_j proportional to the inverse slacks, which tightens the bound
+          as the iterate approaches the central path;
+        * its Frobenius-nearest point on {A*(Z) = 0}, Z_j - sum_i c_i F_ji
+          with M c = r, if every block of it is positive definite, rescaled
+          to trace 1 and its residual recomputed from the stacks.  That is
+          the witness an infeasible strict LMI always has (theorem of
+          alternatives; Boyd & Vandenberghe, *Convex Optimization*, 5.9),
+          free of the box, so it can certify at the first centering round.
         """
-        Sinvs = [sla.cho_solve((L, True), np.eye(L.shape[0]), check_finite=False)
-                 for L in factors]
-        total = sum(np.trace(S) for S in Sinvs)
+        Sinvs = [sla.lapack.dpotrs(L, op.eye, lower=1)[0]
+                 for L, op in zip(factors, self.ops)]
+        # ndarray methods rather than np.trace and np.sum: the same
+        # reductions, without the wrappers (this runs every Newton step of a
+        # first_certificate solve).
+        total = sum(S.trace() for S in Sinvs)
+        bound, resid = self._weak_duality([S / total for S in Sinvs])
+        if self.gram_factor is None:
+            return bound
+        c = sla.lapack.dpotrs(self.gram_factor, resid, lower=1)[0]
+        projected = []
+        for b, op, S in zip(self.blocks, self.ops, Sinvs):
+            Z = S / total - _combine(c[b.slots], op.stack2d, (b.dim, b.dim))
+            Z = (Z + Z.T) / 2.0
+            if _chol_or_none(Z) is None:
+                return bound
+            projected.append(Z)
+        total = sum(Z.trace() for Z in projected)
+        return max(bound, self._weak_duality([Z / total for Z in projected])[0])
+
+    def _weak_duality(self, Zs):
+        """The weak-duality bound of a trace-1 Z and its residual A*(Z)."""
         bound = 0.0
         resid = np.zeros(self.nx)
-        for b, Sinv in zip(self.blocks, Sinvs):
-            Z = Sinv / total
-            bound += float(np.sum(b.F0 * Z))
-            resid[b.slots] += np.tensordot(b.stack, Z, 2)
-        return bound - self.box * float(np.sum(np.abs(resid)))
+        for b, op, Z in zip(self.blocks, self.ops, Zs):
+            bound += float((b.F0 * Z).sum())
+            # The product np.tensordot(b.stack, Z, 2) forms, bit for bit.
+            resid[b.slots] += op.stack2d @ Z.ravel()
+        return bound - self.box * float(np.abs(resid).sum()), resid
 
 
 def solve_feasibility(blocks, registry, box_bound: float = DEFAULT_BOX_BOUND, *,
@@ -513,9 +570,11 @@ def solve_feasibility(blocks, registry, box_bound: float = DEFAULT_BOX_BOUND, *,
     "Infeasible" means precisely "not feasible at margin m".  The path stops
     at the first outer step that gives either verdict.  With
     ``first_certificate``, it also stops at the first accepted Newton step
-    whose t is <= -m, once the recomputed margins say Feasible there; if
-    they do not, the path goes on.  Infeasible and NumericalFailure
-    verdicts come as without it.  The solve does no I/O.
+    that certifies either verdict: t <= -m, once the recomputed margins say
+    Feasible there (if they do not, the path goes on), or a dual bound
+    (:meth:`_Barrier.dual_lower_bound`, with its projection onto A*(Z) = 0)
+    above -m.  Its iterates are then a prefix of the solve without it.
+    NumericalFailure comes as without it.  The solve does no I/O.
     """
     if not blocks:
         raise InputError("no LMI blocks given")
@@ -609,25 +668,33 @@ def solve_feasibility(blocks, registry, box_bound: float = DEFAULT_BOX_BOUND, *,
             if size < 1e-12:
                 stalled = True  # at numerical precision for this eta
                 break
-            if first_certificate and z[-1] <= -DEFAULT_FEAS_MARGIN:
-                # Every t I - F_j(x) has just factored, so lambda_max < t.
-                status, margins, t = classify(z, best_lower)
-                if status == "Feasible":
-                    best_lower = max(best_lower, barrier.dual_lower_bound(factors))
+            if first_certificate:
+                if z[-1] <= -DEFAULT_FEAS_MARGIN:
+                    # Every t I - F_j(x) has just factored, so lambda_max < t.
+                    status, margins, t = classify(z, best_lower)
+                    if status == "Feasible":
+                        best_lower = max(best_lower, barrier.dual_lower_bound(factors))
+                        break
+                lower = barrier.dual_lower_bound(factors)
+                if lower > -DEFAULT_FEAS_MARGIN:
+                    best_lower = max(best_lower, lower)
+                    status, margins, t = classify(z, best_lower)
                     break
             if decrement2 < CENTERING_TOL:
                 break
-        if status == "Feasible":
+        if status in ("Feasible", "Infeasible"):
             break
 
         best_lower = max(best_lower, barrier.dual_lower_bound(factors))
         if last_decrement2 <= 1e-2:
             # Near-centered iterate (Newton decrement <= 0.1): the
             # path-following duality measure bounds the optimality gap; the
-            # factor 2 absorbs the centering error.  The fully homogeneous
-            # problems this toolkit produces are only ever weakly infeasible
-            # (F(0) = 0), so no strict Farkas certificate exists and this
-            # central-path bound is what decides infeasibility in practice.
+            # factor 2 absorbs the centering error.  The problems this
+            # toolkit poses are homogeneous (F(0) = 0); an infeasible one has
+            # a witness Z >= 0 with A*(Z) = 0, which the dual bound's
+            # projection finds unless the box hides it (a slot held at the
+            # box, as beside a stable mode).  Then this central-path bound,
+            # at a large eta, is what decides infeasibility.
             best_lower = max(best_lower, float(z[-1]) - 2.0 * barrier.nu / eta)
         consecutive_stalls = consecutive_stalls + 1 if stalled else 0
         status, margins, t = classify(z, best_lower)

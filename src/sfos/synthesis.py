@@ -214,9 +214,10 @@ def admissible_via_lmi(sys: DescriptorSystem, side: str = "right"):
     True, as a Feasible solution with no blocks, no Newton steps and
     t = -inf.  Above, :func:`_criterion` with no gain keeps Q: the
     projection lemma is not shown exact for the sector's I2 (x) Q.  The
-    criterion is necessary and sufficient, so one certifying point decides:
-    the solve stops at the first (``first_certificate``), and its t and
-    assignment are that point's, not an optimum's.  Returns (verdict,
+    criterion is necessary and sufficient, so one certificate decides:
+    the solve stops at the first (``first_certificate``) of either verdict,
+    a point with t <= -margin or a dual witness whose bound clears -margin,
+    and its t and margins are that point's, not an optimum's.  Returns (verdict,
     LmiSolution); a solver NumericalFailure raises
     :class:`LmiNumericalError` rather than counting as infeasible.
     """

@@ -505,7 +505,8 @@ class TestSolveFeasibility:
         assert sol.status == "Infeasible"
         assert sol.lower_bound > -sol.feas_margin
 
-    def test_agrees_with_lp_oracle(self):
+    @pytest.mark.parametrize("first_certificate", [False, True])
+    def test_agrees_with_lp_oracle(self, first_certificate):
         rng = np.random.default_rng(42)
         box = 10.0
         checked = 0
@@ -515,7 +516,8 @@ class TestSolveFeasibility:
             t_star = _lp_optimum(A, b, box)
             if abs(t_star) < 1e-3:
                 continue  # skip the deliberately undecidable boundary band
-            sol = solve_feasibility(blocks, reg, box_bound=box)
+            sol = solve_feasibility(blocks, reg, box_bound=box,
+                                    first_certificate=first_certificate)
             if t_star < 0:
                 assert sol.feasible, (t_star, sol.status)
                 assert np.all(A @ sol.assignment + b < 0)
@@ -568,15 +570,31 @@ class TestSolveFeasibility:
         # the optimum.
         assert np.isfinite(first.lower_bound) and first.lower_bound <= full.t
 
-    def test_first_certificate_leaves_infeasible_solves_alone(self):
+    @pytest.mark.parametrize("problem", ["homogeneous", "constant"])
+    def test_first_certificate_ends_an_infeasible_path_early(self, problem):
+        # x < 0 and -x < 0 is infeasible with F(0) = 0, as the toolkit's
+        # problems are: its witness Z = (1/2, 1/2) has A*(Z) = 0, which the
+        # projected dual bound finds at once, while the full path needs
+        # eta large enough for t - 2 nu / eta.  1 < 0 beside x < 1 has no
+        # positive definite witness; the unprojected bound, which
+        # first_certificate also takes after every step, certifies it
+        # before the full path's round ends.
         reg = VariableRegistry()
         reg.add("x", "rectangular", 1, 1)
         x = reg.expr("x")
-        blocks = [block_of(np.eye(1) + 0.0 * x, label="constant"),
-                  block_of(x - 1.0, label="bounded")]
+        if problem == "homogeneous":
+            blocks = [block_of(x, label="negative"), block_of(-x, label="positive")]
+        else:
+            blocks = [block_of(np.eye(1) + 0.0 * x, label="constant"),
+                      block_of(x - 1.0, label="bounded")]
+        full = solve_feasibility(blocks, reg)
         first = solve_feasibility(blocks, reg, first_certificate=True)
-        assert first.status == "Infeasible"
-        assert first == solve_feasibility(blocks, reg)
+        assert full.status == first.status == "Infeasible"
+        k = len(first.iterates)
+        assert first.iterates == full.iterates[:k] and k < len(full.iterates)
+        assert first.newton_steps < full.newton_steps
+        assert first.lower_bound > -first.feas_margin
+        assert first.assignment is None
 
     def test_badly_scaled_start(self):
         # lambda_max(F0) = 1e17, where a start margin of 1 rounds away and

@@ -66,6 +66,40 @@ class TestAdmissibleViaLmi:
                 assert max(sol.margins) <= -sol.feas_margin
                 assert sol.lower_bound <= sol.t
 
+    @pytest.mark.parametrize("alpha", [0.4, 0.8])
+    def test_infeasible_stops_at_first_certificate(self, alpha):
+        # A plant whose slow modes are all unstable has a witness Z >= 0
+        # with A*(Z) = 0 that the box does not hide: the projected dual
+        # bound certifies it within the first centering round (eta = 1).
+        rng = np.random.default_rng(int(alpha * 10))
+        plants = []
+        while len(plants) < 6:
+            sysm, stable = random_impulse_free_system(rng, alpha)
+            if not stable:
+                plants.append(sysm)
+        for sysm in plants:
+            for side in ("right", "left"):
+                verdict, sol = admissible_via_lmi(sysm, side)
+                assert verdict is False and sol.status == "Infeasible"
+                assert sol.iterates and all(row[0] == 1.0 for row in sol.iterates)
+                assert sol.lower_bound > -sol.feas_margin
+
+    @pytest.mark.parametrize("boundary_margin", [0.05, 1e-3])
+    def test_near_the_sector_boundary(self, boundary_margin):
+        # Slow spectra boundary_margin rad from the sector boundary, on
+        # either side: no Feasible or Infeasible verdict may contradict the
+        # construction.  A loud refusal (LmiNumericalError) is allowed.
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            alpha = float(rng.uniform(0.2, 1.0))
+            sysm, stable = random_impulse_free_system(rng, alpha, boundary_margin)
+            for side in ("right", "left"):
+                try:
+                    verdict, sol = admissible_via_lmi(sysm, side)
+                except LmiNumericalError:
+                    continue
+                assert verdict is stable, (alpha, side, sol.status)
+
     def test_bad_side_rejected(self, bench06):
         with pytest.raises(InputError):
             admissible_via_lmi(bench06, side="up")
