@@ -10,10 +10,14 @@ decision slots (median a solve), Newton steps (total, median a solve and
 total by the solver's status), ms a Newton step (all solves of the size
 and side), median solve time, the solver's status counts
 (``NumericalFailure`` included) and the verdicts that disagree with the
-plant's known spectrum.  Each plant is a block-diagonal stack of random
-impulse-free blocks of 2-4 states at order ``ORDER``, mixed by two random
-orthogonal transforms; a block's slow spectrum is placed on the stable or
-the unstable side of the sector boundary, so the verdict is known.  Even
+plant's known spectrum.  For the ``Infeasible`` solves it also gives the
+median Newton steps and how many ended in the first centering round (every
+iterate at eta = 1): how far the dual bound's witness, the projection onto
+A*(Z) = 0, reaches before the central-path bound has to decide.  Each
+plant is a block-diagonal stack of random impulse-free blocks of 2-4 states
+at order ``ORDER``, mixed by two random orthogonal transforms; a block's
+slow spectrum is placed on the stable or the unstable side of the sector
+boundary, so the verdict is known.  Even
 plants are admissible; odd ones have an unstable first block.  Plants are
 drawn from ``SEED``, once for both sides.  ``--src`` is the ``src``
 directory to import ``sfos`` from (default: this checkout's), so that two
@@ -120,7 +124,8 @@ def main(argv=None):
     for n in SIZES:
         runs = {side: {"seconds": [], "steps": [], "slots": [], "wrong": 0,
                        "status": dict.fromkeys(STATUSES, 0),
-                       "status_steps": dict.fromkeys(STATUSES, 0)}
+                       "status_steps": dict.fromkeys(STATUSES, 0),
+                       "infeasible_steps": [], "first_round": 0}
                 for side in SIDES}
         for i in range(PLANTS):
             stable = i % 2 == 0
@@ -139,12 +144,16 @@ def main(argv=None):
                 run["status"][sol.status] += 1
                 run["status_steps"][sol.status] += sol.newton_steps
                 run["steps"].append(sol.newton_steps)
+                if sol.status == "Infeasible":
+                    run["infeasible_steps"].append(sol.newton_steps)
+                    run["first_round"] += all(row[0] == 1.0 for row in sol.iterates)
                 run["slots"].append(last["slots"])
                 run["wrong"] += verdict is not None and verdict != stable
         report[n] = {}
         for side, run in runs.items():
             steps, seconds, status = run["steps"], run["seconds"], run["status"]
             by_status = run["status_steps"]
+            infeasible = run["infeasible_steps"]
             r = report[n][side] = {
                 "median_slots": statistics.median(run["slots"]),
                 "newton_steps": sum(steps),
@@ -153,12 +162,17 @@ def main(argv=None):
                 "median_s": statistics.median(seconds),
                 "status": status,
                 "status_steps": by_status,
+                "infeasible_median_steps": (statistics.median(infeasible)
+                                            if infeasible else None),
+                "infeasible_first_round": run["first_round"],
                 "wrong_verdicts": run["wrong"],
             }
             print(f"n = {n:2d} {side:>5}: {r['median_slots']:g} slots, "
                   f"{r['newton_steps']:5d} steps (median {r['median_steps']:g}; "
                   f"{by_status['Feasible']} Feasible, "
-                  f"{by_status['Infeasible']} Infeasible), "
+                  f"{by_status['Infeasible']} Infeasible, Infeasible median "
+                  f"{r['infeasible_median_steps']}, {run['first_round']} of "
+                  f"{len(infeasible)} in the first round), "
                   f"{r['ms_per_step']:.3f} ms a step, median {r['median_s']:.2f} s a solve, "
                   f"{status['Feasible']}/{status['Infeasible']}/{status['NumericalFailure']} "
                   f"Feasible/Infeasible/NumericalFailure, {run['wrong']} wrong", flush=True)

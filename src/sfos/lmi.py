@@ -44,7 +44,7 @@ slacks onto A*(Z) = 0, so it can certify at the first centering round
 their gains come from the deeper iterate (their round-end bound holds the
 projection too).  On ``scripts/lmi_sweep.py`` that cuts the Feasible
 solves' Newton steps by 65-84 % at every size and side, and the Infeasible
-ones' from 96-289 to 4-235 at n <= 12; from n = 16 on, where a stable mode
+ones' from 96-289 to 4-239 at n <= 12; from n = 16 on, where a stable mode
 beside the unstable one holds slots at the box, the projection is not
 positive semidefinite and Infeasible solves take the central-path bound's
 steps as before.
@@ -525,11 +525,11 @@ class _Barrier:
           alternatives; Boyd & Vandenberghe, *Convex Optimization*, 5.9),
           free of the box, so it can certify at the first centering round.
         """
+        # dpotrs is what sla.cho_solve calls, and the ndarray methods are
+        # the reductions np.trace and np.sum make, bit for bit, without the
+        # wrappers: this runs every Newton step of a first_certificate solve.
         Sinvs = [sla.lapack.dpotrs(L, op.eye, lower=1)[0]
                  for L, op in zip(factors, self.ops)]
-        # ndarray methods rather than np.trace and np.sum: the same
-        # reductions, without the wrappers (this runs every Newton step of a
-        # first_certificate solve).
         total = sum(S.trace() for S in Sinvs)
         bound, resid = self._weak_duality([S / total for S in Sinvs])
         if self.gram_factor is None:
@@ -675,6 +675,10 @@ def solve_feasibility(blocks, registry, box_bound: float = DEFAULT_BOX_BOUND, *,
                     if status == "Feasible":
                         best_lower = max(best_lower, barrier.dual_lower_bound(factors))
                         break
+                # One dual point whose bound clears -m proves infeasibility.
+                # A bound that does not is dropped, so that lower_bound keeps
+                # to the points it was taken at before (round ends and the
+                # Feasible stop).
                 lower = barrier.dual_lower_bound(factors)
                 if lower > -DEFAULT_FEAS_MARGIN:
                     best_lower = max(best_lower, lower)

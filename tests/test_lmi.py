@@ -391,6 +391,20 @@ def _reference_grad_hess(barrier, z, factors):
     return g, H
 
 
+def _reference_dual_lower_bound(barrier, factors):
+    """The inverse-slack bound as first computed (cho_solve, tensordot)."""
+    Sinvs = [sla.cho_solve((L, True), np.eye(L.shape[0]), check_finite=False)
+             for L in factors]
+    total = sum(np.trace(S) for S in Sinvs)
+    bound = 0.0
+    resid = np.zeros(barrier.nx)
+    for b, Sinv in zip(barrier.blocks, Sinvs):
+        Z = Sinv / total
+        bound += float(np.sum(b.F0 * Z))
+        resid[b.slots] += np.tensordot(b.stack, Z, 2)
+    return bound - barrier.box * float(np.sum(np.abs(resid)))
+
+
 class TestBarrierMatchesReference:
     """The barrier's operands, built once per solve, change no bit.
 
@@ -438,6 +452,9 @@ class TestBarrierMatchesReference:
             g_ref, H_ref = _reference_grad_hess(barrier, z, ref)
             assert np.array_equal(g, g_ref)
             assert np.array_equal(H, H_ref)
+            # The projected witness can only raise the bound.
+            assert barrier.dual_lower_bound(factors) >= \
+                _reference_dual_lower_bound(barrier, ref)
 
     def test_non_interior_points(self):
         rng = np.random.default_rng(23)
@@ -505,8 +522,9 @@ class TestSolveFeasibility:
         assert sol.status == "Infeasible"
         assert sol.lower_bound > -sol.feas_margin
 
-    @pytest.mark.parametrize("first_certificate", [False, True])
-    def test_agrees_with_lp_oracle(self, first_certificate):
+    def test_agrees_with_lp_oracle(self):
+        # With and without first_certificate, which stops at the first
+        # certificate of either verdict.
         rng = np.random.default_rng(42)
         box = 10.0
         checked = 0
@@ -516,15 +534,16 @@ class TestSolveFeasibility:
             t_star = _lp_optimum(A, b, box)
             if abs(t_star) < 1e-3:
                 continue  # skip the deliberately undecidable boundary band
-            sol = solve_feasibility(blocks, reg, box_bound=box,
-                                    first_certificate=first_certificate)
-            if t_star < 0:
-                assert sol.feasible, (t_star, sol.status)
-                assert np.all(A @ sol.assignment + b < 0)
-            else:
-                assert sol.status == "Infeasible", (t_star, sol.status)
-                # the certified bound must honor the true optimum
-                assert sol.lower_bound <= t_star + 1e-6
+            for first_certificate in (False, True):
+                sol = solve_feasibility(blocks, reg, box_bound=box,
+                                        first_certificate=first_certificate)
+                if t_star < 0:
+                    assert sol.feasible, (t_star, sol.status)
+                    assert np.all(A @ sol.assignment + b < 0)
+                else:
+                    assert sol.status == "Infeasible", (t_star, sol.status)
+                    # the certified bound must honor the true optimum
+                    assert sol.lower_bound <= t_star + 1e-6
             checked += 1
         assert checked >= 20
 
@@ -570,8 +589,7 @@ class TestSolveFeasibility:
         # the optimum.
         assert np.isfinite(first.lower_bound) and first.lower_bound <= full.t
 
-    @pytest.mark.parametrize("problem", ["homogeneous", "constant"])
-    def test_first_certificate_ends_an_infeasible_path_early(self, problem):
+    def test_first_certificate_ends_an_infeasible_path_early(self):
         # x < 0 and -x < 0 is infeasible with F(0) = 0, as the toolkit's
         # problems are: its witness Z = (1/2, 1/2) has A*(Z) = 0, which the
         # projected dual bound finds at once, while the full path needs
@@ -582,19 +600,20 @@ class TestSolveFeasibility:
         reg = VariableRegistry()
         reg.add("x", "rectangular", 1, 1)
         x = reg.expr("x")
-        if problem == "homogeneous":
-            blocks = [block_of(x, label="negative"), block_of(-x, label="positive")]
-        else:
-            blocks = [block_of(np.eye(1) + 0.0 * x, label="constant"),
-                      block_of(x - 1.0, label="bounded")]
-        full = solve_feasibility(blocks, reg)
-        first = solve_feasibility(blocks, reg, first_certificate=True)
-        assert full.status == first.status == "Infeasible"
-        k = len(first.iterates)
-        assert first.iterates == full.iterates[:k] and k < len(full.iterates)
-        assert first.newton_steps < full.newton_steps
-        assert first.lower_bound > -first.feas_margin
-        assert first.assignment is None
+        homogeneous = [block_of(x, label="negative"), block_of(-x, label="positive")]
+        constant = [block_of(np.eye(1) + 0.0 * x, label="constant"),
+                    block_of(x - 1.0, label="bounded")]
+        for blocks in (homogeneous, constant):
+            full = solve_feasibility(blocks, reg)
+            first = solve_feasibility(blocks, reg, first_certificate=True)
+            assert full.status == first.status == "Infeasible"
+            k = len(first.iterates)
+            assert first.iterates == full.iterates[:k] and k < len(full.iterates)
+            assert first.newton_steps < full.newton_steps
+            assert first.lower_bound > -first.feas_margin
+            assert first.assignment is None
+        assert solve_feasibility(homogeneous, reg,
+                                 first_certificate=True).newton_steps == 1
 
     def test_badly_scaled_start(self):
         # lambda_max(F0) = 1e17, where a start margin of 1 rounds away and
