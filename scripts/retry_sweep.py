@@ -11,8 +11,9 @@ open-loop unstable plants drawn by ``random_impulse_free_system`` from
 * ``siso``: an order drawn from ``SISO_ORDERS`` before each plant; draws the
   generator marks stable are skipped until there are ``SISO_PLANTS``.
 * ``lifted``: a base order a0 drawn from ``LIFTED_BASE_ORDERS``, the plant
-  taken at order 2 a0 and lifted by k = 2; draws that ``sfos.analyze`` calls
-  stable are skipped until there are ``LIFTED_PLANTS``.
+  taken at order 2 a0 in (1, 2) and designed on as it is; draws that
+  ``sfos.analyze`` calls stable are skipped until there are
+  ``LIFTED_PLANTS``.  The family keeps its name for its draws.
 
 Every plant is single-input, single-output (B and C are all ones), so a
 design exists iff some scalar F places the closed-loop pencil in the
@@ -50,30 +51,29 @@ SISO_ORDERS = (0.4, 0.6, 0.8)
 SISO_PLANTS = 60
 LIFTED_BASE_ORDERS = (0.6, 0.7, 0.8)
 LIFTED_PLANTS = 30
-LIFTED_K = 2
 #: The F values the oracle tries: +-|F| on a log grid over [1e-3, 1e3].
 F_GRID = np.concatenate([s * np.logspace(-3.0, 3.0, 1500) for s in (1.0, -1.0)])
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def siso_plants(draw, seed):
-    """(plant, k) of each open-loop unstable draw at order in SISO_ORDERS."""
+    """Each open-loop unstable draw at an order in SISO_ORDERS."""
     rng = np.random.default_rng(seed)
     while True:
         sysm, stable = draw(rng, rng.choice(SISO_ORDERS))
         if not stable:
-            yield sysm, 1
+            yield sysm
 
 
 def lifted_plants(sfos, draw, seed):
-    """(plant, k) of each draw at order 2 a0 that analyze calls unstable."""
+    """Each draw at order 2 a0 that analyze calls unstable."""
     rng = np.random.default_rng(seed)
     while True:
         base, _ = draw(rng, rng.choice(LIFTED_BASE_ORDERS))
         sysm = sfos.DescriptorSystem(E=base.E, A=base.A, B=base.B, C=base.C,
                                      alpha=2.0 * base.alpha)
         if not sfos.analyze(sysm).stable:
-            yield sysm, LIFTED_K
+            yield sysm
 
 
 def f_exists(sfos, sysm):
@@ -110,11 +110,11 @@ def main(argv=None):
             ("lifted", lifted_plants(sfos, draw, args.plant_seed),
              LIFTED_PLANTS)):
         rows = []
-        for i, (sysm, k) in zip(range(count), plants):
+        for i, sysm in zip(range(count), plants):
             stage1.clear()
             start = time.perf_counter()
             try:
-                sfos.synth_output_feedback(sfos.lifting.as_plant(sysm, k))
+                sfos.synth_output_feedback(sysm)
                 outcome, error = "designed", None
             except sfos.SfosError as exc:
                 outcome, error = type(exc).__name__, str(exc)

@@ -8,10 +8,12 @@ temporary directory; the change is this checkout as it stands.  Each case
 runs once a side, in a process of its own that imports ``sfos`` from that
 side's ``src``, with BLAS pinned to one thread:
 
-* ``DESIGNS``: the four demo designs (the paper plant at orders 0.6 and 1.2,
-  lifted by k = 2, at the demo decay shifts) and the two k = 3 designs.
-  Compared: K, L, K0 and F; each certificate's status, Newton steps, t,
-  lower bound, margins and assignment; the closed-loop report.
+* ``DESIGNS``: the four demo designs (the paper plant at orders 0.6 and 1.2
+  at the demo decay shifts) and the two order-1.2 designs for k = 3.  Above
+  order 1 each is made by ``sfos.synth_*_lifted(plant, k=k)``, whose gains
+  are sized for the lift by k on either side of a change to the plant-size
+  designs.  Compared: K, L, K0 and F; each certificate's status, Newton
+  steps, t, lower bound, margins and assignment; the closed-loop report.
 * ``ADMISSIBILITY_PLANTS`` seeded ``perfbench/plants.py`` blocks of 2-4
   states, each tested on both sides of the criterion: the verdict and
   solution of each LMI, or the error it raises.
@@ -58,7 +60,7 @@ PLANT = {"E": [[1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]],
          "B": [[1.0], [1.0], [1.0]],
          "C": [[1.0, 0.0, 1.0]]}
 
-#: (mode, order, lifting factor, synthesis keywords) of each design.
+#: (mode, order, lifting factor above order 1, synthesis keywords) of each design.
 DESIGNS = (
     ("observer", 0.6, 2, {"decay_shift_state": 2.0, "decay_shift_injection": 6.0}),
     ("output", 0.6, 2, {"decay_shift": 2.0}),
@@ -132,8 +134,14 @@ def run_design(src, case):
     mode, alpha, k, kwargs = case
     plant = sfos.DescriptorSystem(alpha=alpha, **{
         name: np.array(value) for name, value in PLANT.items()})
-    synth = sfos.synth_observer if mode == "observer" else sfos.synth_output_feedback
-    design = synth(sfos.lifting.as_plant(plant, k), **kwargs)
+    if alpha > 1.0:
+        synth = (sfos.synth_observer_lifted if mode == "observer"
+                 else sfos.synth_output_feedback_lifted)
+        design = synth(plant, k=k, **kwargs)
+    else:
+        synth = (sfos.synth_observer if mode == "observer"
+                 else sfos.synth_output_feedback)
+        design = synth(plant, **kwargs)
     out = {name: getattr(design, name) for name in ("K", "L", "K0", "F")
            if hasattr(design, name)}
     for name, cert in design.certificates.items():

@@ -6,8 +6,9 @@ Submodules:
 * :mod:`sfos.fpdm` -- the fractional-order positive-definite matrix set;
 * :mod:`sfos.lmi` -- affine matrix expressions and a dense feasibility solver;
 * :mod:`sfos.synthesis` -- observer-based and static output-feedback design;
-* :mod:`sfos.lifting` -- order reduction for orders in (1, 2), and the
-  working coordinates that synthesis and simulation share;
+* :mod:`sfos.lifting` -- order reduction for orders in (1, 2), for gains
+  sized for the lifted state, and the one rule that picks a loop's
+  coordinates from its gains;
 * :mod:`sfos.simulator` -- implicit Grünwald-Letnikov time stepping;
 * :mod:`sfos.cli` -- command-line front end (``sfos`` entry point).
 """
@@ -20,13 +21,13 @@ from .errors import (GainRecoverySingular, InputError, LmiNumericalError,
                      StateFeedbackInfeasible, SynthesisError,
                      VerificationFailed)
 from .fpdm import FpdmParam, congruence, is_member, materialize
-from .synthesis import (ObserverDesign, OutputFeedbackDesign,
-                        admissible_via_lmi, synth_observer,
-                        synth_output_feedback)
 from .lifting import (LiftedReport, LiftedSystem, lift, synth_observer_lifted,
                       synth_output_feedback_lifted, transfer_function)
 from .lmi import LmiSolution, VariableRegistry, solve_feasibility
 from .simulator import SimConfig, Trajectory, gl_weights, simulate, tail_decay_exponent
+from .synthesis import (ObserverDesign, OutputFeedbackDesign,
+                        admissible_via_lmi, synth_observer,
+                        synth_output_feedback)
 
 __version__ = "0.1.0"
 

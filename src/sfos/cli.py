@@ -8,12 +8,11 @@ Subcommands::
     sfos demo     example1|example2 --out d   one-command benchmark runs
 
 Each subcommand takes only the flags it reads: ``--out`` on all four;
-``--k`` on ``synth``, ``simulate`` and ``demo``; ``--mode`` on ``synth``;
-``--h`` and ``--horizon`` on ``simulate`` and ``demo``.  The LMI solver's
-margin and box, the rank threshold of E (:data:`sfos.descriptor.RANK_TOL`)
-and the output-feedback retries (:data:`sfos.synthesis.RETRY_SHIFTS`) are
-constants, not options.  ``synth``
-writes each LMI solve's certificate with its iterates.
+``--mode`` on ``synth``; ``--h`` and ``--horizon`` on ``simulate`` and
+``demo``.  The LMI solver's margin and box, the rank threshold of E
+(:data:`sfos.descriptor.RANK_TOL`) and the output-feedback retries
+(:data:`sfos.synthesis.RETRY_SHIFTS`) are constants, not options.
+``synth`` writes each LMI solve's certificate with its iterates.
 
 Exit codes are a stable contract: 0 success / admissible, 1 error (bad
 input, including a usage error on the command line, I/O, numerical
@@ -24,12 +23,11 @@ loop failed the closed-loop pencil check).
 The CLI reads its flags and the problem file, nothing else.  A problem
 file is read as UTF-8 JSON and validated in full against ``PROBLEM_SCHEMA``
 by one validator built per process; that the schema itself is a valid
-2020-12 schema is checked once, by the test suite.  h and T
-resolve as the command-line flag, then the problem-file value, then this
-module's ``DEFAULT_H`` or ``DEFAULT_T``; ``--k`` has no slot in the file
-and defaults to :data:`sfos.lifting.DEFAULT_K`.
-The plant carries ``--k`` into synthesis and simulation, lifted by
-:func:`sfos.lifting.as_plant` (orders in (0, 1] are never lifted).
+2020-12 schema is checked once, by the test suite.  h and T resolve as the
+command-line flag, then the problem-file value, then this module's
+``DEFAULT_H`` or ``DEFAULT_T``.  Designs act on the plant's own state.  A
+``gains`` block is verified and simulated on the plant, or on its lift by
+k when K or L is sized for one (:func:`sfos.lifting.coordinates`).
 """
 
 from __future__ import annotations
@@ -178,7 +176,7 @@ def _resolve(flag_value, file_value, fallback):
     return fallback
 
 
-def _run_synthesis(plant: lifting.LiftedSystem, synth_cfg: dict, mode=None):
+def _run_synthesis(plant: DescriptorSystem, synth_cfg: dict, mode=None):
     """Design in ``mode``, else in the problem file's synthesis.mode."""
     mode = mode or synth_cfg.get("mode")
     if mode is None:
@@ -197,13 +195,12 @@ def cmd_synth(args) -> int:
     doc = load_problem(args.problem)
     synth_cfg = doc.get("synthesis", {})
     sysm = descriptor.system_from_dict(doc["system"])
-    design = _run_synthesis(lifting.as_plant(sysm, args.k), synth_cfg,
-                            args.mode)
+    design = _run_synthesis(sysm, synth_cfg, args.mode)
     _emit(design.to_dict(), args.out)
     return EXIT_OK
 
 
-def _injected_controller(plant: lifting.LiftedSystem, gains: dict):
+def _injected_controller(plant: DescriptorSystem, gains: dict):
     """Controller tuple + verification report for user-supplied gains."""
     if "F" in gains and ("K" in gains or "L" in gains):
         others = " and ".join(name for name in ("K", "L") if name in gains)
@@ -234,22 +231,20 @@ def cmd_simulate(args) -> int:
     sysm = descriptor.system_from_dict(doc["system"])
     config = _sim_config(doc.get("simulation", {}), args)
     # The pair verified below is the pair simulated: both come from
-    # synthesis.closed_loop on this one plant.
-    plant = lifting.as_plant(sysm, args.k)
-
+    # synthesis.closed_loop, in the coordinates lifting.coordinates picks.
     verification = None
     if "gains" in doc:
-        controller, report = _injected_controller(plant, doc["gains"])
+        controller, report = _injected_controller(sysm, doc["gains"])
         verification = report.to_dict()
         admissible = report.admissible
     elif "synthesis" in doc:
-        controller = _run_synthesis(plant, doc["synthesis"])
+        controller = _run_synthesis(sysm, doc["synthesis"])
         admissible = True
     else:
         controller = None
         admissible = True
 
-    traj = simulator.simulate(plant, controller, config)
+    traj = simulator.simulate(sysm, controller, config)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     traj.to_csv(os.path.join(out_dir, "trajectory.csv"))
@@ -292,7 +287,7 @@ DEMO_SHIFTS = {
 
 def cmd_demo(args) -> int:
     alpha = 0.6 if args.example == "example1" else 1.2
-    plant = lifting.as_plant(_benchmark_system(alpha), args.k)
+    plant = _benchmark_system(alpha)
     cfg_obs = _sim_config(dict(DEMO_SIMULATION, xhat0=[0.0, 0.0, 0.0]), args)
     cfg_out = _sim_config(DEMO_SIMULATION, args)
     shifts = DEMO_SHIFTS[args.example]
@@ -370,10 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "fractional-order systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def design(p):
-        p.add_argument("--k", type=int, default=lifting.DEFAULT_K,
-                       help="lifting factor for orders in (1, 2)")
-
     def march(p):
         p.add_argument("--h", type=float, default=None, help="simulation step")
         p.add_argument("--horizon", type=float, default=None,
@@ -390,14 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["observer", "output"], default=None)
     p.add_argument("--out", default=None,
                    help="write the design JSON here instead of stdout")
-    design(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("simulate", help="closed-loop simulation")
     p.add_argument("problem")
     p.add_argument("--out", default=None,
                    help="output directory (default: current directory)")
-    design(p)
     march(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -405,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("example", choices=["example1", "example2"])
     p.add_argument("--out", default=None,
                    help="output directory (default: the example name)")
-    design(p)
     march(p)
     p.set_defaults(func=cmd_demo)
     return parser

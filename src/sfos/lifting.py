@@ -11,27 +11,22 @@ Cbar = [C, 0, ..., 0].  Both systems share the transfer function
 C (s^alpha E - A)^{-1} B, and the nonzero finite eigenvalues of the lifted
 pencil are exactly the k-th roots (all branches) of the original ones.
 
-One structural caveat governs everything downstream: for singular E the
-lifted pencil det(mu*Ebar - Abar) = det(mu^k E - A) has degree k*deg while
-rank(Ebar) = r + (k-1)n, so the lift itself always carries
-(k-1)(n-r) extra infinite modes and is never impulse-free in the strict
-sense -- no feedback can repair that, because the deficit comes from the
-rows of Ebar, not from A.  Impulse-freeness of a lifted pair is therefore
-judged against the threshold k*r (degree k*r corresponds exactly to an
-impulse-free pair at the original order), and reports carry both the strict
-and the effective verdict.
+For singular E, det(mu*Ebar - Abar) = det(mu^k E - A) has degree k*deg
+while rank(Ebar) = r + (k-1)n: the lift carries (k-1)(n-r) extra infinite
+modes that no feedback repairs, and is never impulse-free in the strict
+sense.  A lifted pair is therefore judged impulse-free at degree k*r, the
+impulse-free pair at the original order, and reports carry both verdicts.
 
-This module alone decides whether a plant is handled lifted or as it is, and
-owns that degree threshold: :func:`as_plant` puts any plant into working
-coordinates (lifted only for orders above 1), :func:`embed` puts a gain of
-the plant's own state there, and :func:`verify_loop` judges a controller's
-closed loop there.  Synthesis designs on the plant itself at every order;
-verification and the march (orders up to 1) run in working coordinates.
+A loop whose gains act on the plant block alone lifts to the lift of the
+plant loop, so it is verified and marched on the plant at alpha.  Only
+gains with nonzero entries on the auxiliary states, which feed back
+D^{alpha/k} x, need the lift.  :func:`coordinates` alone decides which, by
+the gains' size, for :func:`verify_loop` and :func:`sfos.simulator.simulate`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +38,7 @@ __all__ = [
     "LiftedSystem",
     "LiftedReport",
     "lift",
-    "as_plant",
+    "coordinates",
     "verify_loop",
     "embed",
     "transfer_function",
@@ -51,8 +46,6 @@ __all__ = [
     "synth_observer_lifted",
     "synth_output_feedback_lifted",
 ]
-
-DEFAULT_K = 2
 
 
 @dataclass(frozen=True)
@@ -63,23 +56,15 @@ class LiftedSystem:
     k: int
     lifted: DescriptorSystem
 
-    def __post_init__(self):
-        if self.base.alpha > 1.0 and self.k < 2:
-            raise InputError("k must be at least 2")
 
-
-def _check_k(k) -> None:
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise InputError(f"k must be an integer, got {k!r}")
-
-
-def lift(sys: DescriptorSystem, k: int = DEFAULT_K) -> LiftedSystem:
+def lift(sys: DescriptorSystem, k: int) -> LiftedSystem:
     """Build the chained auxiliary system of order alpha/k."""
     if not 1.0 < sys.alpha < 2.0:
         raise InputError(
             f"no lifting needed: order {sys.alpha} is already in (0, 1]"
             if sys.alpha <= 1.0 else f"order must be below 2, got {sys.alpha}")
-    _check_k(k)
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise InputError(f"k must be an integer, got {k!r}")
     if k < 2:
         raise InputError("k must be at least 2")
     n = sys.n
@@ -95,25 +80,44 @@ def lift(sys: DescriptorSystem, k: int = DEFAULT_K) -> LiftedSystem:
     return LiftedSystem(base=sys, k=k, lifted=lifted)
 
 
-def as_plant(sys, k: int | None = None) -> LiftedSystem:
-    """The plant in working coordinates: lifted by k above order 1, else as is.
+def _split(gain, n: int, rows: bool):
+    """(k, plant block, padding) of a K of k*n columns (k >= 2), else None.
 
-    ``k`` defaults to the plant's own factor: :data:`DEFAULT_K` for a plain
-    plant above order 1.  A :class:`LiftedSystem` is returned unchanged, and
-    a ``k`` other than its own is refused; an order in (0, 1] gives
-    ``LiftedSystem(base=sys, k=1, lifted=sys)`` for any integer ``k``.
-    Synthesis and simulation call this without k, so a plant meant for any
-    other factor reaches them as ``as_plant(sys, k)``.
+    With ``rows``, of an L of k*n rows, whose plant block is last, as B's is.
     """
-    if k is not None:
-        _check_k(k)
-    if isinstance(sys, LiftedSystem):
-        if k is not None and k != sys.k:
-            raise InputError(f"plant is lifted by k = {sys.k}, not {k}")
-        return sys
-    if sys.alpha <= 1.0:
-        return LiftedSystem(base=sys, k=1, lifted=sys)
-    return lift(sys, DEFAULT_K if k is None else k)
+    try:
+        gain = np.asarray(gain, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    size = gain.shape[0 if rows else 1] if gain.ndim == 2 else 0
+    if size <= n or size % n:
+        return None
+    if rows:
+        return size // n, gain[-n:], gain[:-n]
+    return size // n, gain[:, :n], gain[:, n:]
+
+
+def coordinates(sys: DescriptorSystem, controller):
+    """(k, controller): the lift its gains are sized for (1: the plant), and it.
+
+    F, and every gain up to order 1, is sized for the plant.  Above it, a K
+    of m x k*n or an L of k*n x p (k >= 2) with a nonzero entry off the
+    plant block is sized for ``lift(sys, k)``; one whose other entries are
+    all exactly zero (:func:`embed`'s) is cut to the plant block, at k = 1.
+    :func:`sfos.synthesis.closed_loop` refuses any other shape by name.
+    """
+    if not isinstance(sys, DescriptorSystem):
+        raise InputError("closed loops are built on a DescriptorSystem, "
+                         f"not a {type(sys).__name__}")
+    kind, gains = controller[0], controller[1:]
+    if sys.alpha <= 1.0 or kind not in ("state", "observer"):
+        return 1, controller
+    parts = [_split(gain, sys.n, rows=i == 1) for i, gain in enumerate(gains)]
+    for part in parts:
+        if part is not None and part[2].any():
+            return part[0], controller
+    return 1, (kind, *(gain if part is None else part[1]
+                       for gain, part in zip(gains, parts)))
 
 
 def transfer_function(sys: DescriptorSystem, s: complex) -> np.ndarray:
@@ -164,51 +168,54 @@ def analyze_lifted_pair(Ebar, Abar, base_rank: int, k: int,
 
 
 # ---------------------------------------------------------------------------
-# Closed-loop verification in working coordinates
+# Closed-loop verification in the coordinates the gains pick
 # ---------------------------------------------------------------------------
 
-def verify_loop(plant: LiftedSystem, controller):
-    """Admissibility of ``synthesis.closed_loop(plant.lifted, controller)``.
+def verify_loop(sys: DescriptorSystem, controller):
+    """Admissibility of ``synthesis.closed_loop`` in :func:`coordinates`' k.
 
-    Unlifted plants get the plain pencil analysis.  Lifted ones get the
-    degree threshold copies * k * r, where the observer's (state, error)
-    pair stacks two copies of the plant.
+    On the plant, the plain pencil analysis at alpha.  On the lift by k, a
+    :class:`LiftedReport` at the degree threshold copies * k * r, where the
+    observer's (state, error) pair stacks two copies of the plant.
     """
-    sys = plant.lifted
-    E, A, _ = synthesis.closed_loop(sys, controller)
-    if plant.k == 1:
+    k, controller = coordinates(sys, controller)
+    if k == 1:
+        E, A, _ = synthesis.closed_loop(sys, controller)
         return descriptor.analyze_pair(E, A, sys.alpha)
+    work = lift(sys, k).lifted
+    E, A, _ = synthesis.closed_loop(work, controller)
     copies = 2 if controller[0] == "observer" else 1
-    return analyze_lifted_pair(E, A, copies * plant.base.r, plant.k,
-                               sys.alpha)
+    return analyze_lifted_pair(E, A, copies * sys.r, k, work.alpha)
 
 
 def embed(plant: LiftedSystem, K, L):
-    """Gains K (m x n) and L (n x p) of the plant's own state, on its working state.
+    """Gains K (m x n) and L (n x p) of the plant's own state, on the lifted state.
 
     K becomes [K, 0, ..., 0], as C is lifted, and L becomes [0; ...; 0; L],
-    as B is, so the lifted loop is the lift of the base loop.  At k = 1
-    they come back as they are.
+    as B is, so the lifted loop is the lift of the base loop.
     """
     pad = plant.lifted.n - plant.base.n
     return (np.hstack([K, np.zeros((K.shape[0], pad))]),
             np.vstack([np.zeros((pad, L.shape[1])), L]))
 
 
-def synth_observer_lifted(sys: DescriptorSystem, k: int = DEFAULT_K,
+def synth_observer_lifted(sys: DescriptorSystem, k: int,
                           **kwargs) -> synthesis.ObserverDesign:
-    """:func:`sfos.synthesis.synth_observer` on an order-(1,2) plant lifted by k.
+    """:func:`sfos.synthesis.synth_observer`, with K and L padded for ``lift(sys, k)``.
 
-    The same as ``synth_observer(lift(sys, k), **kwargs)``; kept for
-    existing callers.
+    Only K and L are :func:`embed`'s.  Kept for existing callers.
     """
-    return synthesis.synth_observer(lift(sys, k), **kwargs)
+    plant = lift(sys, k)
+    design = synthesis.synth_observer(sys, **kwargs)
+    K, L = embed(plant, design.K, design.L)
+    return replace(design, K=K, L=L)
 
 
-def synth_output_feedback_lifted(sys: DescriptorSystem, k: int = DEFAULT_K,
+def synth_output_feedback_lifted(sys: DescriptorSystem, k: int,
                                  **kwargs) -> synthesis.OutputFeedbackDesign:
-    """:func:`sfos.synthesis.synth_output_feedback` on a plant lifted by k.
+    """:func:`sfos.synthesis.synth_output_feedback`, for a plant that lifts by k.
 
-    Kept for existing callers, like :func:`synth_observer_lifted`.
+    F acts on the output, which a lift keeps.  Kept for existing callers.
     """
-    return synthesis.synth_output_feedback(lift(sys, k), **kwargs)
+    lift(sys, k)  # refuses an order or a k that has no lift
+    return synthesis.synth_output_feedback(sys, **kwargs)

@@ -1,13 +1,15 @@
 """Time-domain simulation by an implicit Grünwald-Letnikov scheme.
 
-The Caputo derivative of order 0 < alpha <= 1 is realized discretely as
+The Caputo derivative of order 0 < alpha < 2 is realized discretely as
 
     D^alpha x(t_s)  ~  h^-alpha * sum_{j=0}^{s} w_j (x_{s-j} - x_0),
 
 with the binomial weights w; at alpha = 1 they are (1, -1, 0, 0, ...), and
 the march is backward Euler.  Subtracting the initial value makes the
 operator vanish on constants, matching the Caputo (not Riemann-Liouville)
-initialization.  Each step solves the implicit linear system
+initialization; above order 1 its data are x(0) = x0 and x'(0) = 0
+(Diethelm, *The Analysis of Fractional Differential Equations*, LNM 2004,
+Springer 2010).  Each step solves the implicit linear system
 
     (h^-alpha E - A) x_s = h^-alpha E (x_0 - sum_{j=1}^{s} w_j (x_{s-j} - x_0)),
 
@@ -15,8 +17,9 @@ which marches singular descriptor pairs directly: rows in the left null
 space of E reduce to the algebraic constraint 0 = (A x_s)_row enforced
 exactly by the solve, so no slow/fast splitting is needed (and pairs that
 are not strictly impulse-free, such as lifted representations, integrate
-without special-casing).  Orders in (1, 2) are simulated on their lifted
-chain at order alpha/k (:func:`sfos.lifting.as_plant`).
+without special-casing).  A loop is marched on the plant at alpha, or on
+the lift by k that its gains are sized for (:func:`sfos.lifting.coordinates`),
+at order alpha/k: k products of those weights are the weights at alpha.
 
 The history sum is exact (no truncation or kernel approximation) and costs
 O(N log^2 N) over N steps, by the online convolution of Hairer, Lubich &
@@ -98,8 +101,8 @@ def gl_weights(alpha: float, count: int) -> np.ndarray:
     w_0 = 1 and w_j = (1 - (alpha+1)/j) w_{j-1}; these are the coefficients
     of (1 - z)^alpha, so order 1 gives (1, -1, 0, 0, ...).
     """
-    if not 0.0 < alpha <= 1.0:
-        raise InputError(f"weights are defined for orders in (0, 1], got {alpha}")
+    if not 0.0 < alpha < 2.0:
+        raise InputError(f"weights are defined for orders in (0, 2), got {alpha}")
     if count < 1:
         raise InputError("count must be at least 1")
     w = np.empty(count)
@@ -159,8 +162,7 @@ class Trajectory:
     observation error (None without an observer), ``algebraic_residual`` the
     per-step norm of the plant's algebraic rows evaluated at (x, u) as
     marched (at t=0 with the input the loop applied, even when
-    ``gate_first_input`` reports u[0] = 0).  ``k`` is the lifting factor
-    the march ran at (1 for orders in (0, 1]).
+    ``gate_first_input`` reports u[0] = 0).
     """
 
     times: np.ndarray
@@ -170,7 +172,6 @@ class Trajectory:
     algebraic_residual: np.ndarray
     config: SimConfig
     controller: str
-    k: int
 
     @property
     def final_norm_ratio(self) -> float:
@@ -190,7 +191,7 @@ class Trajectory:
     def summary(self) -> dict:
         out = {
             "controller": self.controller,
-            "config": dict(self.config.to_dict(), k=self.k),
+            "config": self.config.to_dict(),
             "final_norm": float(np.linalg.norm(self.x[-1])),
             "initial_norm": float(np.linalg.norm(self.x[0])),
             "final_norm_ratio": self.final_norm_ratio,
@@ -409,22 +410,19 @@ def _normalize_controller(design):
 def simulate(sys, design, config: SimConfig) -> Trajectory:
     """Closed- or open-loop simulation of a descriptor plant.
 
-    ``sys`` is a DescriptorSystem (any order in (0,2)) or a LiftedSystem;
-    a plain plant above order 1 is lifted by :data:`sfos.lifting.DEFAULT_K`,
-    and another factor k is passed as ``lifting.as_plant(sys, k)``.
-    ``design`` is None, an ObserverDesign / OutputFeedbackDesign, or a tuple
-    ("state", K) / ("observer", K, L) / ("output", F).  Above order 1 the
-    gains must be sized for the lifted state; the returned trajectory
-    reports the original-state block and the k it marched at.
+    ``sys`` is a DescriptorSystem of any order in (0, 2).  ``design`` is
+    None, an ObserverDesign / OutputFeedbackDesign, or a tuple
+    ("state", K) / ("observer", K, L) / ("output", F), marched in the
+    coordinates of :func:`sfos.lifting.coordinates`; the trajectory reports
+    the plant's own state.
     """
-    plant = lifting.as_plant(sys)
-    base, work = plant.base, plant.lifted
-    n, N = base.n, work.n
+    k, ctrl = lifting.coordinates(sys, _normalize_controller(design))
+    work = sys if k == 1 else lifting.lift(sys, k).lifted
+    n, N = sys.n, work.n
 
     x0 = config.x0
     if x0.size != n:
         raise InputError(f"x0 must have length {n}")
-    ctrl = _normalize_controller(design)
     kind = ctrl[0]
     E_sim, A_sim, U = synthesis.closed_loop(work, ctrl)
     # x0 fills the plant block; a lift's auxiliary blocks start at zero.
@@ -450,15 +448,15 @@ def simulate(sys, design, config: SimConfig) -> Trajectory:
     # Plant algebraic rows evaluated on the marched (x, u), before any input
     # gating; exact zero rows of E reduce to 0 = (A x + B u)_row, resolved by
     # the implicit solve.  A nonsingular E has none, and every residual is 0.
-    ann = descriptor.annihilators(base.E, base.r)
+    ann = descriptor.annihilators(sys.E, sys.r)
     resid = np.linalg.norm(
-        (base.A @ xs.T + base.B @ us.T).T @ ann.E_left.T, axis=1)
+        (sys.A @ xs.T + sys.B @ us.T).T @ ann.E_left.T, axis=1)
     if config.gate_first_input:
         us[0] = 0.0
 
     return Trajectory(times=times, x=xs, u=us, e=es,
                       algebraic_residual=resid, config=config,
-                      controller=kind, k=plant.k)
+                      controller=kind)
 
 
 #: Trailing fraction of a trajectory that :func:`tail_decay_exponent` fits.

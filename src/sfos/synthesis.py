@@ -1,10 +1,9 @@
 """LMI assembly, controller synthesis, and closed-loop verification.
 
-Every criterion is posed on the plant at its own order alpha in (0, 2).
-Synthesis takes a plant or a :class:`sfos.lifting.LiftedSystem` and designs
-on its base; :func:`sfos.lifting.embed` puts the gains on the working state
-(lifted by k above order 1), where :func:`sfos.lifting.verify_loop` judges
-the closed loop.
+Every criterion is posed on the plant at its own order alpha in (0, 2),
+every gain acts on the plant's own state, and every closed loop is
+verified by the pencil analysis of that plant at alpha
+(:func:`sfos.descriptor.analyze_pair`).
 
 One criterion, posed once, as a right side.  The paper's inequalities hold
 the Lyapunov variable P only in P E^T, so with E = U1 Sigma V1^T
@@ -48,8 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fpdm, lifting
-from .descriptor import DescriptorSystem, annihilators, numerical_rank
+from . import fpdm
+from .descriptor import (DescriptorSystem, analyze_pair, annihilators,
+                         numerical_rank)
 from .errors import (GainRecoverySingular, InputError, LmiNumericalError,
                      NotMemberError, OutputInjectionInfeasible,
                      OutputStageExhausted, StateFeedbackInfeasible,
@@ -189,6 +189,12 @@ def _shifted(sys: DescriptorSystem, gamma: float) -> DescriptorSystem:
     return sys.with_matrices(A=sys.A + gamma * sys.E)
 
 
+def _require_plant(sys, name: str) -> None:
+    if not isinstance(sys, DescriptorSystem):
+        raise InputError(f"{name} takes a DescriptorSystem, "
+                         f"not a {type(sys).__name__}")
+
+
 def _recover_inverse(M: np.ndarray, what: str, certificate: LmiSolution) -> np.ndarray:
     sv = np.linalg.svd(M, compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
@@ -221,9 +227,7 @@ def admissible_via_lmi(sys: DescriptorSystem, side: str = "right"):
     LmiSolution); a solver NumericalFailure raises
     :class:`LmiNumericalError` rather than counting as infeasible.
     """
-    if not isinstance(sys, DescriptorSystem):
-        raise InputError("admissible_via_lmi takes a DescriptorSystem, "
-                         f"not a {type(sys).__name__}")
+    _require_plant(sys, "admissible_via_lmi")
     if side not in ("right", "left"):
         raise InputError(f"side must be 'right' or 'left', got {side!r}")
     A, _, ann = _right_side(sys, dual=side == "left")
@@ -358,27 +362,28 @@ def solve_output_injection(plant):
     return K.T, sol
 
 
-def synth_observer(sys, decay_shift_state: float = 0.0,
+def _verify(sys: DescriptorSystem, controller):
+    """The pencil analysis of ``controller``'s closed loop on ``sys``, at its order."""
+    E, A, _ = closed_loop(sys, controller)
+    return analyze_pair(E, A, sys.alpha)
+
+
+def synth_observer(sys: DescriptorSystem, decay_shift_state: float = 0.0,
                    decay_shift_injection: float = 0.0) -> ObserverDesign:
     """Estimated-state-feedback design: solve the two criteria, verify the loop.
 
-    ``sys`` is a plant of any order in (0, 2) or a
-    :class:`sfos.lifting.LiftedSystem`.  Both gains are designed on the
-    plant at its own order and put on the working state by
-    :func:`sfos.lifting.embed`: above order 1 that is the lift by
-    :data:`sfos.lifting.DEFAULT_K`, or by k for ``lifting.as_plant(sys, k)``.
+    ``sys`` is a plant of any order in (0, 2); K and L act on its state.
     The two problems are decoupled (the first never sees C, the second B).
     ``decay_shift_*`` > 0 synthesize against A + gamma*E, pushing every
     closed-loop eigenvalue left by gamma for faster transients;
     admissibility of the result is still verified against the true plant,
-    by :func:`sfos.lifting.verify_loop`; a loop that fails it raises
+    by :func:`_verify`; a loop that fails it raises
     :class:`VerificationFailed`.
     """
-    plant = lifting.as_plant(sys)
-    K, cert_k = solve_state_feedback(_shifted(plant.base, decay_shift_state))
-    L, cert_l = solve_output_injection(_shifted(plant.base, decay_shift_injection))
-    K, L = lifting.embed(plant, K, L)
-    report = lifting.verify_loop(plant, ("observer", K, L))
+    _require_plant(sys, "synth_observer")
+    K, cert_k = solve_state_feedback(_shifted(sys, decay_shift_state))
+    L, cert_l = solve_output_injection(_shifted(sys, decay_shift_injection))
+    report = _verify(sys, ("observer", K, L))
     if not report.admissible:
         raise VerificationFailed(
             "LMI certificates found but the augmented closed loop failed the "
@@ -450,12 +455,12 @@ def _output_stage2(sys: DescriptorSystem, K0):
     return F, sol
 
 
-def synth_output_feedback(sys, seed: int = 0,
+def synth_output_feedback(sys: DescriptorSystem, seed: int = 0,
                           decay_shift: float = 0.0) -> OutputFeedbackDesign:
     """Two-stage static output-feedback design.
 
     ``sys`` is taken as by :func:`synth_observer`; both stages run on the
-    plant at its own order, and F acts on its output, which a lift keeps.
+    plant at its own order, and K0 acts on its state, F on its output.
     Stage 1 solves the state-feedback relaxation for an intermediate gain
     K0; stage 2 searches for a slack pair (G, H) certifying F = G^{-1}H
     against that K0.  ``decay_shift`` > 0 designs against A + gamma*E, as
@@ -469,8 +474,8 @@ def synth_output_feedback(sys, seed: int = 0,
     ignored: nothing in the design is random, and the keyword stays only
     for existing callers.
     """
-    plant = lifting.as_plant(sys)
-    work = _shifted(plant.base, decay_shift)
+    _require_plant(sys, "synth_output_feedback")
+    work = _shifted(sys, decay_shift)
     attempts = []
     for attempt, gamma in enumerate(RETRY_SHIFTS):
         try:
@@ -495,7 +500,7 @@ def synth_output_feedback(sys, seed: int = 0,
             attempts.append({"attempt": attempt, "stage": 2,
                              "status": cert2.status, "K0": K0.tolist()})
             continue
-        report = lifting.verify_loop(plant, ("output", F))
+        report = _verify(sys, ("output", F))
         if not report.admissible:
             attempts.append({"attempt": attempt, "stage": "verify",
                              "status": "closed loop not admissible",

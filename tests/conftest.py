@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import settings
 
-from sfos import lifting, synthesis
+from sfos import synthesis
 from sfos.descriptor import DescriptorSystem
 
 # Property tests draw the same examples on every run and are not timed, so
@@ -54,12 +54,12 @@ def bench12():
 
 @pytest.fixture
 def failing_verification(monkeypatch):
-    """Make :func:`sfos.lifting.verify_loop` judge every loop not admissible."""
-    verify_loop = lifting.verify_loop
+    """Make synthesis's pencil check judge every loop not admissible."""
+    analyze_pair = synthesis.analyze_pair
 
     def failing(*args):
-        return dataclasses.replace(verify_loop(*args), admissible=False)
-    monkeypatch.setattr(lifting, "verify_loop", failing)
+        return dataclasses.replace(analyze_pair(*args), admissible=False)
+    monkeypatch.setattr(synthesis, "analyze_pair", failing)
 
 
 @pytest.fixture

@@ -35,7 +35,7 @@ def test_criterion_1_open_loop_verdict():
 
 def test_criterion_2_published_gain_verification():
     """The published benchmark gains all verify as admissible closed loops."""
-    plant06 = lifting.as_plant(benchmark(0.6))
+    plant06 = benchmark(0.6)
     rep_obs = lifting.verify_loop(plant06,
                                   ("observer", GAINS_06["K"], GAINS_06["L"]))
     rep_out = lifting.verify_loop(plant06, ("output", GAINS_06["F"]))

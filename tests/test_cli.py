@@ -247,8 +247,9 @@ class TestSynth:
         assert cli.main(["synth", path, "--mode", "observer",
                          "--out", str(out)]) == cli.EXIT_OK
         doc = json.loads(out.read_text())
-        assert np.array(doc["K"]).shape == (1, 6)
-        assert np.array(doc["L"]).shape == (6, 1)
+        # Designed on the order-1.2 plant, the gains are the plant's own.
+        assert np.array(doc["K"]).shape == (1, 3)
+        assert np.array(doc["L"]).shape == (3, 1)
         assert doc["closed_loop_report"]["admissible"] is True
 
     def test_verification_miss_exit_4(self, tmp_path, capsys,
@@ -407,7 +408,7 @@ class TestSimulate:
         assert cli.main(["simulate", write_problem(tmp_path, doc),
                          "--out", str(out)]) == cli.EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["config"]["k"] == 1
+        assert "k" not in summary["config"]
         assert summary["final_norm"] == pytest.approx(1.01 ** -100, rel=1e-12)
 
     def test_missing_x0_exit_1(self, tmp_path):
@@ -433,16 +434,53 @@ class TestSimulate:
         assert summary["config"]["T"] == 2.0
         assert summary["config"]["h"] == cli.DEFAULT_H
 
-    def test_k_flag_reaches_the_summary(self, tmp_path):
-        doc = problem_doc(alpha=1.2, gains={"F": GAINS_12["F"].tolist()},
+    def test_gain_size_picks_the_lift(self, tmp_path):
+        # The published k = 2 state gain, zero-padded to a k = 3 lift: it has
+        # nonzero entries off the plant block, so it is verified on that lift.
+        K = np.hstack([GAINS_12["K"], np.zeros((1, 3))])
+        doc = problem_doc(alpha=1.2, gains={"K": K.tolist()},
                           simulation={"x0": BENCH_X0.tolist(), "T": 1.0,
                                       "h": 0.01})
+        path, out = write_problem(tmp_path, doc), tmp_path / "run"
+        assert cli.main(["simulate", path, "--out", str(out)]) == cli.EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["injected_gain_verification"]["k"] == 3
+        assert "k" not in summary["config"]
+        # k is read off the gains; there is no flag for it.
+        assert cli.main(["simulate", path, "--out", str(out),
+                         "--k", "3"]) == cli.EXIT_ERROR
+
+    def test_impulsive_loop_exit_2(self, tmp_path):
+        # The first order-(1, 2) plant of scripts/retry_sweep.py at plant
+        # seed 12.  With this F its loop has pencil degree 2 < rank E = 3 at
+        # alpha, so it is impulsive; the lift by 2 or 3 called it admissible.
+        E = [[0.3472223247426792, -0.5514558923603119, 0.12447437373166434,
+              0.8787939452150227],
+             [0.4036840984565333, -0.16760477971523266, 0.14778302356154935,
+              -1.2242346977113456],
+             [0.3475345376116756, 0.3557593291009117, 0.6840290134216744,
+              0.21634937786849986],
+             [-0.43653672700190593, 0.7751711040695288, 0.06557609966571896,
+              -0.03556996623888119]]
+        A = [[-0.441937456437777, 2.1530199152229925, -0.6128493796977004,
+              -1.5561457831909764],
+             [-0.8631695722846883, 0.18804849603397436, -1.5282144566934222,
+              2.4390584025452724],
+             [-1.1415437117329712, -1.445247937425836, -1.0761998956141305,
+              -4.557048147892326],
+             [2.7658715138308647, -0.09069215470830609, -0.9744968178461999,
+              0.46785741210897286]]
+        doc = {"system": {"E": E, "A": A, "B": [[1.0]] * 4,
+                          "C": [[1.0] * 4], "alpha": 1.6},
+               "gains": {"F": [[-3.1718023803389315]]},
+               "simulation": {"x0": [0.0] * 4, "T": 0.1, "h": 0.01}}
         out = tmp_path / "run"
         assert cli.main(["simulate", write_problem(tmp_path, doc), "--out",
-                         str(out), "--k", "3"]) == cli.EXIT_OK
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["config"]["k"] == 3
-        assert summary["injected_gain_verification"]["k"] == 3
+                         str(out)]) == cli.EXIT_NOT_ADMISSIBLE
+        report = json.loads((out / "summary.json").read_text())[
+            "injected_gain_verification"]
+        assert report["admissible"] is False
+        assert report["pencil_degree"] == 2 and report["impulse_free"] is False
 
     def test_output_gain_with_observer_gains_exit_1(self, tmp_path, capsys):
         # One controller per gains block: F is never silently preferred.
@@ -471,12 +509,11 @@ class TestDemo:
             assert (out / f"fig{idx}.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["example"] == example
-        assert np.array(summary["gains"]["K"]).size in (3, 6)
+        # Both orders design on the plant; neither loop reports a lift.
+        assert np.array(summary["gains"]["K"]).size == 3
         assert summary["observer"]["final_norm_ratio"] < 1.0
-        # Order 0.6 is never lifted; order 1.2 is lifted by the default k.
-        k = 1 if example == "example1" else 2
         for loop in ("observer", "output_feedback"):
-            assert summary[loop]["config"]["k"] == k
+            assert "k" not in summary[loop]["config"]
 
     def test_demo_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

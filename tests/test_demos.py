@@ -15,7 +15,7 @@ DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
 
 
 @pytest.mark.parametrize("script, gain_size", [("example1.py", 3),
-                                               ("example2.py", 6)])
+                                               ("example2.py", 3)])
 def test_demo_script_runs(tmp_path, script, gain_size):
     src = os.path.dirname(os.path.dirname(os.path.abspath(sfos.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

@@ -8,7 +8,9 @@ from conftest import GAINS_12, benchmark, random_impulse_free_system
 from sfos import descriptor, lifting, synthesis
 from sfos.descriptor import numerical_rank
 from sfos.errors import InputError
-from sfos.lifting import analyze_lifted_pair, lift, transfer_function
+from sfos.lifting import (analyze_lifted_pair, coordinates, embed, lift,
+                          transfer_function)
+from sfos.simulator import SimConfig, simulate
 from sfos.synthesis import synth_observer, synth_output_feedback
 
 
@@ -19,7 +21,7 @@ def _finite_eigs(E, A):
 
 class TestLiftStructure:
     def test_block_layout(self, bench12):
-        ls = lift(bench12)
+        ls = lift(bench12, 2)
         L = ls.lifted
         assert L.alpha == pytest.approx(0.6)
         assert np.allclose(L.E[:3, :3], bench12.E)
@@ -31,7 +33,7 @@ class TestLiftStructure:
 
     def test_low_order_rejected(self, bench06):
         with pytest.raises(InputError, match="no lifting needed"):
-            lift(bench06)
+            lift(bench06, 2)
 
     def test_k_below_two_rejected(self, bench12):
         with pytest.raises(InputError, match="^k must be at least 2"):
@@ -43,7 +45,7 @@ class TestLiftStructure:
 
     def test_determinant_identity(self, bench12):
         # det(mu*Ebar - Abar) = det(mu^k E - A) at sample points.
-        ls = lift(bench12)
+        ls = lift(bench12, 2)
         rng = np.random.default_rng(0)
         for mu in rng.standard_normal(6) + 1j * rng.standard_normal(6):
             lhs = np.linalg.det(mu * ls.lifted.E - ls.lifted.A)
@@ -63,7 +65,7 @@ class TestLiftStructure:
 
 class TestTransferFunction:
     def test_equivalence_base_vs_lifted(self, bench12):
-        ls = lift(bench12)
+        ls = lift(bench12, 2)
         rng = np.random.default_rng(1)
         for _ in range(10):
             s = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
@@ -74,7 +76,9 @@ class TestTransferFunction:
 
 class TestLiftedAnalysis:
     def test_benchmark_verdict(self, bench12):
-        report = lifting.verify_loop(lifting.as_plant(bench12), ("none",))
+        ls = lift(bench12, 2)
+        report = analyze_lifted_pair(ls.lifted.E, ls.lifted.A, bench12.r, 2,
+                                     ls.lifted.alpha)
         assert report.strict.regular
         assert not report.strict.impulse_free  # structurally impossible
         assert report.effective_impulse_free
@@ -92,8 +96,9 @@ class TestLiftedAnalysis:
             random_impulse_free_system(rng, rng.uniform(1.1, 1.9))[0]
             for _ in range(20)]
         for sysm in plants:
-            plant = lifting.as_plant(sysm, k)
-            report = lifting.verify_loop(plant, ("none",))
+            plant = lift(sysm, k)
+            report = analyze_lifted_pair(plant.lifted.E, plant.lifted.A,
+                                         sysm.r, k, plant.lifted.alpha)
             base = descriptor.analyze(sysm)
             assert report.strict.regular == base.regular
             assert report.admissible == base.admissible
@@ -115,7 +120,7 @@ class TestLiftedAnalysis:
         for _ in range(8):
             sysm, _ = random_impulse_free_system(rng, 0.9)
             sysm = sysm.with_matrices(alpha=1.3)
-            ls = lift(sysm)
+            ls = lift(sysm, 2)
             base_eigs = _finite_eigs(sysm.E, sysm.A)
             lifted_eigs = _finite_eigs(ls.lifted.E, ls.lifted.A)
             assert len(lifted_eigs) >= 2 * sysm.r
@@ -138,38 +143,52 @@ class TestLiftedAnalysis:
         assert report.strict.pencil_degree == 4 * k
         assert report.effective_impulse_free
 
-    def test_as_plant(self, bench06, bench12):
-        assert lifting.as_plant(bench06) == lifting.LiftedSystem(
-            base=bench06, k=1, lifted=bench06)
-        plant = lifting.as_plant(bench12, 3)
-        assert plant.k == 3 and plant.lifted.n == 9
-        assert lifting.as_plant(plant) is plant
-
-    def test_as_plant_refuses_a_disagreeing_k(self, bench06, bench12):
-        plant = lift(bench12, 3)
-        assert lifting.as_plant(plant, 3) is plant
-        with pytest.raises(InputError, match="^plant is lifted by k = 3, not 2"):
-            lifting.as_plant(plant, 2)
-        # Below order 1 any integer k leaves the plant as it is; a k that is
-        # not an integer is refused at every order.
-        assert lifting.as_plant(bench06, 3).k == 1
-        for sysm in (bench06, bench12, plant):
-            with pytest.raises(InputError, match="^k must be an integer"):
-                lifting.as_plant(sysm, 2.5)
+    def test_gain_size_picks_the_coordinates(self, bench06, bench12):
+        # F, and every gain up to order 1, is the plant's; above order 1,
+        # gains with a nonzero auxiliary entry pick the lift by their size,
+        # and zero-padded ones are cut back to the plant block.
+        K, L, F = GAINS_12["K"], GAINS_12["L"], GAINS_12["F"]
+        for sysm, ctrl in ((bench06, ("observer", K, L)), (bench12, ("output", F)),
+                           (bench12, ("none",))):
+            assert coordinates(sysm, ctrl) == (1, ctrl)
+        assert coordinates(bench12, ("observer", K, L)) == (2, ("observer", K, L))
+        K3, L3 = embed(lift(bench12, 3), K[:, :3], L[3:])
+        k, (kind, K1, L1) = coordinates(bench12, ("observer", K3, L3))
+        assert (k, kind) == (1, "observer")
+        assert np.array_equal(K1, K[:, :3]) and np.array_equal(L1, L[3:])
+        # One gain with nonzero padding lifts the pair as given.
+        ctrl = ("observer", K3, np.vstack([np.ones((6, 1)), L[3:]]))
+        assert coordinates(bench12, ctrl) == (3, ctrl)
+        # Any other shape is left as it is, for closed_loop to refuse.
+        for gain in (np.ones((1, 4)), np.ones((1, 3)), K.ravel(), 0.5,
+                     [[1.0, 0.0], [0.0]]):
+            assert coordinates(bench12, ("state", gain)) == (1, ("state", gain))
+        # A lifted plant is refused by its type, wherever a loop is built.
+        cfg = SimConfig(h=1e-2, T=1.0, x0=np.zeros(3))
+        for call in (lambda: coordinates(lift(bench12, 2), ("none",)),
+                     lambda: lifting.verify_loop(lift(bench12, 2), ("none",)),
+                     lambda: simulate(lift(bench12, 2), None, cfg)):
+            with pytest.raises(InputError, match="not a LiftedSystem"):
+                call()
 
     def test_observer_threshold_counts_both_copies(self, bench12):
         # K = [0, 0, 5] on the plant block makes (E, A + BK) impulsive: the
         # algebraic row of A + BK then annihilates ker E = span([0, 1, -1]).
-        # The (state, error) pair has degree 2 + 4 = 6 < 2 * k * r = 8.
+        # The lifted (state, error) pair has degree 2 + 4 = 6 < 2 * k * r = 8.
         K = np.zeros((1, 6))
         K[0, 2] = 5.0
-        report = lifting.verify_loop(lifting.as_plant(bench12),
-                                     ("observer", K, np.zeros((6, 1))))
+        ls = lift(bench12, 2)
+        E, A, _ = synthesis.closed_loop(ls.lifted,
+                                        ("observer", K, np.zeros((6, 1))))
+        report = analyze_lifted_pair(E, A, 2 * bench12.r, 2, 0.6)
         assert report.strict.regular and report.strict.pencil_degree == 6
         assert not report.effective_impulse_free and not report.admissible
+        # Its padding is zero, so verify_loop judges the plant loop at 1.2.
+        report = lifting.verify_loop(bench12, ("observer", K, np.zeros((6, 1))))
+        assert not report.impulse_free and not report.admissible
 
     def test_effective_threshold(self, bench12):
-        ls = lift(bench12)
+        ls = lift(bench12, 2)
         report = analyze_lifted_pair(ls.lifted.E, ls.lifted.A, bench12.r, 2,
                                      0.6)
         # open loop: degree 2*deg_base = 4 meets the k*r = 4 threshold
@@ -203,10 +222,10 @@ class TestEmbed:
         for _ in range(6):
             base, _ = random_impulse_free_system(rng, 0.7)
             base = base.with_matrices(alpha=1.4)
-            plant = lifting.as_plant(base, k)
+            plant = lift(base, k)
             K = rng.standard_normal((base.m, base.n))
             L = rng.standard_normal((base.n, base.p))
-            Kbar, Lbar = lifting.embed(plant, K, L)
+            Kbar, Lbar = embed(plant, K, L)
             for ctrl, lifted in ((("state", K), ("state", Kbar)),
                                  (("observer", K, L), ("observer", Kbar, Lbar))):
                 E, A, _ = synthesis.closed_loop(base, ctrl)
@@ -217,35 +236,38 @@ class TestEmbed:
                 report = descriptor.analyze_pair(Ebar, Abar, 1.4 / k)
                 assert _matched(report.finite_eigenvalues, roots)
 
-    def test_layout(self, bench06, bench12):
+    def test_layout(self, bench12):
         K, L = np.arange(1.0, 4.0)[None], np.arange(4.0, 7.0)[:, None]
-        Kbar, Lbar = lifting.embed(lifting.as_plant(bench12, 3), K, L)
+        Kbar, Lbar = embed(lift(bench12, 3), K, L)
         assert np.array_equal(Kbar, np.hstack([K, np.zeros((1, 6))]))
         assert np.array_equal(Lbar, np.vstack([np.zeros((6, 1)), L]))
-        for got, want in zip(lifting.embed(lifting.as_plant(bench06), K, L),
-                             (K, L)):
-            assert np.array_equal(got, want)
+        # coordinates takes embedded gains back to the plant's own.
+        k, (_, K1, L1) = coordinates(bench12, ("observer", Kbar, Lbar))
+        assert k == 1 and np.array_equal(K1, K) and np.array_equal(L1, L)
 
 
 class TestLiftedSynthesis:
     def test_published_gains_verify(self, bench12):
-        ls = lift(bench12)
-        Ebar, Abar, _ = synthesis.closed_loop(
-            ls.lifted, ("observer", GAINS_12["K"], GAINS_12["L"]))
+        ls = lift(bench12, 2)
+        ctrl = ("observer", GAINS_12["K"], GAINS_12["L"])
+        Ebar, Abar, _ = synthesis.closed_loop(ls.lifted, ctrl)
         report = analyze_lifted_pair(Ebar, Abar, 2 * bench12.r, 2, 0.6)
         assert report.admissible
         assert report.strict.min_angle_margin > 1e-6
+        # Their padding is nonzero: verify_loop takes the same lift.
+        assert lifting.verify_loop(bench12, ctrl) == report
 
     def test_published_output_gain_verifies(self, bench12):
-        ls = lift(bench12)
+        ls = lift(bench12, 2)
         Acl = ls.lifted.A + ls.lifted.B @ GAINS_12["F"] @ ls.lifted.C
         report = analyze_lifted_pair(ls.lifted.E, Acl, bench12.r, 2, 0.6)
         assert report.admissible
         assert report.strict.min_angle_margin > 1e-6
 
     def test_synth_observer_lifted(self, bench12):
+        # Designed and returned on the plant at order 1.2.
         design = synth_observer(bench12)
-        assert design.K.shape == (1, 6) and design.L.shape == (6, 1)
+        assert design.K.shape == (1, 3) and design.L.shape == (3, 1)
         assert design.closed_loop_report.admissible
         # designed at order 1.2 on the plant itself: strict certificates
         for cert in design.certificates.values():
@@ -257,10 +279,13 @@ class TestLiftedSynthesis:
         # At example1's observer shifts, lifted LMIs left these three
         # observers with a fractional-PD parameter outside the set; designed
         # on the plant they verify.
-        design = synth_observer(lifting.as_plant(benchmark(alpha), k),
-                                decay_shift_state=2.0, decay_shift_injection=6.0)
+        plant = benchmark(alpha)
+        design = lifting.synth_observer_lifted(
+            plant, k, decay_shift_state=2.0, decay_shift_injection=6.0)
         assert design.K.shape == (1, 3 * k) and design.L.shape == (3 * k, 1)
         assert design.closed_loop_report.admissible
+        assert lifting.verify_loop(plant, ("observer", design.K,
+                                           design.L)).admissible
         for cert in design.certificates.values():
             assert cert.status == "Feasible"
             assert max(cert.margins) <= -cert.feas_margin
@@ -275,12 +300,15 @@ class TestLiftedSynthesis:
         assert rep.regular and rep.impulse_free and rep.stable
 
     def test_lifted_designs_at_k3(self, bench12):
-        plant = lifting.as_plant(bench12, 3)
-        obs = synth_observer(plant)
-        out = synth_output_feedback(plant)
+        obs = lifting.synth_observer_lifted(bench12, 3)
+        out = lifting.synth_output_feedback_lifted(bench12, 3)
         assert obs.K.shape == (1, 9) and obs.L.shape == (9, 1)
         assert obs.closed_loop_report.admissible
         assert out.closed_loop_report.admissible
+        # The lift of the observer loop is admissible at k = 3 as well.
+        ls = lift(bench12, 3)
+        E, A, _ = synthesis.closed_loop(ls.lifted, ("observer", obs.K, obs.L))
+        assert analyze_lifted_pair(E, A, 2 * bench12.r, 3, 0.4).admissible
         # the output gain is static on the plant; check it there by QZ
         eigs = _finite_eigs(bench12.E, bench12.A + bench12.B @ out.F @ bench12.C)
         assert len(eigs) == bench12.r

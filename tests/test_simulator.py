@@ -7,12 +7,13 @@ import pytest
 import scipy.linalg as sla
 from scipy.special import binom, erfc, erfcx
 
-from conftest import BENCH_X0, GAINS_06, GAINS_12, benchmark
+from conftest import (BENCH_X0, GAINS_06, GAINS_12, benchmark,
+                      random_impulse_free_system)
 from sfos.descriptor import DescriptorSystem
 from sfos.errors import InputError
 from sfos.simulator import (SimConfig, Trajectory, gl_weights, simulate,
                             tail_decay_exponent, write_csv)
-from sfos import lifting, simulator, synthesis
+from sfos import cli, lifting, simulator, synthesis
 
 
 def scalar_relaxation(alpha=0.5):
@@ -42,6 +43,12 @@ class TestGlWeights:
                 expected[j] = (1.0 - (alpha + 1.0) / j) * expected[j - 1]
             assert np.array_equal(gl_weights(alpha, count), expected)
 
+    @pytest.mark.parametrize("alpha", [1.2, 1.6, 1.9])
+    def test_above_order_one(self, alpha):
+        w = gl_weights(alpha, 200)
+        expected = [(-1.0) ** j * binom(alpha, j) for j in range(200)]
+        assert np.allclose(w, expected, rtol=1e-12, atol=0.0)
+
     def test_first_weights(self):
         w = gl_weights(0.5, 3)
         assert w[0] == 1.0
@@ -49,10 +56,10 @@ class TestGlWeights:
         assert w[2] == pytest.approx(-0.125)
 
     def test_range_validation(self):
-        # Orders in (0, 1]: order 1 is the first difference, (1, -1, 0, ...).
+        # Orders in (0, 2): order 1 is the first difference, (1, -1, 0, ...).
         assert np.array_equal(gl_weights(1.0, 5), [1.0, -1.0, 0.0, 0.0, 0.0])
-        for alpha in (0.0, 1.2, -0.5):
-            with pytest.raises(InputError, match=r"\(0, 1\]"):
+        for alpha in (0.0, 2.0, -0.5):
+            with pytest.raises(InputError, match=r"\(0, 2\)"):
                 gl_weights(alpha, 5)
         with pytest.raises(InputError):
             gl_weights(0.5, 0)
@@ -106,7 +113,7 @@ class TestScalarAccuracy:
         traj = simulate(scalar_relaxation(1.0), None, cfg)
         want = (1.0 + cfg.h) ** -np.arange(traj.x.shape[0])
         assert np.abs(traj.x[:, 0] - want).max() <= 1e-12
-        assert traj.k == 1 and not traj.algebraic_residual.any()
+        assert not traj.algebraic_residual.any()
 
     def test_first_order_convergence(self):
         errs = []
@@ -200,7 +207,7 @@ def stable_plant(n):
     A = Q @ np.diag(-rng.uniform(0.5, 2.0, n)) @ Q.T
     sysm = DescriptorSystem(E=np.eye(n), A=A, B=np.ones((n, 1)),
                             C=np.ones((1, n)), alpha=0.7)
-    return lifting.as_plant(sysm), ("none",), rng.standard_normal(n)
+    return sysm, ("none",), rng.standard_normal(n)
 
 
 class TestLeafKernel:
@@ -213,7 +220,7 @@ class TestLeafKernel:
         # A singular E from 2 states on.
         E = np.diag([1.0] * (n - 1) + [0.0 if n > 1 else 1.0])
         ha = 1e-3 ** -0.7
-        G = np.linalg.solve(ha * E - plant.base.A, ha * E)
+        G = np.linalg.solve(ha * E - plant.A, ha * E)
         w = gl_weights(0.7, m)
         K, c = simulator._leaf_kernel(G, b, w)
         # Identity diagonal blocks and G w_j on the j-th block subdiagonal.
@@ -230,26 +237,25 @@ class TestFastHistory:
 
     @staticmethod
     def lifted_observer():
-        plant = lifting.as_plant(benchmark(1.2), 2)
-        return plant, ("observer", GAINS_12["K"], GAINS_12["L"]), BENCH_X0
+        # The published gains have nonzero padding: marched on the lift.
+        return (benchmark(1.2), ("observer", GAINS_12["K"], GAINS_12["L"]),
+                BENCH_X0)
 
     @staticmethod
     def relaxation():
-        return lifting.as_plant(scalar_relaxation(), 2), ("none",), BENCH_X0[:1]
+        return scalar_relaxation(), ("none",), BENCH_X0[:1]
 
     @staticmethod
     def output_loop():
         # Unlifted, on the singular paper plant.
-        plant = lifting.as_plant(benchmark(0.6))
-        return plant, ("output", GAINS_06["F"]), BENCH_X0
+        return benchmark(0.6), ("output", GAINS_06["F"]), BENCH_X0
 
     @staticmethod
     def lifted_observer_k3():
         # 18 closed-loop states: the published k = 2 gains, zero-padded.
-        plant = lifting.as_plant(benchmark(1.2), 3)
         K, L = np.zeros((1, 9)), np.zeros((9, 1))
         K[:, :6], L[:6] = GAINS_12["K"], GAINS_12["L"]
-        return plant, ("observer", K, L), BENCH_X0
+        return benchmark(1.2), ("observer", K, L), BENCH_X0
 
     @staticmethod
     def block_plant():
@@ -265,7 +271,7 @@ class TestFastHistory:
                                 B=np.ones((48, 1)), C=np.ones((1, 48)),
                                 alpha=0.7)
         x0 = Q2.T @ np.concatenate([rng.standard_normal(36), np.zeros(12)])
-        return lifting.as_plant(sysm), ("none",), x0
+        return sysm, ("none",), x0
 
     @staticmethod
     def wide_plant():
@@ -283,8 +289,10 @@ class TestFastHistory:
                                       "one_step_leaves"])
     def test_matches_direct_sum(self, loop):
         plant, ctrl, x0 = getattr(self, loop)()
-        n, N = plant.base.n, plant.lifted.n
-        E, A, _ = synthesis.closed_loop(plant.lifted, ctrl)
+        k, ctrl = lifting.coordinates(plant, ctrl)
+        work = plant if k == 1 else lifting.lift(plant, k).lifted
+        n, N = plant.n, work.n
+        E, A, _ = synthesis.closed_loop(work, ctrl)
         z0 = np.zeros(E.shape[0])
         z0[:n] = x0
         if ctrl[0] == "observer":
@@ -299,7 +307,7 @@ class TestFastHistory:
         for steps in all_steps:
             cfg = SimConfig(h=h, T=steps * h, x0=x0, xhat0=np.zeros(n))
             traj = simulate(plant, ctrl, cfg)
-            ref = direct_march(E, A, z0, plant.lifted.alpha, h, steps)
+            ref = direct_march(E, A, z0, work.alpha, h, steps)
             got, want = [traj.x], [ref[:, :n]]
             if ctrl[0] == "observer":
                 got.append(traj.e)
@@ -319,6 +327,74 @@ class TestFastHistory:
             exact = erfcx(np.sqrt(t))
             idx = int(round(t / cfg.h))
             assert abs(traj.x[idx, 0] - exact) <= 1e-3 * exact
+
+
+def lifted_march(sysm, ctrl, x0, xhat0, k, h, steps):
+    """The reference: ``_march`` of the loop's lift by k, gains zero-padded.
+
+    The lifted state starts at (x0, 0, ..., 0), and the observer's error at
+    (x0 - xhat0, 0, ..., 0).  Returns the plant block of x (and of e).
+    """
+    ls = lifting.lift(sysm, k)
+    n, N = sysm.n, ls.lifted.n
+    if ctrl[0] == "observer":
+        ctrl = ("observer", *lifting.embed(ls, ctrl[1], ctrl[2]))
+    elif ctrl[0] == "state":
+        ctrl = ("state", lifting.embed(ls, ctrl[1], np.zeros((n, 1)))[0])
+    E, A, _ = synthesis.closed_loop(ls.lifted, ctrl)
+    z0 = np.zeros(E.shape[0])
+    z0[:n] = x0
+    if ctrl[0] == "observer":
+        z0[N:N + n] = x0 - xhat0
+    Z = simulator._march(E, A, z0, ls.lifted.alpha, h, steps)
+    return np.hstack([Z[:, :n], Z[:, N:N + n]]) if ctrl[0] == "observer" \
+        else Z[:, :n]
+
+
+class TestPlantOrderMarch:
+    """Orders in (1, 2) march on the plant as their zero-padded lift does.
+
+    The GL weights at alpha/k, k times convolved, are those at alpha, so the
+    lifted march from (x0, 0, ...) is the plant's march at alpha with the
+    Caputo data x(0) = x0, x'(0) = 0, up to rounding.
+    """
+
+    def test_demo_designs(self, bench12):
+        shifts = cli.DEMO_SHIFTS["example2"]
+        obs = synthesis.synth_observer(
+            bench12, decay_shift_state=shifts["decay_shift_state"],
+            decay_shift_injection=shifts["decay_shift_injection"])
+        out = synthesis.synth_output_feedback(
+            bench12, decay_shift=shifts["decay_shift"])
+        h, steps = 1e-3, 2000
+        cfg = SimConfig(h=h, T=steps * h, x0=BENCH_X0, xhat0=np.zeros(3))
+        for ctrl in (("observer", obs.K, obs.L), ("output", out.F)):
+            traj = simulate(bench12, ctrl, cfg)
+            got = traj.x if traj.e is None else np.hstack([traj.x, traj.e])
+            for k in (2, 3):
+                want = lifted_march(bench12, ctrl, BENCH_X0, np.zeros(3), k,
+                                    h, steps)
+                assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+    def test_random_plants(self):
+        # Open loop and a random plant-size K; x0 is made consistent with
+        # each loop first, since only the plant's march projects it.
+        rng = np.random.default_rng(2025)
+        h, steps = 1e-2, 100
+        for _ in range(20):
+            sysm, _ = random_impulse_free_system(rng, rng.uniform(1.05, 1.95))
+            K = rng.standard_normal((sysm.m, sysm.n))
+            for ctrl in (("none",), ("state", K)):
+                E, A, _ = synthesis.closed_loop(sysm, ctrl)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    x0 = simulator._project_consistent(
+                        E, A, rng.standard_normal(sysm.n), "project")
+                traj = simulate(sysm, ctrl, SimConfig(h=h, T=steps * h, x0=x0))
+                for k in (2, 3):
+                    want = lifted_march(sysm, ctrl, x0, None, k, h, steps)
+                    assert (np.abs(traj.x - want).max()
+                            <= 1e-11 * np.abs(want).max())
 
 
 class TestControllers:
@@ -371,19 +447,27 @@ class TestControllers:
         assert traj.algebraic_residual.max() < 1e-9
 
     def test_higher_order_auto_lifts(self, bench12):
-        cfg = SimConfig(h=1e-3, T=5.0, x0=BENCH_X0)
-        traj = simulate(bench12, ("output", GAINS_12["F"]), cfg)
-        assert traj.x.shape[1] == 3  # original state reported, not the lift
+        # The published order-1.2 observer gains are sized for the lift by
+        # 2, with nonzero padding: the march lifts, and reports the plant.
+        cfg = SimConfig(h=1e-3, T=5.0, x0=BENCH_X0, xhat0=np.zeros(3))
+        traj = simulate(bench12, ("observer", GAINS_12["K"], GAINS_12["L"]),
+                        cfg)
+        assert traj.x.shape[1] == traj.e.shape[1] == 3
         assert traj.final_norm_ratio < 1.0
 
-    def test_summary_reports_the_k_marched(self, bench06, bench12):
-        # The plant carries its lifting factor into the march and the summary.
-        cfg = SimConfig(h=1e-2, T=1.0, x0=BENCH_X0)
-        F = GAINS_12["F"]
-        for plant, k in ((bench06, 1), (bench12, lifting.DEFAULT_K),
-                         (lifting.lift(bench12, 3), 3)):
-            traj = simulate(plant, ("output", F), cfg)
-            assert traj.k == k and traj.summary()["config"]["k"] == k
+    def test_gain_size_picks_the_march(self, bench06, bench12):
+        # The gains, not a setting, say where the loop is marched; the
+        # summary has no lifting factor to report.
+        cfg = SimConfig(h=1e-2, T=1.0, x0=BENCH_X0, xhat0=np.zeros(3))
+        K, L = GAINS_12["K"][:, :3], GAINS_12["L"][3:]
+        K3, L3 = lifting.embed(lifting.lift(bench12, 3), K, L)
+        padded = simulate(bench12, ("observer", K3, L3), cfg)
+        plant = simulate(bench12, ("observer", K, L), cfg)
+        assert np.array_equal(padded.x, plant.x)
+        assert np.array_equal(padded.e, plant.e)
+        for sysm in (bench06, bench12):
+            traj = simulate(sysm, ("output", GAINS_12["F"]), cfg)
+            assert traj.summary()["config"] == cfg.to_dict()
 
     def test_unknown_controller_rejected(self, bench06):
         cfg = SimConfig(h=1e-2, T=1.0, x0=BENCH_X0)
@@ -458,7 +542,7 @@ class TestTailDecay:
         cfg = SimConfig(h=1e-2, T=20.0, x0=np.array([10.0]))
         return Trajectory(times=t, x=x, u=np.zeros((len(t), 1)), e=None,
                           algebraic_residual=np.zeros(len(t)), config=cfg,
-                          controller="none", k=1)
+                          controller="none")
 
     def test_recovers_exponent(self):
         for alpha in (0.4, 0.8):
@@ -471,6 +555,6 @@ class TestTailDecay:
         cfg = SimConfig(h=1e-2, T=1.0, x0=np.array([1.0]))
         traj = Trajectory(times=t, x=x, u=np.zeros((101, 1)), e=None,
                           algebraic_residual=np.zeros(101), config=cfg,
-                          controller="none", k=1)
+                          controller="none")
         with pytest.raises(InputError, match="decay"):
             tail_decay_exponent(traj)

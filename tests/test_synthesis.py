@@ -24,7 +24,7 @@ from sfos.synthesis import (admissible_via_lmi, closed_loop,
 
 
 def verify(sysm, controller):
-    return lifting.verify_loop(lifting.as_plant(sysm), controller)
+    return lifting.verify_loop(sysm, controller)
 
 
 def stable_singular_system(alpha=0.6):
@@ -175,7 +175,7 @@ def _criterion_plants():
     rng = np.random.default_rng(7)
     bench = benchmark(0.6)
     plants = [bench, bench.with_matrices(A=bench.A + 2.0 * bench.E),
-              lifting.as_plant(benchmark(1.2), 2).lifted]
+              lift(benchmark(1.2), 2).lifted]
     for _ in range(2):
         sysm, _ = random_impulse_free_system(rng, float(rng.uniform(0.3, 1.0)))
         plants.append(sysm.with_matrices(B=rng.standard_normal((sysm.n, 2)),
@@ -721,6 +721,27 @@ class TestOutputFeedback:
                                     "K0": first_K0.tolist()}]
         assert design.to_dict()["attempts"] == design.attempts
 
+    def test_stage2_loop_that_the_lift_rejected(self):
+        # Plant 9 of scripts/retry_sweep.py's order-(1, 2) family at plant
+        # seed 13.  Stage 2 on K0 = F0 C, F0 from the sweep's grid, certifies
+        # F = -0.35936.  QZ returns the loop's infinite eigenvalue as about
+        # 4e14; the lift by 2 counted its square root as finite and unstable,
+        # and rejected a loop that the pencil at alpha calls admissible.
+        sysm = DescriptorSystem(
+            E=[[0.945386755222827, -0.37292135534981874, 0.1780880124796628],
+               [0.32442987202401796, 0.062389041998337114,
+                -0.021196183558878173],
+               [-0.2159452388402787, -1.250198698524484, 0.5367195642397983]],
+            A=[[-1.1809329380907998, -1.3130615970762731, 0.7599987270570076],
+               [0.538474413309769, -0.6949347948450735, 0.7251092010667455],
+               [-2.157771581311173, 1.5437373343054979, -0.7300687181956679]],
+            B=np.ones((3, 1)), C=np.ones((1, 3)), alpha=1.4)
+        F, sol = synthesis._output_stage2(sysm, -0.36116456752319553 * sysm.C)
+        assert sol.status == "Feasible"
+        assert F.item() == pytest.approx(-0.35936, abs=1e-5)
+        report = verify(sysm, ("output", F))
+        assert report.admissible and report.min_angle_margin > 0.1
+
     def test_shift_schedule_designs_a_plant_the_first_k0_misses(self):
         # SISO plant 49 of scripts/retry_sweep.py (plant seed 11): stage 2
         # has no certificate for the K0 of the plant itself, nor for that of
@@ -822,8 +843,8 @@ class TestAnyOrder:
     @pytest.mark.parametrize("module", ["sfos.synthesis", "sfos.lifting",
                                         "sfos.simulator", "sfos.cli"])
     def test_module_imports_first(self, module):
-        # synthesis and lifting import each other; whichever a program
-        # imports first must load.
+        # Each module loads on its own, whichever a program imports first;
+        # lifting imports synthesis, and synthesis nothing of lifting's.
         import sfos
         root = os.path.dirname(os.path.dirname(os.path.abspath(sfos.__file__)))
         env = dict(os.environ, PYTHONPATH=root)
@@ -832,19 +853,28 @@ class TestAnyOrder:
         assert proc.returncode == 0, proc.stderr
 
     def test_lifted_designs_equal_the_lifted_wrappers(self, bench12):
+        # The wrappers return the plant design, its K and L zero-padded.
         obs = synth_observer(bench12)
         ref = lifting.synth_observer_lifted(bench12, k=2)
-        assert np.array_equal(obs.K, ref.K) and np.array_equal(obs.L, ref.L)
-        assert obs.K.shape == (1, 6) and obs.closed_loop_report.admissible
+        K, L = lifting.embed(lift(bench12, 2), obs.K, obs.L)
+        assert np.array_equal(K, ref.K) and np.array_equal(L, ref.L)
+        assert obs.K.shape == (1, 3) and obs.closed_loop_report.admissible
+        for name, cert in obs.certificates.items():
+            assert np.array_equal(ref.certificates[name].assignment,
+                                  cert.assignment)
         out = synth_output_feedback(bench12)
         ref = lifting.synth_output_feedback_lifted(bench12, k=2)
         assert np.array_equal(out.K0, ref.K0) and np.array_equal(out.F, ref.F)
         assert out.F.shape == (1, 1) and out.closed_loop_report.admissible
 
     def test_no_lift_by_one_above_order_one(self, bench12):
-        # synth_* take the factor from the plant, and no plant above order 1
-        # carries k = 1: neither as_plant nor LiftedSystem builds one.
-        with pytest.raises(InputError, match="^k must be at least 2"):
-            lifting.as_plant(bench12, 1)
-        with pytest.raises(InputError, match="^k must be at least 2"):
-            lifting.LiftedSystem(base=bench12, k=1, lifted=bench12)
+        # Neither lift nor the lifted wrappers take k = 1, and synthesis
+        # takes the plant itself, not a lift of it.
+        for call in (lambda: lift(bench12, 1),
+                     lambda: lifting.synth_observer_lifted(bench12, 1),
+                     lambda: lifting.synth_output_feedback_lifted(bench12, 1)):
+            with pytest.raises(InputError, match="^k must be at least 2"):
+                call()
+        for synth in (synth_observer, synth_output_feedback):
+            with pytest.raises(InputError, match="not a LiftedSystem"):
+                synth(lift(bench12, 2))
