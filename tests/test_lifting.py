@@ -143,26 +143,39 @@ class TestLiftedAnalysis:
         assert report.strict.pencil_degree == 4 * k
         assert report.effective_impulse_free
 
-    def test_gain_size_picks_the_coordinates(self, bench06, bench12):
-        # F, and every gain up to order 1, is the plant's; above order 1,
-        # gains with a nonzero auxiliary entry pick the lift by their size,
-        # and zero-padded ones are cut back to the plant block.
+    def test_as_plant(self, bench06, bench12):
+        # F, and every gain up to order 1, runs on the plant itself (k = 1);
+        # above order 1, zero-padded gains are cut back to the plant block.
         K, L, F = GAINS_12["K"], GAINS_12["L"], GAINS_12["F"]
         for sysm, ctrl in ((bench06, ("observer", K, L)), (bench12, ("output", F)),
                            (bench12, ("none",))):
             assert coordinates(sysm, ctrl) == (1, ctrl)
-        assert coordinates(bench12, ("observer", K, L)) == (2, ("observer", K, L))
         K3, L3 = embed(lift(bench12, 3), K[:, :3], L[3:])
         k, (kind, K1, L1) = coordinates(bench12, ("observer", K3, L3))
         assert (k, kind) == (1, "observer")
         assert np.array_equal(K1, K[:, :3]) and np.array_equal(L1, L[3:])
-        # One gain with nonzero padding lifts the pair as given.
+
+    def test_gain_size_picks_the_coordinates(self, bench12):
+        # Above order 1, gains with a nonzero auxiliary entry pick the lift
+        # by their size; one such gain lifts the pair as given.
+        K, L = GAINS_12["K"], GAINS_12["L"]
+        assert coordinates(bench12, ("observer", K, L)) == (2, ("observer", K, L))
+        K3, _ = embed(lift(bench12, 3), K[:, :3], L[3:])
         ctrl = ("observer", K3, np.vstack([np.ones((6, 1)), L[3:]]))
         assert coordinates(bench12, ctrl) == (3, ctrl)
         # Any other shape is left as it is, for closed_loop to refuse.
         for gain in (np.ones((1, 4)), np.ones((1, 3)), K.ravel(), 0.5,
                      [[1.0, 0.0], [0.0]]):
             assert coordinates(bench12, ("state", gain)) == (1, ("state", gain))
+
+    def test_as_plant_refuses_a_disagreeing_k(self, bench12):
+        # A gain sized for no lift of the plant is refused by its shape.
+        with pytest.raises(InputError, match=r"shape \(1, 4\), expected \(1, 3\)"):
+            lifting.verify_loop(bench12, ("state", np.ones((1, 4))))
+        # A lift's k must be an integer of at least 2.
+        for k in (1, 2.5):
+            with pytest.raises(InputError, match="^k must be"):
+                lift(bench12, k)
         # A lifted plant is refused by its type, wherever a loop is built.
         cfg = SimConfig(h=1e-2, T=1.0, x0=np.zeros(3))
         for call in (lambda: coordinates(lift(bench12, 2), ("none",)),
