@@ -26,7 +26,10 @@ side's ``src``, with BLAS pinned to one thread:
   of the published order-0.6 output gain from an x0 off the algebraic
   constraint, which the simulator projects; ``DEMOS``: ``sfos demo`` at its
   default h and T; ``REFUSED``: ``sfos analyze`` on problem files that the
-  schema refuses or that are not JSON, whose error line must not change.
+  schema refuses or that are not JSON, whose error line must not change;
+  ``ACCEPTED`` (counted under ``ANALYZE``): ``sfos analyze`` on documents
+  at the schema's edges that it accepts, non-finite numbers among them.
+  Both lists vary ``FULL``, a document that reaches every subschema.
   Compared: exit code, stdout, stderr and every file written, byte for byte,
   except that each warning's source file and line are dropped from stderr.
 
@@ -86,6 +89,35 @@ SIMULATE = {"system": dict(PLANT, alpha=0.6), "gains": {"F": [[-3.6723]]},
             "simulation": {"x0": [1.0, 0.0, 0.0], "T": 2.0}}
 DEMOS = ("example1", "example2")
 
+#: A document that reaches every subschema of the problem schema.
+FULL = {"system": dict(PLANT, alpha=0.6),
+        "synthesis": {"mode": "observer", "decay_shift": 1.0,
+                      "decay_shift_state": 2, "decay_shift_injection": 0.5},
+        "simulation": {"h": 1e-3, "T": 2, "x0": [-0.25, 2.0, 0.25],
+                       "xhat0": [0.0, 0, -1.5], "consistency": "strict",
+                       "gate_first_input": True},
+        "gains": {"K": [[-3.1656, -0.4720, 2.4146]],
+                  "L": [[-0.1821], [0.0996], [0.7768]], "F": [[-3.6723]]}}
+
+
+def edit(path, value=None, drop=False):
+    """FULL with the node at ``path`` set to ``value``, or dropped."""
+    doc = json.loads(json.dumps(FULL))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if drop:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+def text(doc, literal):
+    """``doc`` as JSON text, with the string "@" written as ``literal``."""
+    return json.dumps(doc).replace('"@"', literal)
+
+
 #: (label, problem file) of each refused analyze: a document that the
 #: schema refuses, or text that is not JSON.
 REFUSED = (
@@ -110,6 +142,45 @@ REFUSED = (
     ("empty file", ""),
     ("cut short", '{"system": {"E": [[1, 0],'),
     ("trailing comma", '{"system": {},}'),
+    ("full, true in A", edit(("system", "A", 1, 2), True)),
+    ("full, string in A", edit(("system", "A", 1, 2), "1")),
+    ("full, null in A", edit(("system", "A", 1, 2), None)),
+    ("full, true shift", edit(("synthesis", "decay_shift"), True)),
+    ("full, string shift", edit(("synthesis", "decay_shift"), "1")),
+    ("full, null shift", edit(("synthesis", "decay_shift"), None)),
+    ("full, -Infinity shift", text(edit(("synthesis", "decay_shift"), "@"),
+                                   "-Infinity")),
+    ("full, negative shift", edit(("synthesis", "decay_shift_state"), -1e-300)),
+    ("full, empty row in K", edit(("gains", "K", 0), [])),
+    ("full, empty x0", edit(("simulation", "x0"), [])),
+    ("full, alpha 0", edit(("system", "alpha"), 0)),
+    ("full, alpha 2", edit(("system", "alpha"), 2.0)),
+    ("full, h 0", edit(("simulation", "h"), 0.0)),
+    ("full, no alpha", edit(("system", "alpha"), drop=True)),
+    ("full, extra key in system", edit(("system", "D"), [[0.0]])),
+    ("full, extra key at top", edit(("seed",), 3)),
+    ("full, mode Observer", edit(("synthesis", "mode"), "Observer")),
+    ("full, consistency PROJECT", edit(("simulation", "consistency"), "PROJECT")),
+    ("full, gate 1", edit(("simulation", "gate_first_input"), 1)),
+)
+
+#: (label, problem file) of each analyze of a document that the schema
+#: accepts: at its edges, and with non-finite numbers, which the schema
+#: lets through and the plant refuses.
+ACCEPTED = (
+    ("full", FULL),
+    ("full, alpha 1.999", edit(("system", "alpha"), 1.999)),
+    ("full, -0.0 shifts", edit(("synthesis",), {
+        "decay_shift": -0.0, "decay_shift_state": -0.0,
+        "decay_shift_injection": -0.0})),
+    ("full, no gains", edit(("gains",), drop=True)),
+    ("full, NaN in A", text(edit(("system", "A", 1, 2), "@"), "NaN")),
+    ("full, Infinity in A", text(edit(("system", "A", 1, 2), "@"), "Infinity")),
+    ("full, 1e400 in A", text(edit(("system", "A", 1, 2), "@"), "1e400")),
+    ("full, NaN shift", text(edit(("synthesis", "decay_shift"), "@"), "NaN")),
+    ("full, Infinity shift", text(edit(("synthesis", "decay_shift_state"), "@"),
+                                  "Infinity")),
+    ("full, 1e400 shift", text(edit(("synthesis", "decay_shift"), "@"), "1e400")),
 )
 
 CERTIFICATE_FIELDS = ("status", "newton_steps", "t", "lower_bound", "margins",
@@ -348,6 +419,9 @@ def main(argv=None):
         for alpha in ANALYZE:
             problem = {"system": dict(PLANT, alpha=alpha)}
             tally.compare("ANALYZE", f"sfos analyze alpha={alpha}",
+                          each_cli(["analyze", "problem.json"], problem))
+        for label, problem in ACCEPTED:
+            tally.compare("ANALYZE", f"sfos analyze, {label}",
                           each_cli(["analyze", "problem.json"], problem))
         for alpha, mode in SYNTH:
             problem = {"system": dict(PLANT, alpha=alpha)}

@@ -21,9 +21,12 @@ failure), 2 analyzed and not admissible, 3 synthesis certified infeasible,
 loop failed the closed-loop pencil check).
 
 The CLI reads its flags and the problem file, nothing else.  A problem
-file is read as UTF-8 JSON and validated in full against ``PROBLEM_SCHEMA``
-by one validator built per process; that the schema itself is a valid
-2020-12 schema is checked once, by the test suite.  h and T resolve as the
+file is read as UTF-8 JSON and checked in full against ``PROBLEM_SCHEMA``:
+a plain walk of the schema proves most valid files valid, and any file it
+cannot prove goes to one ``jsonschema`` validator built per process, the
+only judge of a refusal and the only author of its message.  That the
+schema itself is a valid 2020-12 schema is checked once, by the test
+suite.  The parser is built once per process too.  h and T resolve as the
 command-line flag, then the problem-file value, then this module's
 ``DEFAULT_H`` or ``DEFAULT_T``.  Designs act on the plant's own state.  A
 ``gains`` block is verified and simulated on the plant, or on its lift by
@@ -35,6 +38,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -120,12 +124,70 @@ def _problem_validator():
     return jsonschema.Draft202012Validator(PROBLEM_SCHEMA)
 
 
-def load_problem(path) -> dict:
-    """Parse and schema-validate a problem file.
+def _proven_valid(schema, doc) -> bool:
+    """Whether ``doc`` is valid against ``schema``, proven without jsonschema.
 
-    The whole document is validated against :data:`PROBLEM_SCHEMA` by a
-    validator built once per process, and the error reported is the one
-    ``jsonschema.validate`` would raise: the best match of all of them.
+    The walk models only the keywords :data:`PROBLEM_SCHEMA` uses: type
+    (object, array, number, boolean), required, additionalProperties
+    (false), properties, items, minItems, enum (of strings), minimum,
+    exclusiveMinimum and exclusiveMaximum.  A number is an int or a finite
+    float, never a bool.  Anything else it meets -- another keyword, type
+    or value, NaN or an infinity -- is a doubt and gives False, as does an
+    invalid document: False means "not proven", and the caller asks
+    jsonschema.  A subschema the document does not reach is not read.
+    """
+    if type(schema) is not dict:
+        return False
+    for keyword, value in schema.items():
+        if keyword == "type":
+            ok = (_is_number(doc) if value == "number" else (value, type(doc)) in
+                  (("object", dict), ("array", list), ("boolean", bool)))
+        elif keyword == "required":
+            ok = (type(value) is list and type(doc) is dict
+                  and all(type(key) is str and key in doc for key in value))
+        elif keyword == "additionalProperties":
+            known = schema.get("properties", {})
+            ok = (value is False and type(doc) is dict and type(known) is dict
+                  and all(key in known for key in doc))
+        elif keyword == "properties":
+            ok = type(value) is dict and type(doc) is dict and all(
+                _proven_valid(sub, doc[key]) for key, sub in value.items()
+                if key in doc)
+        elif keyword == "items":
+            # The matrix rows' schema, taken in one pass: most of a file.
+            ok = type(doc) is list and (
+                all(map(_is_number, doc)) if value == {"type": "number"}
+                else all(_proven_valid(value, item) for item in doc))
+        elif keyword == "minItems":
+            ok = type(value) is int and type(doc) is list and len(doc) >= value
+        elif keyword == "enum":
+            ok = (type(value) is list and type(doc) is str
+                  and all(type(option) is str for option in value)
+                  and doc in value)
+        elif keyword in ("minimum", "exclusiveMinimum", "exclusiveMaximum"):
+            ok = _is_number(value) and _is_number(doc) and (
+                doc >= value if keyword == "minimum"
+                else doc > value if keyword == "exclusiveMinimum"
+                else doc < value)
+        else:
+            return False
+        if not ok:
+            return False
+    return True
+
+
+def _is_number(x) -> bool:
+    return type(x) is int or (type(x) is float and math.isfinite(x))
+
+
+def load_problem(path) -> dict:
+    """Parse a problem file and check it against :data:`PROBLEM_SCHEMA`.
+
+    A document that :func:`_proven_valid` proves valid is returned as it
+    is.  Any other goes to the validator built once per process, and the
+    error reported is the one ``jsonschema.validate`` would raise: the best
+    match of all of them.  A document jsonschema accepts is returned too,
+    so the walk decides nothing that jsonschema would not.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -138,6 +200,8 @@ def load_problem(path) -> dict:
         raise InputError(
             f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno}): "
             f"{exc.msg}") from exc
+    if _proven_valid(PROBLEM_SCHEMA, doc):
+        return doc
     from jsonschema.exceptions import best_match
     error = best_match(_problem_validator().iter_errors(doc))
     if error is not None:
@@ -353,11 +417,14 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser.
+    """The parser, built once per process and shared by every call.
 
-    h and T default to None: the subcommands fall back on the problem file
-    before ``DEFAULT_H`` and ``DEFAULT_T``.
+    Building it costs more than most ``analyze`` requests (argparse looks
+    up each help and error text through ``gettext``); parsing leaves it
+    unchanged.  h and T default to None: the subcommands fall back on the
+    problem file before ``DEFAULT_H`` and ``DEFAULT_T``.
     """
     parser = _Parser(
         prog="sfos",

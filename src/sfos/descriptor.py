@@ -65,17 +65,26 @@ def _as_matrix(M, name):
     return M
 
 
+def _rank(sv) -> int:
+    """The rank rule: singular values (descending) above ``RANK_TOL * sigma_max``."""
+    if sv.size == 0:
+        return 0
+    return int(np.count_nonzero(sv > RANK_TOL * sv[0]))
+
+
+def _singular_values(M) -> np.ndarray:
+    """Singular values of a checked matrix, descending; none for an empty one."""
+    return np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
+
+
 def numerical_rank(M) -> int:
     """Rank of ``M`` counted as singular values above ``RANK_TOL * sigma_max``.
 
-    The one rank decision of the package.  The zero matrix has rank 0.
-    Raises :class:`InputError` for non-finite input.
+    The one rank decision of the package (:func:`analyze_pair` applies the
+    same rule to the singular values it takes).  The zero matrix has rank
+    0.  Raises :class:`InputError` for non-finite input.
     """
-    M = _as_matrix(M, "M")
-    if M.size == 0:
-        return 0
-    sv = np.linalg.svd(M, compute_uv=False)
-    return int(np.count_nonzero(sv > RANK_TOL * sv[0]))
+    return _rank(_singular_values(_as_matrix(M, "M")))
 
 
 @dataclass(frozen=True)
@@ -226,18 +235,16 @@ def _sector_margin(eigs, alpha, zero_tol):
     if len(eigs) == 0:
         return np.inf
     half = alpha * np.pi / 2.0
-    scale = max(np.abs(eigs).max(), 1.0)
-    margins = []
-    for ev in eigs:
-        if abs(ev) <= zero_tol * scale:
-            margins.append(-half)  # origin is outside the open sector
-        else:
-            margins.append(abs(np.angle(ev)) - half)
-    return float(min(margins))
+    mags = np.abs(eigs)
+    scale = max(mags.max(), 1.0)
+    # The origin is outside the open sector.
+    margins = np.where(mags <= zero_tol * scale, -half,
+                       np.abs(np.angle(eigs)) - half)
+    return float(margins.min())
 
 
-def _is_regular(E, A) -> bool:
-    """Whether det(sE - A) is not identically zero.
+def _is_regular(E, A, nE) -> bool:
+    """Whether det(sE - A) is not identically zero; ``nE`` is ||E||_2.
 
     The probe ratio vanishes at every s for a singular pencil and at finitely
     many s for a regular one.  Radii 1, ||A||/||E|| and their geometric mean
@@ -245,7 +252,7 @@ def _is_regular(E, A) -> bool:
     """
     if E.shape[0] == 0:
         return True
-    nE, nA = np.linalg.norm(E, 2), np.linalg.norm(A, 2)
+    nA = np.linalg.norm(A, 2)
     ratio = nA / nE if nE > 0.0 else 1.0
     for rho, theta in zip((1.0, ratio, np.sqrt(ratio)), _PROBE_ANGLES):
         s = rho * np.exp(1j * theta)
@@ -256,17 +263,23 @@ def _is_regular(E, A) -> bool:
 
 
 def analyze_pair(E, A, alpha) -> AdmissibilityReport:
-    """Admissibility analysis of a bare pair {E, A} at order ``alpha``."""
+    """Admissibility analysis of a bare pair {E, A} at order ``alpha``.
+
+    E and A are checked once.  One SVD of E gives both rank E (the rule of
+    :func:`numerical_rank`) and ||E||_2 for the regularity probe; QZ then
+    takes the checked matrices as they are.
+    """
     E = _as_matrix(E, "E")
     A = _as_matrix(A, "A")
     if A.shape != E.shape:
         raise InputError("E and A must have equal shape")
-    r = numerical_rank(E)
-    regular = _is_regular(E, A)
+    sv = _singular_values(E)
+    r = _rank(sv)
+    regular = _is_regular(E, A, sv[0] if sv.size else 0.0)
     eigs, degree = (), -1
     if regular:
         alphas, betas = sla.eig(A, E, left=False, right=False,
-                                homogeneous_eigvals=True)
+                                homogeneous_eigvals=True, check_finite=False)
         finite = np.abs(betas) > INFINITE_EIG_TOL * np.hypot(np.abs(alphas),
                                                               np.abs(betas))
         eigs = tuple(sorted(map(complex, alphas[finite] / betas[finite]),

@@ -47,13 +47,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fpdm
 from .descriptor import (DescriptorSystem, analyze_pair, annihilators,
                          numerical_rank)
 from .errors import (GainRecoverySingular, InputError, LmiNumericalError,
-                     NotMemberError, OutputInjectionInfeasible,
-                     OutputStageExhausted, StateFeedbackInfeasible,
-                     VerificationFailed)
+                     OutputInjectionInfeasible, OutputStageExhausted,
+                     StateFeedbackInfeasible, VerificationFailed)
 from .lmi import (DEFAULT_BOX_BOUND, DEFAULT_FEAS_MARGIN, AffineExpr,
                   LmiSolution, VariableRegistry, block_of, solve_feasibility,
                   sym_of)
@@ -103,13 +101,15 @@ def _lyapunov(prefix: str, n: int, alpha: float):
 
 
 def _lyapunov_value(vals: dict, prefix: str, alpha: float) -> np.ndarray:
-    """P from solved values, via :func:`sfos.fpdm.materialize` up to order 1."""
+    """P from solved values: sin(alpha*pi/2) X + cos(alpha*pi/2) Y up to order 1.
+
+    The solver has certified the membership block of :func:`_lyapunov` at
+    its own margin; P is not judged again.
+    """
     if alpha > 1.0:
         return vals[prefix]
-    X, Y = vals[f"{prefix}_X"], vals[f"{prefix}_Y"]
-    if not X.size:
-        return X
-    return fpdm.materialize(fpdm.FpdmParam(X, Y, alpha))
+    half = alpha * np.pi / 2.0
+    return np.sin(half) * vals[f"{prefix}_X"] + np.cos(half) * vals[f"{prefix}_Y"]
 
 
 def _sector(alpha: float, M, copies: bool = False):
@@ -178,12 +178,16 @@ def _projected(A, ann, alpha: float, label: str):
     return blocks, reg
 
 
-def _shifted(sys: DescriptorSystem, gamma: float) -> DescriptorSystem:
+def _shifted(sys: DescriptorSystem, gamma: float,
+             name: str = "decay shift") -> DescriptorSystem:
     """The plant with drift A + gamma*E; unchanged for gamma = 0.
 
     Synthesizing against it pushes every closed-loop eigenvalue left by
     about gamma, while verification still runs against the unshifted plant.
+    A gamma that is not finite is refused as ``name``.
     """
+    if not np.isfinite(gamma):
+        raise InputError(f"{name} must be finite, got {gamma}")
     if not gamma:
         return sys
     return sys.with_matrices(A=sys.A + gamma * sys.E)
@@ -381,8 +385,10 @@ def synth_observer(sys: DescriptorSystem, decay_shift_state: float = 0.0,
     :class:`VerificationFailed`.
     """
     _require_plant(sys, "synth_observer")
-    K, cert_k = solve_state_feedback(_shifted(sys, decay_shift_state))
-    L, cert_l = solve_output_injection(_shifted(sys, decay_shift_injection))
+    state = _shifted(sys, decay_shift_state, "decay_shift_state")
+    injection = _shifted(sys, decay_shift_injection, "decay_shift_injection")
+    K, cert_k = solve_state_feedback(state)
+    L, cert_l = solve_output_injection(injection)
     report = _verify(sys, ("observer", K, L))
     if not report.admissible:
         raise VerificationFailed(
@@ -475,17 +481,15 @@ def synth_output_feedback(sys: DescriptorSystem, seed: int = 0,
     for existing callers.
     """
     _require_plant(sys, "synth_output_feedback")
-    work = _shifted(sys, decay_shift)
+    work = _shifted(sys, decay_shift, "decay_shift")
     attempts = []
     for attempt, gamma in enumerate(RETRY_SHIFTS):
         try:
             K0, cert1 = solve_state_feedback(_shifted(work, gamma))
         except (StateFeedbackInfeasible, LmiNumericalError,
-                GainRecoverySingular, NotMemberError) as exc:
+                GainRecoverySingular) as exc:
             # Only the plant itself decides that no design exists; a shifted
-            # stage 1 that fails only disqualifies its K0.  On large shifts
-            # fpdm.materialize's relative margin can refuse a P that the
-            # solver's absolute margin certified (NotMemberError).
+            # stage 1 that fails only disqualifies its K0.
             if attempt == 0:
                 raise
             attempts.append({"attempt": attempt, "stage": 1, "status": str(exc)})

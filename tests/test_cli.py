@@ -1,12 +1,16 @@
 """Command-line interface: problem files, exit codes, outputs."""
 
+import copy
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (BENCH_A, BENCH_B, BENCH_C, BENCH_E, BENCH_X0, GAINS_06,
                       GAINS_12)
@@ -44,17 +48,26 @@ class TestAnalyze:
                           "alpha": 0.5}}
         assert cli.main(["analyze", write_problem(tmp_path, doc)]) == cli.EXIT_OK
 
-    def test_jsonschema_loads_with_a_problem_file_only(self):
+    def test_jsonschema_loads_with_a_problem_file_only(self, tmp_path):
         # sfos demo reads no problem file, so importing the CLI skips it;
-        # scipy.fft waits for the first march.
+        # scipy.fft waits for the first march.  A file the walk proves valid
+        # is loaded without it; an invalid one is judged by it.
         root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        valid = write_problem(tmp_path, problem_doc(), "valid.json")
+        invalid = write_problem(tmp_path, problem_doc(alpha=3), "invalid.json")
+        code = ("import sys, sfos.cli\n"
+                "print('jsonschema' in sys.modules, 'scipy.fft' in sys.modules)\n"
+                "sfos.cli.load_problem(sys.argv[1])\n"
+                "print('jsonschema' in sys.modules)\n"
+                "try:\n"
+                "    sfos.cli.load_problem(sys.argv[2])\n"
+                "except sfos.cli.InputError:\n"
+                "    print('jsonschema' in sys.modules)\n")
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, sfos.cli; "
-             "print('jsonschema' in sys.modules, 'scipy.fft' in sys.modules)"],
+            [sys.executable, "-c", code, valid, invalid],
             env=dict(os.environ, PYTHONPATH=root), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False False"
+        assert proc.stdout.split("\n") == ["False False", "False", "True", ""]
 
     def test_malformed_json_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -189,6 +202,182 @@ class TestSchema:
             f"{expected.value.message}")
 
 
+def _full_doc():
+    """A valid document that reaches every subschema of PROBLEM_SCHEMA."""
+    return problem_doc(
+        synthesis={"mode": "observer", "decay_shift": 1.0,
+                   "decay_shift_state": 2, "decay_shift_injection": 0.5},
+        simulation={"h": 1e-3, "T": 2, "x0": BENCH_X0.tolist(),
+                    "xhat0": [0.0, 0, -1.5], "consistency": "strict",
+                    "gate_first_input": True},
+        gains={name: GAINS_06[name].tolist() for name in ("K", "L", "F")})
+
+
+def _paths(node, path=()):
+    """The path of every node of a document, the root first."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, path + (i,))
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+#: Values a mutation puts in a document.  json.loads("1e400") is how a file
+#: that writes 1e400 reads: an infinity.
+_EDGE_VALUES = [True, False, "0.5", None, float("nan"), float("inf"),
+                float("-inf"), json.loads("1e400"), -0.0, 0, 0.0, 2, 2.0, -1,
+                1e-300, 10**400, [], [[]], [1.0], {}, "observer", "Observer",
+                "project", "PROJECT", "output"]
+
+#: Values a "bound" mutation gives a number: the schema's bounds and their
+#: neighbours.
+_BOUNDS = [0, 0.0, -0.0, 2, 2.0, 1e-300, -1e-300, 1.9999999999999998]
+
+
+def _edge_documents():
+    """(label, document) of the edge cases, valid and not."""
+    def full(path, value):
+        doc = _full_doc()
+        _node(doc, path[:-1])[path[-1]] = value
+        return doc
+
+    def without(path):
+        doc = _full_doc()
+        del _node(doc, path[:-1])[path[-1]]
+        return doc
+
+    cases = [("full", _full_doc())]
+    for label, value in (("true", True), ("string", "1"), ("null", None),
+                         ("nan", float("nan")), ("inf", float("inf")),
+                         ("-inf", float("-inf")),
+                         ("1e400", json.loads("1e400"))):
+        cases.append((f"{label}-in-A", full(("system", "A", 1, 2), value)))
+        cases.append((f"{label}-shift", full(("synthesis", "decay_shift"), value)))
+    cases += [
+        ("empty-row-in-K", full(("gains", "K", 0), [])),
+        ("empty-x0", full(("simulation", "x0"), [])),
+        ("alpha-0", full(("system", "alpha"), 0)),
+        ("alpha-2", full(("system", "alpha"), 2.0)),
+        ("alpha-1.999", full(("system", "alpha"), 1.999)),
+        ("minus-zero-shifts", full(("synthesis",), {
+            "decay_shift": -0.0, "decay_shift_state": -0.0,
+            "decay_shift_injection": -0.0})),
+        ("negative-shift", full(("synthesis", "decay_shift_state"), -1e-300)),
+        ("h-0", full(("simulation", "h"), 0.0)),
+        ("no-alpha", without(("system", "alpha"))),
+        ("no-system", without(("system",))),
+        ("no-gains", without(("gains",))),
+        ("extra-key-in-system", full(("system", "D"), [[0.0]])),
+        ("extra-key-at-top", full(("seed",), 3)),
+        ("mode-Observer", full(("synthesis", "mode"), "Observer")),
+        ("consistency-PROJECT", full(("simulation", "consistency"), "PROJECT")),
+        ("gate-1", full(("simulation", "gate_first_input"), 1)),
+    ]
+    return cases
+
+
+class TestSchemaWalk:
+    """cli._proven_valid proves only what jsonschema accepts."""
+
+    @staticmethod
+    def _jsonschema_valid(doc):
+        import jsonschema
+        return jsonschema.Draft202012Validator(cli.PROBLEM_SCHEMA).is_valid(doc)
+
+    @pytest.mark.parametrize("label, doc", _edge_documents())
+    def test_edge_documents(self, label, doc):
+        proven = cli._proven_valid(cli.PROBLEM_SCHEMA, doc)
+        assert not proven or self._jsonschema_valid(doc)
+        # Documents with finite numbers that jsonschema accepts are proven,
+        # so that they skip jsonschema.
+        finite = not any(label.startswith(bad) for bad in ("nan", "inf", "-inf", "1e400"))
+        assert proven == (finite and self._jsonschema_valid(doc))
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(("replace", "delete", "add", "case", "bound", "empty")),
+        st.integers(0, 10**6), st.sampled_from(_EDGE_VALUES),
+        st.sampled_from(_BOUNDS)), min_size=1, max_size=3))
+    def test_walk_is_sound(self, mutations):
+        # Each mutation acts on a node picked from the current document:
+        # any node ("replace", "delete"), an object ("add" a key), a string
+        # ("case": an enum in another case), a number held directly in an
+        # object ("bound": alpha, a shift, h or T at a bound) or an array
+        # ("empty").  test_edge_documents runs each named edge for sure.
+        doc = _full_doc()
+        for op, pick, value, bound in mutations:
+            paths = [path for path in _paths(doc) if path]
+            if op == "add":
+                paths = [()] + [path for path in paths
+                                if isinstance(_node(doc, path), dict)]
+            elif op == "case":
+                paths = [path for path in paths
+                         if isinstance(_node(doc, path), str)]
+            elif op == "bound":
+                paths = [path for path in paths
+                         if type(_node(doc, path)) in (int, float)
+                         and isinstance(_node(doc, path[:-1]), dict)]
+            elif op == "empty":
+                paths = [path for path in paths
+                         if isinstance(_node(doc, path), list)]
+            if not paths:
+                continue
+            path = paths[pick % len(paths)]
+            if op == "add":
+                _node(doc, path)["extra"] = value
+                continue
+            parent = _node(doc, path[:-1])
+            if op == "delete":
+                del parent[path[-1]]
+            elif op == "case":
+                parent[path[-1]] = parent[path[-1]].swapcase()
+            elif op == "empty":
+                parent[path[-1]] = []
+            else:
+                parent[path[-1]] = bound if op == "bound" else value
+        if cli._proven_valid(cli.PROBLEM_SCHEMA, doc):
+            assert self._jsonschema_valid(doc), doc
+
+    def test_unknown_keyword_is_never_proven(self):
+        doc = _full_doc()
+        assert cli._proven_valid(cli.PROBLEM_SCHEMA, doc)
+
+        def subschemas(schema, path=()):
+            yield path
+            for key, sub in schema.get("properties", {}).items():
+                yield from subschemas(sub, path + ("properties", key))
+            if "items" in schema:
+                yield from subschemas(schema["items"], path + ("items",))
+
+        paths = list(subschemas(cli.PROBLEM_SCHEMA))
+        assert len(paths) == 39
+        for path in paths:
+            for keyword, value in (("$comment", "x"), ("maxItems", 10**9),
+                                   ("multipleOf", 1e-300)):
+                schema = copy.deepcopy(cli.PROBLEM_SCHEMA)
+                _node(schema, path)[keyword] = value
+                assert not cli._proven_valid(schema, doc), (path, keyword)
+        # A modelled keyword with a value the walk does not model.
+        for path, keyword, value in (
+                ((), "additionalProperties", True),
+                (("properties", "system", "properties", "alpha"), "type",
+                 "integer"),
+                (("properties", "system", "properties", "alpha"), "type",
+                 ["number", "null"]),
+                (("properties", "synthesis", "properties", "mode"), "enum",
+                 ["observer", 1])):
+            schema = copy.deepcopy(cli.PROBLEM_SCHEMA)
+            _node(schema, path)[keyword] = value
+            assert not cli._proven_valid(schema, doc), (path, keyword)
+
+
 class TestUsage:
     """Command-line misuse is bad input: one error line, exit 1."""
 
@@ -211,6 +400,14 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and named in captured.err
         assert len(captured.err.strip().splitlines()) == 1
+
+    def test_parser_is_built_once(self):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        # Parsing leaves it as it was: each call gets its own namespace.
+        first = parser.parse_args(["simulate", "p.json", "--h", "0.5"])
+        second = parser.parse_args(["simulate", "p.json"])
+        assert first.h == 0.5 and second.h is None
 
     @pytest.mark.parametrize("name, value", [
         ("K", "abc"), ("H", "abc"), ("HORIZON", "abc")])
@@ -269,6 +466,23 @@ class TestSynth:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "all 2 intermediate gains" in captured.err
+
+    @pytest.mark.parametrize("literal, name", [
+        ("NaN", "decay_shift"), ("Infinity", "decay_shift_state")])
+    def test_non_finite_shift_exit_1(self, tmp_path, capsys, literal, name):
+        # json.load reads these literals and the schema's minimum lets them
+        # through; synthesis refuses the shift by name, without a warning.
+        mode = "output" if name == "decay_shift" else "observer"
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem_doc())[:-1]
+                        + f', "synthesis": {{"mode": "{mode}", "{name}": {literal}}}}}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["synth", str(path)]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        value = "nan" if literal == "NaN" else "inf"
+        assert captured.out == ""
+        assert captured.err == f"error: {name} must be finite, got {value}\n"
 
     @pytest.mark.parametrize("mode", ["observer", "output"])
     def test_every_solve_carries_its_iterates(self, tmp_path, capsys, mode):

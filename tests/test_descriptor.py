@@ -327,3 +327,115 @@ class TestBlockDiagonalStacks:
         assert rep.pencil_degree == sum(p.r for p, _ in parts)
         assert rep.stable == all(stable for _, stable in parts)
         assert _matched(rep.finite_eigenvalues, want) < 1e-6
+
+
+def _reference_analyze_pair(E, A, alpha):
+    """``analyze_pair`` as it was before it shared one SVD of E: rank E and
+    ||E||_2 from two SVDs, QZ that re-checks finiteness, and a sector margin
+    taken one eigenvalue at a time.  Kept as the bit-for-bit reference."""
+    from sfos import descriptor as d
+    E, A = np.asarray(E, dtype=float), np.asarray(A, dtype=float)
+    sv = np.linalg.svd(E, compute_uv=False) if E.size else np.zeros(0)
+    r = int(np.count_nonzero(sv > d.RANK_TOL * sv[0])) if E.size else 0
+    regular = True
+    if E.shape[0]:
+        nE, nA = np.linalg.norm(E, 2), np.linalg.norm(A, 2)
+        ratio = nA / nE if nE > 0.0 else 1.0
+        regular = False
+        for rho, theta in zip((1.0, ratio, np.sqrt(ratio)), d._PROBE_ANGLES):
+            s = rho * np.exp(1j * theta)
+            smin = np.linalg.svd(s * E - A, compute_uv=False)[-1]
+            if smin > d.REGULARITY_PROBE_TOL * (rho * nE + nA):
+                regular = True
+                break
+    eigs, degree = (), -1
+    if regular:
+        alphas, betas = sla.eig(A, E, left=False, right=False,
+                                homogeneous_eigvals=True)
+        finite = np.abs(betas) > d.INFINITE_EIG_TOL * np.hypot(np.abs(alphas),
+                                                                np.abs(betas))
+        eigs = tuple(sorted(map(complex, alphas[finite] / betas[finite]),
+                            key=lambda z: (z.real, z.imag)))
+        degree = len(eigs)
+    impulse_free = regular and degree == r
+    margin = -np.inf
+    if regular:
+        margin = np.inf
+        if eigs:
+            half = alpha * np.pi / 2.0
+            scale = max(np.abs(np.array(eigs)).max(), 1.0)
+            margins = []
+            for ev in np.array(eigs):
+                if abs(ev) <= 1e-12 * scale:
+                    margins.append(-half)
+                else:
+                    margins.append(abs(np.angle(ev)) - half)
+            margin = float(min(margins))
+    stable = regular and margin > d.ANGLE_BOUNDARY_TOL
+    return d.AdmissibilityReport(
+        regular=regular, impulse_free=impulse_free, stable=stable,
+        admissible=regular and impulse_free and stable,
+        finite_eigenvalues=eigs, min_angle_margin=margin,
+        pencil_degree=degree, alpha=alpha)
+
+
+class TestReferenceAnalysis:
+    """``analyze_pair`` gives the reference's report, field for field and
+    bit for bit (``repr`` tells -0.0 from 0.0 and shows every digit)."""
+
+    @staticmethod
+    def _same(E, A, alpha):
+        got, want = analyze_pair(E, A, alpha), _reference_analyze_pair(E, A, alpha)
+        assert got == want and repr(got) == repr(want)
+        return got
+
+    def test_seeded_plants_and_loops(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            alpha = float(rng.uniform(0.1, 1.9))
+            sysm, _ = random_impulse_free_system(rng, alpha)
+            self._same(sysm.E, sysm.A, alpha)
+            K = rng.standard_normal((1, sysm.n))
+            self._same(sysm.E, sysm.A + sysm.B @ K, alpha)
+        for n in (5, 8, 12, 16):
+            r = int(rng.integers(1, n))
+            E = (rng.standard_normal((n, r)) @ rng.standard_normal((r, n)))
+            self._same(E, rng.standard_normal((n, n)), 0.7)
+
+    def test_singular_pencils(self):
+        self._same(np.diag([1.0, 0.0]), np.zeros((2, 2)), 0.5)
+        rng = np.random.default_rng(29)
+        n, r = 6, 3
+        A0 = np.zeros((n, n))
+        A0[:r, :r] = rng.standard_normal((r, r))
+        A0[r:, r:] = np.diag(np.r_[rng.uniform(0.5, 2.0, n - r - 1), 0.0])
+        M, N = rng.standard_normal((2, n, n))
+        rep = self._same(M @ np.diag([1.0] * r + [0.0] * (n - r)) @ N,
+                         M @ A0 @ N, 0.5)
+        assert not rep.regular
+
+    def test_zero_e(self):
+        assert self._same(np.zeros((3, 3)), np.diag([1.0, -2.0, 3.0]), 0.5).admissible
+        assert not self._same(np.zeros((3, 3)), np.diag([1.0, 0.0, 3.0]), 0.5).regular
+        self._same(np.zeros((0, 0)), np.zeros((0, 0)), 0.5)
+
+    def test_full_rank_e(self):
+        rng = np.random.default_rng(37)
+        for n in (1, 3, 7):
+            E = rng.standard_normal((n, n)) + n * np.eye(n)
+            for alpha in (0.4, 1.0, 1.6):
+                assert self._same(E, rng.standard_normal((n, n)), alpha
+                                  ).pencil_degree == n
+
+    def test_eigenvalue_at_zero(self, bench06):
+        # The loop A + B K with K = -(first row of A) has a zero row, so
+        # its pencil has a finite eigenvalue at 0.
+        rep = self._same(np.eye(1), np.zeros((1, 1)), 0.5)
+        assert rep.min_angle_margin == -0.25 * np.pi
+        E = np.diag([1.0, 1.0, 0.0])
+        A = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+        rep = self._same(E, A, 0.8)
+        assert 0j in rep.finite_eigenvalues and not rep.stable
+        K = -bench06.A[:1]
+        rep = self._same(bench06.E, bench06.A + bench06.B @ K, 0.6)
+        assert rep.min_angle_margin == -0.3 * np.pi

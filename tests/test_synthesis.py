@@ -10,11 +10,11 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import GAINS_06, GAINS_12, benchmark, random_impulse_free_system
-from sfos import lifting, lmi, synthesis
+from sfos import fpdm, lifting, lmi, synthesis
 from sfos.descriptor import DescriptorSystem, analyze, analyze_pair
 from sfos.errors import (GainRecoverySingular, InputError, LmiNumericalError,
-                         NotMemberError, OutputStageExhausted,
-                         StateFeedbackInfeasible, VerificationFailed)
+                         OutputStageExhausted, StateFeedbackInfeasible,
+                         VerificationFailed)
 from sfos.lifting import lift
 from sfos.lmi import (AffineExpr, VariableRegistry, block_of,
                       solve_feasibility, sym_of)
@@ -580,6 +580,39 @@ class TestStateFeedback:
         with pytest.raises(StateFeedbackInfeasible):
             solve_state_feedback(dead)
 
+    def test_certificate_is_not_judged_again(self):
+        # SISO plant 3 of scripts/retry_sweep.py (plant seed 13), shifted by
+        # 0.5 as its first retry shifts it.  Its stage 1 is Feasible, yet the
+        # certified (X, Y) fails fpdm.is_member's relative margin: synthesis
+        # used to refuse it there.  P is now formed from the certificate.
+        plant = DescriptorSystem(
+            E=[[0.7139749751619118, 0.5527387201162403, 0.1243338943816426,
+                -0.2627968895643175],
+               [-0.3010195084885372, 0.1843758519143392, -0.8727468210079191,
+                -0.3911857430528455],
+               [-0.26627151667880644, -0.047433934897623896,
+                -0.11311072833072086, -0.054345608698517386],
+               [-0.6760095177098319, 0.21064515188294106, 0.8345133468438124,
+                -0.2577472191011422]],
+            A=[[0.7031244155398564, 0.3329934630177279, -0.1815963943503418,
+                -2.2119505867298352],
+               [-0.23566850573443754, 0.6617655699520208, -1.137288593821031,
+                0.7437893394662521],
+               [-0.777469807559374, -0.44086142649338717, -0.525161920064212,
+                -1.455382648101939],
+               [-0.9418673465857081, 0.4038836164837692, 1.335269032307475,
+                -0.11692330593208598]],
+            B=np.ones((4, 1)), C=np.ones((1, 4)), alpha=0.8)
+        shifted = synthesis._shifted(plant, 0.5)
+        K, cert = solve_state_feedback(shifted)
+        assert cert.status == "Feasible"
+        A, B, ann = synthesis._right_side(shifted)
+        _, reg = synthesis._criterion(A, B, ann, 0.8, "1", "state_feedback")
+        vals = reg.materialize_all(cert.assignment)
+        assert not fpdm.is_member(fpdm.FpdmParam(vals["P1_X"], vals["P1_Y"], 0.8))
+        # Oracle: QZ on the shifted plant's loop.
+        assert analyze_pair(shifted.E, shifted.A + shifted.B @ K, 0.8).admissible
+
 
 class TestOutputInjection:
     def test_benchmark_injection_stabilizes(self, bench06):
@@ -688,6 +721,18 @@ class TestOutputFeedback:
             return max(ev.real for ev in rep.finite_eigenvalues)
         assert max_real(shifted.F) < max_real(plain.F)
 
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_is_named(self, bench06, monkeypatch, shift):
+        # Refused as the shift, before any solve; not as a non-finite A.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an LMI was solved")
+        monkeypatch.setattr(synthesis, "solve_feasibility", no_solve)
+        for synth, name in ((synth_output_feedback, "decay_shift"),
+                            (synth_observer, "decay_shift_state"),
+                            (synth_observer, "decay_shift_injection")):
+            with pytest.raises(InputError, match=f"^{name} must be finite"):
+                synth(bench06, **{name: shift})
+
     def test_deterministic(self, bench06):
         d1 = synth_output_feedback(bench06)
         d2 = synth_output_feedback(bench06)
@@ -765,8 +810,7 @@ class TestOutputFeedback:
     @pytest.mark.parametrize("error", [
         StateFeedbackInfeasible("certified infeasible"),
         LmiNumericalError("could not be classified"),
-        GainRecoverySingular("numerically singular"),
-        NotMemberError("(X, Y) is not a member")])
+        GainRecoverySingular("numerically singular")])
     def test_shifted_stage1_failure_disqualifies_its_k0(
             self, bench06, monkeypatch, failing_stage2, error):
         # A stage 1 on a shifted plant that fails, in any of the ways a
