@@ -20,7 +20,11 @@ side's ``src``, with BLAS pinned to one thread:
 * ``PENCIL_SIZES``: seeded ``perfbench/plants.py`` stacked plants of 3-32
   states, the sizes of the benchmark's ``screen`` workload, one stable and
   one not at each size: the ``sfos.analyze`` report of each, as JSON.
-* ``ANALYZE``: ``sfos analyze`` on the paper plant at orders 0.6 and 1.2;
+* ``ANALYZE``: ``sfos analyze`` on the paper plant at orders 0.6 and 1.2,
+  and ``sfos.descriptor.analyze_pair`` on ``pencil_sweep.py``'s
+  near-singular sweep and a 0 x 0 pair (:func:`analyze_pairs`), whose
+  first regularity probe falls below, between and above its two
+  thresholds: each report by ``repr``;
   ``SYNTH``: ``sfos synth`` at orders 0.6 and 1.2 in both modes, whose
   design JSON holds each solve's iterates; ``SIMULATE``: ``sfos simulate``
   of the published order-0.6 output gain from an x0 off the algebraic
@@ -56,6 +60,7 @@ from concurrent.futures import ProcessPoolExecutor  # noqa: E402
 import numpy as np  # noqa: E402
 
 from bench_pairs import ROOT, SIDES, export, git  # noqa: E402
+from pencil_sweep import near_singular_sweep  # noqa: E402
 
 #: The paper's 3-state plant.
 PLANT = {"E": [[1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]],
@@ -286,6 +291,19 @@ def pencil_plants():
     return out
 
 
+def analyze_pairs():
+    """(E, A) of the near-singular sweep, then a 0 x 0 pair."""
+    return near_singular_sweep() + [(np.zeros((0, 0)), np.zeros((0, 0)))]
+
+
+def run_pairs(src, pairs):
+    """Each pair's ``analyze_pair`` report at order 0.7, by ``repr``."""
+    _import_sfos(src)
+    from sfos.descriptor import analyze_pair
+    return {f"pair {i} n={len(E)}": repr(analyze_pair(E, A, 0.7))
+            for i, (E, A) in enumerate(pairs)}
+
+
 #: A warning as Python prints it: "file:line: Category: message", then the
 #: source line.  The file and line differ between sides; the rest must not.
 _WARNING = re.compile(rb"^\S+:\d+: (\w+: .*\n)(?:  .*\n)?", re.M)
@@ -420,6 +438,9 @@ def main(argv=None):
             problem = {"system": dict(PLANT, alpha=alpha)}
             tally.compare("ANALYZE", f"sfos analyze alpha={alpha}",
                           each_cli(["analyze", "problem.json"], problem))
+        pairs = analyze_pairs()
+        tally.compare("ANALYZE", f"analyze_pair, {len(pairs)} near-singular "
+                      "and empty pencils", each_side(run_pairs, pairs))
         for label, problem in ACCEPTED:
             tally.compare("ANALYZE", f"sfos analyze, {label}",
                           each_cli(["analyze", "problem.json"], problem))

@@ -9,6 +9,11 @@ This module decides the three classical pencil properties -- regularity
 by a normalised rank probe of sE - A, the finite spectrum by QZ (Moler &
 Stewart, SIAM J. Numer. Anal. 10, 1973), impulse-freeness by a finite count
 equal to rank E, and fractional-sector stability -- with fixed thresholds.
+QZ is one call of LAPACK's ``dggev`` with the workspace that
+``scipy.linalg.eig`` queries, so the eigenvalues are ``eig``'s, bit for
+bit, without its wrapper.  The first regularity probe is judged against
+||A||_F before ||A||_2 is computed; a probe that clears the larger norm
+clears the smaller, so most regular pencils need no SVD of A.
 Every rank of E in the package is decided by :func:`numerical_rank`, at
 ``RANK_TOL``; no caller sets it.
 It also factors E by one SVD into the null-space bases and row-space
@@ -45,6 +50,10 @@ RANK_TOL = 1e-9
 REGULARITY_PROBE_TOL = 1e-13
 _PROBE_ANGLES = (1.0, 2.0, 0.5)
 
+#: Relative slack on ||A||_F in the first probe's cheap bound, far above the
+#: rounding of either norm, so that the bound never falls below ||A||_2.
+_NORM_SLACK = 1e-12
+
 #: A QZ eigenvalue pair (a, b) is infinite when |b| <= this * |(a, b)|.
 INFINITE_EIG_TOL = 1e-8
 
@@ -56,11 +65,13 @@ ANGLE_BOUNDARY_TOL = 1e-9
 def _as_matrix(M, name):
     try:
         M = np.asarray(M, dtype=float)
+    except OverflowError:
+        raise InputError(f"{name} contains a number too large for a float") from None
     except (TypeError, ValueError):
         raise InputError(f"{name} must be a rectangular matrix of numbers") from None
     if M.ndim != 2:
         raise InputError(f"{name} must be a 2-D matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise InputError(f"{name} contains non-finite entries")
     return M
 
@@ -236,38 +247,83 @@ def _sector_margin(eigs, alpha, zero_tol):
         return np.inf
     half = alpha * np.pi / 2.0
     mags = np.abs(eigs)
-    scale = max(mags.max(), 1.0)
-    # The origin is outside the open sector.
-    margins = np.where(mags <= zero_tol * scale, -half,
-                       np.abs(np.angle(eigs)) - half)
-    return float(margins.min())
+    # The origin is outside the open sector; every other eigenvalue's
+    # margin is at least -half.
+    if (mags <= zero_tol * max(mags.max(), 1.0)).any():
+        return float(-half)
+    return float(np.abs(np.arctan2(eigs.imag, eigs.real)).min() - half)
+
+
+def _probe(E, A, rho, theta) -> float:
+    """sigma_min(sE - A) at s = rho * exp(i theta)."""
+    s = rho * np.exp(1j * theta)
+    return np.linalg.svd(s * E - A, compute_uv=False)[-1]
 
 
 def _is_regular(E, A, nE) -> bool:
     """Whether det(sE - A) is not identically zero; ``nE`` is ||E||_2.
 
-    The probe ratio vanishes at every s for a singular pencil and at finitely
-    many s for a regular one.  Radii 1, ||A||/||E|| and their geometric mean
-    cover badly scaled spectra; the first probe above the threshold decides.
+    The probe ratio sigma_min(sE - A) / (|s| ||E||_2 + ||A||_2) vanishes at
+    every s for a singular pencil and at finitely many s for a regular one.
+    Radii 1, ||A||/||E|| and their geometric mean cover badly scaled spectra;
+    the first probe above the threshold decides.  The first probe is first
+    held to ||A||_F (1 + ``_NORM_SLACK``) in place of ||A||_2: the Frobenius
+    norm is never below the 2-norm, so a pencil that clears it clears the
+    2-norm test too, and only a pencil that does not pays for ||A||_2 and
+    meets the unchanged test, on the same sigma_min.
     """
     if E.shape[0] == 0:
         return True
+    first = _probe(E, A, 1.0, _PROBE_ANGLES[0])
+    # LAPACK's dlange scales its sum of squares, so ||A||_F is finite up to
+    # ~1e308; np.linalg.norm(A) squares the entries and overflows (with a
+    # RuntimeWarning) from about 1e154.
+    nA_bound = sla.lapack.dlange("f", A) * (1.0 + _NORM_SLACK)
+    if first > REGULARITY_PROBE_TOL * (nE + nA_bound):
+        return True
     nA = np.linalg.norm(A, 2)
+    if first > REGULARITY_PROBE_TOL * (nE + nA):
+        return True
     ratio = nA / nE if nE > 0.0 else 1.0
-    for rho, theta in zip((1.0, ratio, np.sqrt(ratio)), _PROBE_ANGLES):
-        s = rho * np.exp(1j * theta)
-        smin = np.linalg.svd(s * E - A, compute_uv=False)[-1]
-        if smin > REGULARITY_PROBE_TOL * (rho * nE + nA):
+    for rho, theta in zip((ratio, np.sqrt(ratio)), _PROBE_ANGLES[1:]):
+        if _probe(E, A, rho, theta) > REGULARITY_PROBE_TOL * (rho * nE + nA):
             return True
     return False
+
+
+def _finite_eigenvalues(E, A) -> np.ndarray:
+    """Finite eigenvalues of the regular pencil sE - A, ordered by (real, imag).
+
+    One ``dggev`` (QZ, no eigenvectors) with the workspace that
+    ``scipy.linalg.eig`` queries, and alpha and beta formed as its
+    ``_make_eigvals`` forms them (beta complex), so the quotients are
+    ``eig``'s to the last bit and the sign of zero.  A pair is infinite when
+    |beta| <= ``INFINITE_EIG_TOL`` * |(alpha, beta)|.  An empty pencil makes
+    no LAPACK call (``dggev`` refuses it).
+    """
+    if E.shape[0] == 0:
+        return np.zeros(0, dtype=complex)
+    lwork = int(sla.lapack.dggev(A, E, lwork=-1)[-2][0])
+    alphar, alphai, beta, _, _, _, info = sla.lapack.dggev(
+        A, E, compute_vl=0, compute_vr=0, lwork=lwork)
+    if info:
+        raise np.linalg.LinAlgError(
+            f"QZ (LAPACK dggev) did not converge (info={info})")
+    alphas, betas = alphar + 1j * alphai, beta.astype(complex)
+    finite = np.abs(betas) > INFINITE_EIG_TOL * np.hypot(np.abs(alphas),
+                                                          np.abs(betas))
+    eigs = alphas[finite] / betas[finite]
+    return eigs[np.lexsort((eigs.imag, eigs.real))]
 
 
 def analyze_pair(E, A, alpha) -> AdmissibilityReport:
     """Admissibility analysis of a bare pair {E, A} at order ``alpha``.
 
     E and A are checked once.  One SVD of E gives both rank E (the rule of
-    :func:`numerical_rank`) and ||E||_2 for the regularity probe; QZ then
-    takes the checked matrices as they are.
+    :func:`numerical_rank`) and ||E||_2 for the regularity probe
+    (:func:`_is_regular`); a regular pencil's finite spectrum comes from one
+    ``dggev`` call on the checked matrices (:func:`_finite_eigenvalues`), and
+    the sector margin is taken on that ordered array.
     """
     E = _as_matrix(E, "E")
     A = _as_matrix(A, "A")
@@ -276,18 +332,12 @@ def analyze_pair(E, A, alpha) -> AdmissibilityReport:
     sv = _singular_values(E)
     r = _rank(sv)
     regular = _is_regular(E, A, sv[0] if sv.size else 0.0)
-    eigs, degree = (), -1
+    eigs, degree, margin = (), -1, -np.inf
     if regular:
-        alphas, betas = sla.eig(A, E, left=False, right=False,
-                                homogeneous_eigvals=True, check_finite=False)
-        finite = np.abs(betas) > INFINITE_EIG_TOL * np.hypot(np.abs(alphas),
-                                                              np.abs(betas))
-        eigs = tuple(sorted(map(complex, alphas[finite] / betas[finite]),
-                            key=lambda z: (z.real, z.imag)))
-        degree = len(eigs)
+        finite = _finite_eigenvalues(E, A)
+        eigs, degree = tuple(finite.tolist()), finite.size
+        margin = _sector_margin(finite, alpha, zero_tol=1e-12)
     impulse_free = regular and degree == r
-
-    margin = _sector_margin(np.array(eigs), alpha, zero_tol=1e-12) if regular else -np.inf
     stable = regular and margin > ANGLE_BOUNDARY_TOL
     return AdmissibilityReport(
         regular=regular,

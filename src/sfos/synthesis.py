@@ -47,8 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptor import (DescriptorSystem, analyze_pair, annihilators,
-                         numerical_rank)
+from .descriptor import DescriptorSystem, _rank, analyze_pair, annihilators
 from .errors import (GainRecoverySingular, InputError, LmiNumericalError,
                      OutputInjectionInfeasible, OutputStageExhausted,
                      StateFeedbackInfeasible, VerificationFailed)
@@ -164,14 +163,15 @@ def _criterion(A, B, ann, alpha: float, suffix: str, label: str):
 def _projected(A, ann, alpha: float, label: str):
     """Pose N^T sym(A V1 P Sigma U1^T) N < 0 in P alone; returns (blocks, registry).
 
-    N is an orthonormal basis of the complement of range(A E_right), from
-    one SVD cut at :func:`sfos.descriptor.numerical_rank`; P (P_X, P_Y) is
-    r x r fractional-PD.  An empty N (E = 0, A nonsingular) leaves no
-    criterion block.
+    N is an orthonormal basis of the complement of range(A E_right): the
+    left singular vectors of one SVD past the rank that the shared rule of
+    :func:`sfos.descriptor.numerical_rank` reads off its singular values;
+    P (P_X, P_Y) is r x r fractional-PD.  An empty N (E = 0, A
+    nonsingular) leaves no criterion block.
     """
     reg, blocks, P = _lyapunov("P", ann.sigma.size, alpha)
-    M = A @ ann.E_right
-    N = np.linalg.svd(M)[0][:, numerical_rank(M):]
+    U, sv, _ = np.linalg.svd(A @ ann.E_right)
+    N = U[:, _rank(sv):]
     if N.shape[1]:
         front, back = N.T @ A @ ann.V1, (ann.sigma[:, None] * ann.U1.T) @ N
         blocks.append(sym_of(front @ P @ back, label=label))

@@ -125,6 +125,16 @@ class TestAnalyze:
         assert err.startswith("error: E must be a rectangular matrix")
         assert len(err.strip().splitlines()) == 1
 
+    def test_integer_too_large_for_a_float_exit_1(self, tmp_path, capsys):
+        # The schema takes any JSON number; a 401-digit integer overflows
+        # the float conversion and is refused with one error line.
+        doc = problem_doc()
+        doc["system"]["A"][1][2] = 10 ** 400
+        assert cli.main(["analyze", write_problem(tmp_path, doc)]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: A contains a number too large for a float\n"
+
     def test_report_written_to_out(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         path = write_problem(tmp_path, problem_doc())

@@ -1,6 +1,7 @@
 """Pencil analysis, annihilators, initial-state projection."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,19 @@ class TestDescriptorSystem:
         A[0, 0] = np.nan
         with pytest.raises(InputError):
             DescriptorSystem(E=BENCH_E, A=A, B=BENCH_B, C=BENCH_C, alpha=0.5)
+
+    def test_integer_too_large_for_a_float(self):
+        # JSON reads a 401-digit literal as a Python int, which numpy cannot
+        # convert: the matrix is refused by name, as a non-finite one is.
+        for name in ("E", "A", "B", "C"):
+            data = {"E": BENCH_E.tolist(), "A": BENCH_A.tolist(),
+                    "B": BENCH_B.tolist(), "C": BENCH_C.tolist()}
+            data[name][0][0] = 10 ** 400
+            with pytest.raises(InputError, match=f"^{name} contains a number "
+                               "too large for a float$"):
+                DescriptorSystem(alpha=0.5, **data)
+        with pytest.raises(InputError, match="^M contains a number"):
+            numerical_rank([[1, -10 ** 400]])
 
     def test_with_matrices(self, bench06):
         other = bench06.with_matrices(alpha=1.2)
@@ -426,6 +440,68 @@ class TestReferenceAnalysis:
             for alpha in (0.4, 1.0, 1.6):
                 assert self._same(E, rng.standard_normal((n, n)), alpha
                                   ).pencil_degree == n
+
+    def test_probe_thresholds(self):
+        # Singular pencils (common null vector Q2 e_6) whose A has five equal
+        # singular values, so ||A||_F = sqrt(5) ||A||_2, plus eps P: the
+        # first probe's sigma_min grows with eps through tol (||E||_2 +
+        # ||A||_2), then tol (||E||_2 + ||A||_F).
+        from sfos import descriptor as d
+        rng = np.random.default_rng(43)
+        n = 6
+        Q1, Q2, Q3 = (np.linalg.qr(rng.standard_normal((n, n)))[0]
+                      for _ in range(3))
+        DE = np.zeros((n, n))
+        DE[:, :n - 2] = 0.1 * Q3[:, :n - 2]
+        A0 = Q1 @ np.diag([1.0] * (n - 1) + [0.0]) @ Q2.T
+        P = rng.standard_normal((n, n))
+        P /= np.linalg.norm(P, 2)
+        assert np.linalg.norm(A0) >= 2.0 * np.linalg.norm(A0, 2)
+
+        def region(E, eps):
+            A = A0 + eps * P
+            nE = np.linalg.norm(E, 2)
+            smin = np.linalg.svd(np.exp(1j) * E - A, compute_uv=False)[-1]
+            low = d.REGULARITY_PROBE_TOL * (nE + np.linalg.norm(A, 2))
+            high = d.REGULARITY_PROBE_TOL * (nE + np.linalg.norm(A))
+            return "below" if smin <= low else "between" if smin <= high else "above"
+
+        def sweep(E):
+            assert not self._same(E, A0, 0.7).regular
+            regions = {}
+            for eps in 10.0 ** np.arange(-16.0, -9.0, 0.125):
+                regions.setdefault(region(E, eps), []).append(eps)
+                rep = self._same(E, A0 + eps * P, 0.7)
+                assert rep.regular or region(E, eps) == "below"
+            assert regions.keys() == {"below", "between", "above"}
+            return regions
+
+        sweep(Q1 @ DE @ Q2.T)
+        # E = 0 probes sigma_min(A) three times, so the first threshold
+        # decides alone.  Either side of tol ||A||_2, to rounding, a cheap
+        # bound below ||A||_2 would call the pencil just under it regular.
+        E = np.zeros((n, n))
+        regions = sweep(E)
+        lo, hi = max(regions["below"]), min(regions["between"])
+        while hi / lo > 1.0 + 1e-13:
+            mid = np.sqrt(lo * hi)
+            lo, hi = (mid, hi) if region(E, mid) == "below" else (lo, mid)
+        assert not self._same(E, A0 + lo * P, 0.7).regular
+        assert self._same(E, A0 + hi * P, 0.7).regular
+
+    def test_one_state_and_huge_entries(self):
+        for e, a in ((0.0, 0.0), (0.0, 2.0), (1.0, -3.0), (1.0, 3.0),
+                     (-2.0, 0.0), (1e-300, 1.0)):
+            self._same(np.array([[e]]), np.array([[a]]), 0.5)
+        rng = np.random.default_rng(47)
+        sysm, _ = random_impulse_free_system(rng, 0.7)
+        singular = (np.diag([1.0, 0.0]), np.diag([2.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1e200, 3e200, 1e300):
+                assert self._same(scale * sysm.E, scale * sysm.A, 0.7).regular
+                assert not self._same(scale * singular[0], scale * singular[1],
+                                      0.7).regular
 
     def test_eigenvalue_at_zero(self, bench06):
         # The loop A + B K with K = -(first row of A) has a zero row, so
