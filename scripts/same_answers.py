@@ -15,8 +15,10 @@ side's ``src``, with BLAS pinned to one thread:
   designs.  Compared: K, L, K0 and F; each certificate's status, Newton
   steps, t, lower bound, margins and assignment; the closed-loop report.
 * ``ADMISSIBILITY_PLANTS`` seeded ``perfbench/plants.py`` blocks of 2-4
-  states, each tested on both sides of the criterion: the verdict and
-  solution of each LMI, or the error it raises.
+  states in each of the ``ADMISSIBILITY_FAMILIES``, each tested on both
+  sides of the criterion: the verdict and solution of each LMI, or the
+  error it raises.  Orders up to 1 pose the projected criterion; orders
+  above 1 pose the sector criterion with its multiplier Q.
 * ``PENCIL_SIZES``: seeded ``perfbench/plants.py`` stacked plants of 3-32
   states, the sizes of the benchmark's ``screen`` workload, one stable and
   one not at each size: the ``sfos.analyze`` report of each, as JSON.
@@ -79,7 +81,8 @@ DESIGNS = (
 )
 
 ADMISSIBILITY_PLANTS = 40
-ADMISSIBILITY_SEED = 909
+#: (seed, order range) of each admissibility family.
+ADMISSIBILITY_FAMILIES = ((909, (0.3, 1.0)), (913, (1.05, 1.95)))
 
 #: The state counts of the ``screen`` workload's pencil requests.
 PENCIL_SIZES = (3, 4, 6, 8, 10, 12, 16, 20, 24, 32)
@@ -249,15 +252,16 @@ def run_admissibility(src, plants):
     return out
 
 
-def admissibility_plants():
-    """(E, A, alpha) of each plant; even ones are admissible."""
+def admissibility_plants(seed, orders):
+    """(E, A, alpha) of each plant, alpha drawn from ``orders``; even ones
+    are admissible."""
     sys.path.insert(0, ROOT)
     from perfbench import plants
-    rng = np.random.default_rng(ADMISSIBILITY_SEED)
+    rng = np.random.default_rng(seed)
     out = []
     for i in range(ADMISSIBILITY_PLANTS):
         n = int(rng.integers(2, 5))
-        alpha = float(rng.uniform(0.3, 1.0))
+        alpha = float(rng.uniform(*orders))
         p = plants.block(rng, n, int(rng.integers(1, n)), alpha, i % 2 == 0)
         out.append((p.E, p.A, alpha))
     return out
@@ -427,10 +431,12 @@ def main(argv=None):
             mode, alpha, k, _ = case
             tally.compare("DESIGNS", f"design {mode} alpha={alpha} k={k} "
                           f"[{steps(results['change'])}]", results)
-        plants = admissibility_plants()
-        tally.compare("ADMISSIBILITY_PLANTS",
-                      f"{2 * len(plants)} admissibility LMIs",
-                      each_side(run_admissibility, plants))
+        for seed, orders in ADMISSIBILITY_FAMILIES:
+            plants = admissibility_plants(seed, orders)
+            tally.compare("ADMISSIBILITY_PLANTS",
+                          f"{2 * len(plants)} admissibility LMIs, orders "
+                          f"{orders[0]}-{orders[1]}",
+                          each_side(run_admissibility, plants))
         pencils = pencil_plants()
         tally.compare("PENCIL_SIZES", f"{len(pencils)} pencil reports",
                       each_side(run_pencil, pencils))

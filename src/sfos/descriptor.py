@@ -62,6 +62,14 @@ INFINITE_EIG_TOL = 1e-8
 ANGLE_BOUNDARY_TOL = 1e-9
 
 
+def _as_floats(value, name):
+    """``value`` as a float array; an integer too large for a float is refused."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise InputError(f"{name} contains a number too large for a float") from None
+
+
 def _as_matrix(M, name):
     try:
         M = np.asarray(M, dtype=float)

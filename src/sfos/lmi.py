@@ -27,8 +27,19 @@ several times the factorization on a few rows).  Each of these computes
 exactly what np.tensordot, an np.ix_ scatter and scipy.linalg.cholesky
 compute, bit for bit (tests/test_lmi.py keeps that arithmetic as a
 reference), so the speed costs no change in any iterate.
+
+Posing a problem is kept to a few array operations as well, since a small
+admissibility LMI often certifies at its first Newton step.  What the
+algebra builds from valid expressions (a transpose, negation, scaling,
+either product, a placement) goes through a private constructor that skips
+the public one's checks; parts that share their slots, as in every sym(.)
+and the sector's blocks, add their stacks without a union of slots;
+:func:`sym_of` skips :func:`block_of`'s asymmetry check, which a sum with
+its own transpose cannot fail; and an all-zero F0 (every block the toolkit
+poses is homogeneous) has lambda_max 0 without an eigensolve.  Each gives
+the general route's arrays and iterates bit for bit.
 ``python3 scripts/lmi_sweep.py`` times the admissibility LMI alone, in
-Newton steps and ms a step.
+Newton steps, ms a step and µs a call.
 
 A caller that needs only the verdict passes ``first_certificate``: the
 path stops at the first certificate of either verdict, checked after every
@@ -210,6 +221,14 @@ class AffineExpr:
         if (self.slots[1:] <= self.slots[:-1]).any():
             raise InputError("expression slots are not strictly increasing")
 
+    @classmethod
+    def _made(cls, slots, stack) -> "AffineExpr":
+        """An expression the algebra built from valid ones: intp slots, strictly
+        increasing, and a float stack of their layout, so nothing is checked."""
+        expr = object.__new__(cls)
+        expr.slots, expr.stack = slots, stack
+        return expr
+
     @property
     def shape(self) -> tuple:
         return self.stack.shape[1:]
@@ -224,10 +243,10 @@ class AffineExpr:
 
     @property
     def T(self) -> "AffineExpr":
-        return AffineExpr(self.slots, self.stack.transpose(0, 2, 1))
+        return AffineExpr._made(self.slots, self.stack.transpose(0, 2, 1))
 
     def __neg__(self):
-        return AffineExpr(self.slots, -self.stack)
+        return AffineExpr._made(self.slots, -self.stack)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -244,7 +263,7 @@ class AffineExpr:
         return self._coerce(other) + (-self)
 
     def __mul__(self, scalar):
-        return AffineExpr(self.slots, float(scalar) * self.stack)
+        return AffineExpr._made(self.slots, float(scalar) * self.stack)
 
     __rmul__ = __mul__
 
@@ -256,10 +275,10 @@ class AffineExpr:
                 return other.__rmatmul__(self.stack[0])
             else:
                 raise InputError("product of two variable expressions is not affine")
-        return AffineExpr(self.slots, self.stack @ _matrix(other))
+        return AffineExpr._made(self.slots, self.stack @ _matrix(other))
 
     def __rmatmul__(self, other):
-        return AffineExpr(self.slots, _matrix(other) @ self.stack)
+        return AffineExpr._made(self.slots, _matrix(other) @ self.stack)
 
     @staticmethod
     def bmat(rows) -> "AffineExpr":
@@ -286,19 +305,31 @@ class AffineExpr:
 
 
 def _matrix(M) -> np.ndarray:
-    return np.atleast_2d(np.asarray(M, dtype=float))
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if M.ndim != 2:
+        raise InputError(f"a constant operand must be a matrix, got shape {M.shape}")
+    return M
 
 
 def _placed(shape, parts) -> AffineExpr:
     """Sum of (expr, row, col) parts, each added at that corner of a zero
-    matrix of ``shape``, over the union of their slots."""
-    slots = np.unique(np.concatenate([e.slots for e, _, _ in parts]))
+    matrix of ``shape``, over the union of their slots.
+
+    Parts that all have the same slots (every sym(.), the sector's blocks)
+    add their whole stacks: what the union's index of each part would pick.
+    """
+    slots = parts[0][0].slots
+    shared = all(e.slots is slots or np.array_equal(e.slots, slots)
+                 for e, _, _ in parts[1:])
+    if not shared:
+        slots = np.unique(np.concatenate([e.slots for e, _, _ in parts]))
     stack = np.zeros((len(slots) + 1, *shape))
     for e, r, c in parts:
-        at = np.concatenate([[0], np.searchsorted(slots, e.slots) + 1])
+        at = (slice(None) if shared
+              else np.concatenate([[0], np.searchsorted(slots, e.slots) + 1]))
         h, w = e.shape
         stack[at, r:r + h, c:c + w] += e.stack
-    return AffineExpr(slots, stack)
+    return AffineExpr._made(slots, stack)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +369,12 @@ def _combine(coef, stack2d, shape):
 
 
 def sym_of(expr: AffineExpr, label: str = "") -> LmiBlock:
-    """Block for sym(expr) = expr + expr^T < 0."""
-    return block_of(expr + expr.T, label)
+    """Block for sym(expr) = expr + expr^T < 0.
+
+    The sum is symmetric to the bit (floating-point addition commutes), so
+    :func:`block_of`'s asymmetry check, which it cannot fail, is not run.
+    """
+    return _symmetrized(expr + expr.T, label)
 
 
 def block_of(expr: AffineExpr, label: str = "") -> LmiBlock:
@@ -358,6 +393,11 @@ def block_of(expr: AffineExpr, label: str = "") -> LmiBlock:
         what = "constant term" if i == 0 else f"coefficient {expr.slots[i - 1]}"
         raise InputError(f"{what} of {label or 'block'} is not symmetric "
                          f"(asymmetry {skew[i]:.3e})")
+    return _symmetrized(expr, label)
+
+
+def _symmetrized(expr: AffineExpr, label: str) -> LmiBlock:
+    mats = expr.stack
     sym = (mats + mats.transpose(0, 2, 1)) / 2.0
     return LmiBlock(F0=sym[0], slots=expr.slots, stack=sym[1:], label=label)
 
@@ -587,12 +627,15 @@ def solve_feasibility(blocks, registry, box_bound: float = DEFAULT_BOX_BOUND, *,
         unknown = b.slots[(b.slots < 0) | (b.slots >= nx)]
         if unknown.size:
             raise InputError(f"block {b.label!r} references unknown slots {unknown.tolist()}")
-        if np.any(np.diff(b.slots) <= 0):
+        if (b.slots[1:] <= b.slots[:-1]).any():
             raise InputError(f"slots of block {b.label!r} are not strictly increasing")
 
     barrier = _Barrier(blocks, nx, box_bound)
     z = np.zeros(nx + 1)
-    lams = [float(np.linalg.eigvalsh(b.F0)[-1]) for b in blocks]
+    # Every block the toolkit poses is homogeneous: an all-zero F0 has
+    # lambda_max 0 without an eigensolve.
+    lams = [float(np.linalg.eigvalsh(b.F0)[-1]) if b.F0.any() else 0.0
+            for b in blocks]
     # The margin is relative too: past |lambda_max| ~ 1e16 a margin of 1
     # rounds away, and t I - F0 would be singular.
     t0 = max(lams) + max(1.0, 1e-6 * abs(max(lams)))

@@ -130,7 +130,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name, value in (("h", self.h), ("T", self.T)):
-            if not np.isfinite(value):
+            if not np.isfinite(descriptor._as_floats(value, name)):
                 raise InputError(f"{name} must be finite, got {value}")
         if self.h <= 0 or self.T < self.h:
             raise InputError("need h > 0 and T >= h")
@@ -142,7 +142,7 @@ class SimConfig:
             value = getattr(self, name)
             if value is None:
                 continue
-            value = np.asarray(value, dtype=float).ravel()
+            value = descriptor._as_floats(value, name).ravel()
             if not np.isfinite(value).all():
                 raise InputError(f"{name} must be finite")
             object.__setattr__(self, name, value)

@@ -47,13 +47,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptor import DescriptorSystem, _rank, analyze_pair, annihilators
+from .descriptor import (DescriptorSystem, _as_floats, _rank, analyze_pair,
+                         annihilators)
 from .errors import (GainRecoverySingular, InputError, LmiNumericalError,
                      OutputInjectionInfeasible, OutputStageExhausted,
                      StateFeedbackInfeasible, VerificationFailed)
 from .lmi import (DEFAULT_BOX_BOUND, DEFAULT_FEAS_MARGIN, AffineExpr,
-                  LmiSolution, VariableRegistry, block_of, solve_feasibility,
-                  sym_of)
+                  LmiBlock, LmiSolution, VariableRegistry, block_of,
+                  solve_feasibility, sym_of)
 
 __all__ = [
     "ObserverDesign",
@@ -81,6 +82,10 @@ def _lyapunov(prefix: str, n: int, alpha: float):
 
     Up to order 1, P = sin(alpha*pi/2) X + cos(alpha*pi/2) Y is fractional-PD,
     with (X sym, Y skew) registered and the side-block -[[X, Y], [-Y, X]] < 0.
+    Both are written on stacks over X's slots, then Y's (the layout of their
+    sum), from the variables' basis stacks: X's in the side-block's diagonal
+    blocks and Y's off them, each added to zero as the expression algebra's
+    sum and ``block_of`` would, so the values are the algebra's bit for bit.
     Above, P is symmetric, with -P < 0.  n = 0 has no slots and no side-block.
     """
     reg = VariableRegistry()
@@ -90,13 +95,23 @@ def _lyapunov(prefix: str, n: int, alpha: float):
         if n:
             blocks.append(block_of(-P, label=f"{prefix}_membership"))
         return reg, blocks, P
-    X = reg.expr(reg.add(f"{prefix}_X", "symmetric", n))
-    Y = reg.expr(reg.add(f"{prefix}_Y", "skew", n))
+    X = reg.expr(reg.add(f"{prefix}_X", "symmetric", n)).stack[1:]
+    Y = reg.expr(reg.add(f"{prefix}_Y", "skew", n)).stack[1:]
+    nx = len(X)
+    slots = np.arange(reg.num_slots)
     if n:
-        blocks.append(block_of(
-            AffineExpr.bmat([[-X, -Y], [Y, -X]]), label=f"{prefix}_membership"))
+        side = np.zeros((len(slots), 2 * n, 2 * n))
+        side[:nx, :n, :n] -= X
+        side[:nx, n:, n:] -= X
+        side[nx:, :n, n:] -= Y
+        side[nx:, n:, :n] += Y
+        blocks.append(LmiBlock(F0=np.zeros((2 * n, 2 * n)), slots=slots,
+                               stack=side, label=f"{prefix}_membership"))
     half = alpha * np.pi / 2.0
-    return reg, blocks, np.sin(half) * X + np.cos(half) * Y
+    P = np.zeros((len(slots) + 1, n, n))
+    P[1:nx + 1] += np.sin(half) * X
+    P[nx + 1:] += np.cos(half) * Y
+    return reg, blocks, AffineExpr._made(slots, P)
 
 
 def _lyapunov_value(vals: dict, prefix: str, alpha: float) -> np.ndarray:
@@ -184,9 +199,10 @@ def _shifted(sys: DescriptorSystem, gamma: float,
 
     Synthesizing against it pushes every closed-loop eigenvalue left by
     about gamma, while verification still runs against the unshifted plant.
-    A gamma that is not finite is refused as ``name``.
+    A gamma that is not finite, or too large for a float, is refused as
+    ``name``.
     """
-    if not np.isfinite(gamma):
+    if not np.isfinite(_as_floats(gamma, name)):
         raise InputError(f"{name} must be finite, got {gamma}")
     if not gamma:
         return sys

@@ -494,6 +494,20 @@ class TestSynth:
         assert captured.out == ""
         assert captured.err == f"error: {name} must be finite, got {value}\n"
 
+    @pytest.mark.parametrize("mode, name", [
+        ("output", "decay_shift"), ("observer", "decay_shift_state"),
+        ("observer", "decay_shift_injection")])
+    def test_integer_too_large_for_a_float_exit_1(self, tmp_path, capsys,
+                                                  mode, name):
+        # The schema's minimum lets a 401-digit shift through; synthesis
+        # refuses it by name with one error line.
+        doc = problem_doc(synthesis={"mode": mode, name: 10 ** 400})
+        assert cli.main(["synth", write_problem(tmp_path, doc)]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {name} contains a number too large "
+                                "for a float\n")
+
     @pytest.mark.parametrize("mode", ["observer", "output"])
     def test_every_solve_carries_its_iterates(self, tmp_path, capsys, mode):
         path = write_problem(tmp_path, problem_doc())
@@ -605,6 +619,23 @@ class TestSimulate:
                 err = capsys.readouterr().err
                 assert err.startswith(f"error: {name} must be finite")
                 assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["x0", "xhat0", "h", "T"])
+    def test_integer_too_large_for_a_float_exit_1(self, tmp_path, capsys, name):
+        simulation = {"x0": BENCH_X0.tolist(), "xhat0": [0.0, 0.0, 0.0],
+                      "T": 1.0}
+        simulation[name] = (10 ** 400 if name in ("h", "T")
+                            else [0.0, 10 ** 400, 0.0])
+        doc = problem_doc(gains={"K": GAINS_06["K"].tolist(),
+                                 "L": GAINS_06["L"].tolist()},
+                          simulation=simulation)
+        path = write_problem(tmp_path, doc)
+        assert cli.main(["simulate", path, "--out", str(tmp_path / "o")]
+                        ) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {name} contains a number too large "
+                                "for a float\n")
 
     def test_synthesis_block_drives_simulation(self, tmp_path):
         doc = problem_doc(synthesis={"mode": "output"},

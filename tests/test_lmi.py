@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 
 from sfos.errors import InputError, LmiNumericalError
 from sfos.lmi import (AffineExpr, LmiBlock, VariableRegistry, _Barrier,
-                      block_of, solve_feasibility, sym_of)
+                      _placed, block_of, solve_feasibility, sym_of)
 
 
 class TestVariableRegistry:
@@ -213,6 +213,11 @@ class TestAffineExpr:
         for slots in ([4, 4], [4, 1]):
             with pytest.raises(InputError, match="increasing"):
                 AffineExpr(slots, two)
+        # A product trusts its result's layout, so its constant must be a matrix.
+        S = self.reg.expr("S")
+        for product in (lambda M: S @ M, lambda M: M @ S):
+            with pytest.raises(InputError, match="must be a matrix"):
+                product(np.ones((1, 1, 2, 2)))
 
     def _compose(self, rng, pool):
         """One random operation, applied alike to each form in the entries."""
@@ -273,6 +278,58 @@ class TestAffineExpr:
                                        atol=1e-12 * max(1.0, np.abs(value).max()))
         # Sums and blocks of all three variables do occur.
         assert max(len(e.slots) for e, _, _ in pool) == reg.num_slots
+
+def _reference_placed(shape, parts):
+    """_placed over the union of the parts' slots, whatever they share."""
+    slots = np.unique(np.concatenate([e.slots for e, _, _ in parts]))
+    stack = np.zeros((len(slots) + 1, *shape))
+    for e, r, c in parts:
+        at = np.concatenate([[0], np.searchsorted(slots, e.slots) + 1])
+        h, w = e.shape
+        stack[at, r:r + h, c:c + w] += e.stack
+    return slots, stack
+
+
+class TestPlacedOnSharedSlots:
+    def test_equal_to_the_union_route(self):
+        # Every sym(.), the sector's blocks of one expression, equal slots in
+        # distinct arrays and constants alone: each sums its stacks without
+        # a union, and gets the union route's bits, signed zeros included.
+        reg = VariableRegistry()
+        reg.add("S", "symmetric", 3)
+        reg.add("W", "skew", 3)
+        rng = np.random.default_rng(5)
+        M = rng.standard_normal((3, 3))
+        E = M @ reg.expr("S") + 0.5 * reg.expr("W") - M
+        E = AffineExpr(E.slots, np.where(E.stack == 0.0, -0.0, E.stack))
+        s, c = np.sin(1.3), -np.cos(1.3)
+        copy = AffineExpr(E.slots.copy(), rng.standard_normal(E.stack.shape))
+        cases = [((3, 3), [(E, 0, 0), (E.T, 0, 0)]),
+                 ((6, 6), [(s * E, 0, 0), (c * E, 0, 3), (-c * E, 3, 0),
+                           (s * E, 3, 3)]),
+                 ((3, 3), [(E, 0, 0), (copy, 0, 0)]),
+                 ((2, 5), [(AffineExpr.constant(M[:2]), 0, 0),
+                           (AffineExpr.constant(-M[:2, :2]), 0, 3)])]
+        for shape, parts in cases:
+            got = _placed(shape, parts)
+            slots, stack = _reference_placed(shape, parts)
+            assert got.slots is parts[0][0].slots
+            assert np.array_equal(got.slots, slots)
+            assert np.array_equal(got.stack, stack)
+            assert np.array_equal(np.signbit(got.stack), np.signbit(stack))
+
+    def test_distinct_slots_take_the_union(self):
+        reg = VariableRegistry()
+        reg.add("S", "symmetric", 2)
+        reg.add("R", "rectangular", 2, 2)
+        S, R = reg.expr("S"), reg.expr("R")
+        parts = [(R, 0, 0), (S, 0, 0), (AffineExpr.constant(np.eye(2)), 0, 0)]
+        got = _placed((2, 2), parts)
+        slots, stack = _reference_placed((2, 2), parts)
+        assert np.array_equal(got.slots, np.arange(reg.num_slots))
+        assert np.array_equal(got.slots, slots)
+        assert np.array_equal(got.stack, stack)
+
 
 class TestBlockStack:
     def setup_method(self):

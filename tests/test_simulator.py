@@ -86,6 +86,15 @@ class TestSimConfig:
                 SimConfig(h=1e-2, T=1.0, x0=start)
             with pytest.raises(InputError, match="^xhat0 must be finite"):
                 SimConfig(h=1e-2, T=1.0, x0=x0, xhat0=start)
+        # So is an integer too large for a float, not left to raise
+        # OverflowError or a TypeError from np.isfinite.
+        for h, T, name in ((10 ** 400, 1.0, "h"), (1e-2, 10 ** 400, "T")):
+            with pytest.raises(InputError, match=f"^{name} contains a number too large"):
+                SimConfig(h=h, T=T, x0=x0)
+        with pytest.raises(InputError, match="^x0 contains a number too large"):
+            SimConfig(h=1e-2, T=1.0, x0=[10 ** 400])
+        with pytest.raises(InputError, match="^xhat0 contains a number too large"):
+            SimConfig(h=1e-2, T=1.0, x0=x0, xhat0=[-10 ** 400])
         # A missing initial state is refused by name, not left to fail in
         # simulate with an AttributeError.
         with pytest.raises(InputError, match="^x0 is required"):

@@ -140,6 +140,24 @@ def _reference_fpdm(reg, blocks, prefix, n, alpha):
     return np.sin(half) * X + np.cos(half) * Y
 
 
+def _reference_lyapunov(prefix, n, alpha):
+    """The expression algebra's route to :func:`synthesis._lyapunov`'s problem."""
+    reg = VariableRegistry()
+    blocks = []
+    if alpha > 1.0:
+        P = reg.expr(reg.add(prefix, "symmetric", n))
+        if n:
+            blocks.append(block_of(-P, label=f"{prefix}_membership"))
+        return reg, blocks, P
+    return reg, blocks, _reference_fpdm(reg, blocks, prefix, n, alpha)
+
+
+def _same_bits(got, want):
+    """Equal by np.array_equal, and in the sign of every zero too."""
+    return (np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
 def _reference_blocks(sys, kind):
     """The four inequalities posed by hand on E's row space, Q free.
 
@@ -312,6 +330,26 @@ class TestCriterionBuilder:
                               (blocks[1].evaluate(y), ref_blocks[1].evaluate(x))):
                 assert np.allclose(got, want, rtol=0.0,
                                    atol=1e-12 * np.abs(want).max())
+
+
+class TestLyapunovMatchesReference:
+    """The Lyapunov variable written on stacks is the algebra's, bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.77, 1.0, 1.3, 1.9])
+    @pytest.mark.parametrize("n", range(7))
+    def test_bitwise_equal_to_reference(self, n, alpha):
+        reg, blocks, P = synthesis._lyapunov("P7", n, alpha)
+        ref_reg, ref_blocks, ref_P = _reference_lyapunov("P7", n, alpha)
+        assert reg.num_slots == ref_reg.num_slots
+        x = np.arange(reg.num_slots, dtype=float)
+        assert (reg.materialize_all(x).keys() == ref_reg.materialize_all(x).keys())
+        assert len(blocks) == len(ref_blocks) == (1 if n else 0)
+        for got, ref in zip(blocks, ref_blocks):
+            assert got.label == ref.label == "P7_membership"
+            for field in ("F0", "slots", "stack"):
+                assert _same_bits(getattr(got, field), getattr(ref, field))
+        assert _same_bits(P.slots, ref_P.slots)
+        assert _same_bits(P.stack, ref_P.stack)
 
 
 class TestProjectedCriterion:
@@ -732,6 +770,19 @@ class TestOutputFeedback:
                             (synth_observer, "decay_shift_injection")):
             with pytest.raises(InputError, match=f"^{name} must be finite"):
                 synth(bench06, **{name: shift})
+
+    def test_integer_too_large_for_a_float(self, bench06, monkeypatch):
+        # A 401-digit shift is refused by name before any solve, not left to
+        # raise a TypeError from np.isfinite.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an LMI was solved")
+        monkeypatch.setattr(synthesis, "solve_feasibility", no_solve)
+        for synth, name in ((synth_output_feedback, "decay_shift"),
+                            (synth_observer, "decay_shift_state"),
+                            (synth_observer, "decay_shift_injection")):
+            with pytest.raises(InputError,
+                               match=f"^{name} contains a number too large"):
+                synth(bench06, **{name: 10 ** 400})
 
     def test_deterministic(self, bench06):
         d1 = synth_output_feedback(bench06)
