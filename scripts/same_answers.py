@@ -30,7 +30,9 @@ side's ``src``, with BLAS pinned to one thread:
   ``SYNTH``: ``sfos synth`` at orders 0.6 and 1.2 in both modes, whose
   design JSON holds each solve's iterates; ``SIMULATE``: ``sfos simulate``
   of the published order-0.6 output gain from an x0 off the algebraic
-  constraint, which the simulator projects; ``DEMOS``: ``sfos demo`` at its
+  constraint, which the simulator projects, and of the published K and L
+  at order 0.6 (marched on the plant) and padded at order 1.2 (marched on
+  the lift by k = 2); ``DEMOS``: ``sfos demo`` at its
   default h and T; ``REFUSED``: ``sfos analyze`` on problem files that the
   schema refuses or that are not JSON, whose error line must not change;
   ``ACCEPTED`` (counted under ``ANALYZE``): ``sfos analyze`` on documents
@@ -91,10 +93,27 @@ PENCIL_SEED = 911
 ANALYZE = (0.6, 1.2)
 SYNTH = tuple((alpha, mode) for alpha in (0.6, 1.2)
               for mode in ("observer", "output"))
-#: The published order-0.6 output gain, run from an x0 that violates the
-#: algebraic row (4 + F) x1 + x2 + (F - 4) x3 = 0 of its closed loop.
-SIMULATE = {"system": dict(PLANT, alpha=0.6), "gains": {"F": [[-3.6723]]},
-            "simulation": {"x0": [1.0, 0.0, 0.0], "T": 2.0}}
+#: (label, problem file) of each injected-gain run.  The published
+#: order-0.6 output gain runs from an x0 that violates the algebraic row
+#: (4 + F) x1 + x2 + (F - 4) x3 = 0 of its closed loop.  The published K
+#: and L run on the plant at order 0.6, and padded at order 1.2, where
+#: their nonzero padding picks the lift by k = 2.
+SIMULATE = (
+    ("output F, inconsistent x0",
+     {"system": dict(PLANT, alpha=0.6), "gains": {"F": [[-3.6723]]},
+      "simulation": {"x0": [1.0, 0.0, 0.0], "T": 2.0}}),
+    ("observer K and L, alpha 0.6",
+     {"system": dict(PLANT, alpha=0.6),
+      "gains": {"K": [[-3.1656, -0.4720, 2.4146]],
+                "L": [[-0.1821], [0.0996], [0.7768]]},
+      "simulation": {"x0": [-0.25, 2.0, 0.25], "T": 2.0}}),
+    ("padded observer K and L, alpha 1.2",
+     {"system": dict(PLANT, alpha=1.2),
+      "gains": {"K": [[-0.8663, -0.2339, -0.2990, -1.0001, -0.7116, 0.2144]],
+                "L": [[-1.7022], [0.1766], [-0.0905], [-4.059], [-0.0028],
+                      [-6.4078]]},
+      "simulation": {"x0": [-0.25, 2.0, 0.25], "T": 2.0}}),
+)
 DEMOS = ("example1", "example2")
 
 #: A document that reaches every subschema of the problem schema.
@@ -455,9 +474,10 @@ def main(argv=None):
             tally.compare("SYNTH", f"sfos synth alpha={alpha} --mode {mode}",
                           each_cli(["synth", "problem.json", "--mode", mode],
                                    problem))
-        tally.compare("SIMULATE", "sfos simulate, inconsistent x0",
-                      each_cli(["simulate", "problem.json", "--out", "out"],
-                               SIMULATE))
+        for label, problem in SIMULATE:
+            tally.compare("SIMULATE", f"sfos simulate, {label}",
+                          each_cli(["simulate", "problem.json", "--out", "out"],
+                                   problem))
         for example in DEMOS:
             tally.compare("DEMOS", f"sfos demo {example}",
                           each_cli(["demo", example, "--out", "out"]))

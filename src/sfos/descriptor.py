@@ -14,8 +14,9 @@ QZ is one call of LAPACK's ``dggev`` with the workspace that
 bit, without its wrapper.  The first regularity probe is judged against
 ||A||_F before ||A||_2 is computed; a probe that clears the larger norm
 clears the smaller, so most regular pencils need no SVD of A.
-Every rank of E in the package is decided by :func:`numerical_rank`, at
-``RANK_TOL``; no caller sets it.
+Every rank of E in the package is decided by the rule of
+:func:`numerical_rank`, at ``RANK_TOL``; no caller sets it.  Every number
+from outside the package is read, and refused by name, by ``_as_floats``.
 It also factors E by one SVD into the null-space bases and row-space
 factors (:func:`annihilators`) that the LMI criteria pose their variables
 on and the simulator projects an inconsistent initial state with.
@@ -63,24 +64,30 @@ ANGLE_BOUNDARY_TOL = 1e-9
 
 
 def _as_floats(value, name):
-    """``value`` as a float array; an integer too large for a float is refused."""
-    try:
-        return np.asarray(value, dtype=float)
-    except OverflowError:
-        raise InputError(f"{name} contains a number too large for a float") from None
+    """``value`` as a finite float array, else an :class:`InputError` naming it.
 
-
-def _as_matrix(M, name):
+    The one reader of numbers from outside the package.  A value that is not
+    numbers, holds an integer too large for a float (JSON reads a 401-digit
+    literal as a Python int) or is not finite is refused as ``name``.
+    """
     try:
-        M = np.asarray(M, dtype=float)
+        array = np.asarray(value, dtype=float)
     except OverflowError:
         raise InputError(f"{name} contains a number too large for a float") from None
     except (TypeError, ValueError):
-        raise InputError(f"{name} must be a rectangular matrix of numbers") from None
+        if isinstance(value, (list, tuple, np.ndarray)):
+            raise InputError(f"{name} must be a rectangular matrix of numbers") from None
+        raise InputError(f"{name} is not a number: {value!r}") from None
+    if not np.isfinite(array).all():
+        raise InputError(f"{name} must be finite"
+                         + (f", got {value}" if array.ndim == 0 else ""))
+    return array
+
+
+def _as_matrix(M, name):
+    M = _as_floats(M, name)
     if M.ndim != 2:
         raise InputError(f"{name} must be a 2-D matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise InputError(f"{name} contains non-finite entries")
     return M
 
 
@@ -134,14 +141,16 @@ class DescriptorSystem:
             raise InputError("B must have n rows")
         if C.shape[1] != n:
             raise InputError("C must have n columns")
-        if not 0.0 < self.alpha < 2.0:
+        alpha = _as_floats(self.alpha, "alpha")
+        if alpha.ndim or not 0.0 < alpha < 2.0:
             raise InputError(f"alpha must lie in (0, 2), got {self.alpha}")
         for name, M in (("E", E), ("A", A), ("B", B), ("C", C)):
             if M is getattr(self, name):
                 M = M.copy()  # freeze our own copy, never the caller's array
             M.flags.writeable = False
             object.__setattr__(self, name, M)
-        object.__setattr__(self, "r", numerical_rank(E))
+        object.__setattr__(self, "alpha", float(alpha))
+        object.__setattr__(self, "r", _rank(_singular_values(E)))
 
     @property
     def n(self) -> int:
@@ -167,8 +176,7 @@ def system_from_dict(doc: dict) -> DescriptorSystem:
     """Build a system from ``{"E": [[...]], "A": ..., "B": ..., "C": ..., "alpha": ...}``."""
     try:
         return DescriptorSystem(
-            E=doc["E"], A=doc["A"], B=doc["B"], C=doc["C"],
-            alpha=float(doc["alpha"]))
+            E=doc["E"], A=doc["A"], B=doc["B"], C=doc["C"], alpha=doc["alpha"])
     except KeyError as exc:
         raise InputError(f"system document is missing field {exc}") from exc
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptor import numerical_rank
+from .descriptor import _as_floats, _as_matrix, numerical_rank
 from .errors import InputError, NotMemberError, RankDeficientError
 
 __all__ = [
@@ -46,15 +46,14 @@ class FpdmParam:
     alpha: float
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        Y = np.asarray(self.Y, dtype=float)
-        if X.ndim != 2 or X.shape[0] != X.shape[1]:
+        X = _as_matrix(self.X, "X")
+        Y = _as_matrix(self.Y, "Y")
+        if X.shape[0] != X.shape[1]:
             raise InputError("X must be square")
         if Y.shape != X.shape:
             raise InputError("Y must match the shape of X")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
-            raise InputError("X and Y must be finite")
-        if not 0.0 < self.alpha <= 1.0:
+        alpha = _as_floats(self.alpha, "alpha")
+        if alpha.ndim or not 0.0 < alpha <= 1.0:
             raise InputError(
                 "alpha must lie in (0, 1] (above order 1, P is symmetric "
                 f"positive definite), got {self.alpha}")
@@ -69,6 +68,7 @@ class FpdmParam:
         Y.flags.writeable = False
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "alpha", float(alpha))
 
     @property
     def n(self) -> int:
@@ -115,11 +115,9 @@ def congruence(param: FpdmParam, M) -> FpdmParam:
     The result is again a member of the same set; materialize commutes with
     the transformation (materialize(result) == M^T materialize(param) M).
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != param.n:
+    M = _as_matrix(M, "M")
+    if M.shape[0] != param.n:
         raise InputError("M must have n rows")
-    if not np.all(np.isfinite(M)):
-        raise InputError("M must be finite")
     if numerical_rank(M) < M.shape[1]:
         raise RankDeficientError("M must have full column rank")
     if not is_member(param):

@@ -84,11 +84,10 @@ def _split(gain, n: int, rows: bool):
     """(k, plant block, padding) of a K of k*n columns (k >= 2), else None.
 
     With ``rows``, of an L of k*n rows, whose plant block is last, as B's is.
+    A gain that is not finite numbers is refused as
+    :func:`sfos.synthesis.closed_loop` refuses it.
     """
-    try:
-        gain = np.asarray(gain, dtype=float)
-    except (TypeError, ValueError):
-        return None
+    gain = descriptor._as_floats(gain, "gain L" if rows else "gain K")
     size = gain.shape[0 if rows else 1] if gain.ndim == 2 else 0
     if size <= n or size % n:
         return None
@@ -104,7 +103,8 @@ def coordinates(sys: DescriptorSystem, controller):
     of m x k*n or an L of k*n x p (k >= 2) with a nonzero entry off the
     plant block is sized for ``lift(sys, k)``; one whose other entries are
     all exactly zero (:func:`embed`'s) is cut to the plant block, at k = 1.
-    :func:`sfos.synthesis.closed_loop` refuses any other shape by name.
+    :func:`sfos.synthesis.closed_loop` refuses any other shape by name; a
+    gain that is not finite numbers is refused here, with its message.
     """
     if not isinstance(sys, DescriptorSystem):
         raise InputError("closed loops are built on a DescriptorSystem, "

@@ -129,9 +129,8 @@ class SimConfig:
     gate_first_input: bool = False
 
     def __post_init__(self):
-        for name, value in (("h", self.h), ("T", self.T)):
-            if not np.isfinite(descriptor._as_floats(value, name)):
-                raise InputError(f"{name} must be finite, got {value}")
+        descriptor._as_floats(self.h, "h")
+        descriptor._as_floats(self.T, "T")
         if self.h <= 0 or self.T < self.h:
             raise InputError("need h > 0 and T >= h")
         if self.consistency not in ("project", "strict"):
@@ -140,12 +139,9 @@ class SimConfig:
             raise InputError("x0 is required: the initial pseudo-state")
         for name in ("x0", "xhat0"):
             value = getattr(self, name)
-            if value is None:
-                continue
-            value = descriptor._as_floats(value, name).ravel()
-            if not np.isfinite(value).all():
-                raise InputError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
+            if value is not None:
+                object.__setattr__(
+                    self, name, descriptor._as_floats(value, name).ravel())
 
     def to_dict(self) -> dict:
         return {"h": self.h, "T": self.T, "x0": self.x0.tolist(),
@@ -437,7 +433,12 @@ def simulate(sys, design, config: SimConfig) -> Trajectory:
     full0 = _project_consistent(E_sim, A_sim, full0, config.consistency)
 
     steps = int(round(config.T / config.h))
-    Z = _march(E_sim, A_sim, full0, work.alpha, config.h, steps)
+    try:
+        Z = _march(E_sim, A_sim, full0, work.alpha, config.h, steps)
+    except MemoryError:
+        raise InputError(
+            f"h = {config.h} and T = {config.T} make {steps} steps, more "
+            "than memory holds; take a larger h or a shorter T") from None
 
     times = np.arange(steps + 1) * config.h
     # Copies, so that the trajectory does not pin the whole marched state.

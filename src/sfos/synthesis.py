@@ -199,11 +199,9 @@ def _shifted(sys: DescriptorSystem, gamma: float,
 
     Synthesizing against it pushes every closed-loop eigenvalue left by
     about gamma, while verification still runs against the unshifted plant.
-    A gamma that is not finite, or too large for a float, is refused as
-    ``name``.
+    A gamma that is not a finite float is refused as ``name``.
     """
-    if not np.isfinite(_as_floats(gamma, name)):
-        raise InputError(f"{name} must be finite, got {gamma}")
+    _as_floats(gamma, name)
     if not gamma:
         return sys
     return sys.with_matrices(A=sys.A + gamma * sys.E)
@@ -294,15 +292,9 @@ class ObserverDesign:
 
 
 def _gain(name: str, gain, shape: tuple) -> np.ndarray:
-    try:
-        gain = np.asarray(gain, dtype=float)
-    except (TypeError, ValueError):
-        raise InputError(f"gain {name} must be a rectangular matrix "
-                         "of numbers") from None
+    gain = _as_floats(gain, f"gain {name}")
     if gain.shape != shape:
         raise InputError(f"gain {name} has shape {gain.shape}, expected {shape}")
-    if not np.isfinite(gain).all():
-        raise InputError(f"gain {name} contains non-finite entries")
     return gain
 
 
@@ -314,9 +306,17 @@ def closed_loop(sys: DescriptorSystem, controller):
     state w is x, except for the observer, where it is (x, e) with
     e = x - xhat: E = diag(E, E), A = [[A+BK, -BK], [0, A+LC]], so the error
     dynamics decouple and the loop is admissible iff both diagonal blocks
-    are.  The plant input is u = U w.
+    are.  The plant input is u = U w.  A tuple of another length than its
+    kind's is refused.
     """
     kind = controller[0]
+    gains = {"none": (), "state": ("K",), "output": ("F",),
+             "observer": ("K", "L")}.get(kind)
+    if gains is None:
+        raise InputError(f"unknown controller kind {kind!r}")
+    if len(controller) != 1 + len(gains):
+        raise InputError(f"controller must be ({', '.join((repr(kind), *gains))}),"
+                         f" got a tuple of length {len(controller)}")
     n, m = sys.n, sys.m
     if kind == "none":
         return sys.E, sys.A, np.zeros((m, n))
@@ -326,15 +326,13 @@ def closed_loop(sys: DescriptorSystem, controller):
     if kind == "output":
         F = _gain("F", controller[1], (m, sys.p))
         return sys.E, sys.A + sys.B @ F @ sys.C, F @ sys.C
-    if kind == "observer":
-        K = _gain("K", controller[1], (m, n))
-        L = _gain("L", controller[2], (n, sys.p))
-        Z = np.zeros((n, n))
-        BK = sys.B @ K
-        return (np.block([[sys.E, Z], [Z, sys.E]]),
-                np.block([[sys.A + BK, -BK], [Z, sys.A + L @ sys.C]]),
-                np.hstack([K, -K]))
-    raise InputError(f"unknown controller kind {kind!r}")
+    K = _gain("K", controller[1], (m, n))
+    L = _gain("L", controller[2], (n, sys.p))
+    Z = np.zeros((n, n))
+    BK = sys.B @ K
+    return (np.block([[sys.E, Z], [Z, sys.E]]),
+            np.block([[sys.A + BK, -BK], [Z, sys.A + L @ sys.C]]),
+            np.hstack([K, -K]))
 
 
 def _solve_gain(sys: DescriptorSystem, dual: bool, suffix: str,

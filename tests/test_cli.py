@@ -637,6 +637,52 @@ class TestSimulate:
         assert captured.err == (f"error: {name} contains a number too large "
                                 "for a float\n")
 
+    @pytest.mark.parametrize("alpha, gains, name", [
+        (0.6, GAINS_06, "F"), (0.6, GAINS_06, "K"), (0.6, GAINS_06, "L"),
+        (1.2, GAINS_12, "K"), (1.2, GAINS_12, "L")])
+    def test_gain_too_large_for_a_float_exit_1(self, tmp_path, capsys, alpha,
+                                               gains, name):
+        # F alone, or K and L; above order 1 the padded K and L, which the
+        # lift reads.
+        given = {key: gains[key].tolist()
+                 for key in (("F",) if name == "F" else ("K", "L"))}
+        given[name][-1][-1] = 10 ** 400
+        doc = problem_doc(alpha=alpha, gains=given,
+                          simulation={"x0": BENCH_X0.tolist(), "T": 0.1})
+        path = write_problem(tmp_path, doc)
+        assert cli.main(["simulate", path, "--out", str(tmp_path / "o")]
+                        ) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: gain {name} contains a number too "
+                                "large for a float\n")
+
+    def test_unallocatable_horizon_exit_1(self, tmp_path):
+        # h = 1e-9 at T = 20 asks for a 149 GiB weight array.  The child's
+        # address space is capped at 1.5 GB, so that no allocation commits
+        # gigabytes, and BLAS runs on one thread.  x0 is consistent, so
+        # nothing is projected.
+        doc = problem_doc(simulation={"x0": [1.0, 0.0, 1.0], "h": 1e-9,
+                                      "T": 20})
+        path = write_problem(tmp_path, doc)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = ("import resource, sys\n"
+                "cap = 1536 << 20\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+                "from sfos import cli\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=root, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "simulate", path, "--out",
+             str(tmp_path / "o")], env=env, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == cli.EXIT_ERROR, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: h = 1e-09 and T = 20 make 20000000000 "
+                               "steps, more than memory holds; take a larger "
+                               "h or a shorter T\n")
+
     def test_synthesis_block_drives_simulation(self, tmp_path):
         doc = problem_doc(synthesis={"mode": "output"},
                           simulation={"x0": BENCH_X0.tolist(), "T": 2.0})

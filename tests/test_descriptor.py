@@ -10,9 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from conftest import (BENCH_A, BENCH_B, BENCH_C, BENCH_E, benchmark,
-                      random_impulse_free_system)
+from conftest import (BENCH_A, BENCH_B, BENCH_C, BENCH_E, GAINS_06,
+                      benchmark, random_impulse_free_system)
 from sfos import simulator
+from sfos.fpdm import FpdmParam, congruence
+from sfos.synthesis import closed_loop
 from sfos.descriptor import (DescriptorSystem, analyze, analyze_pair,
                              annihilators, numerical_rank, system_from_dict)
 from sfos.errors import InputError
@@ -118,6 +120,55 @@ class TestDescriptorSystem:
     def test_from_dict_missing_field(self):
         with pytest.raises(InputError, match="missing"):
             system_from_dict({"E": [[1.0]], "alpha": 0.5})
+
+
+def _plant_doc(alpha):
+    return {"E": BENCH_E, "A": BENCH_A, "B": BENCH_B, "C": BENCH_C,
+            "alpha": alpha}
+
+
+#: (name, call) of each public entry that reads a number from its caller:
+#: ``call(value)`` puts ``value`` where ``name`` is read.
+READERS = (
+    ("X", lambda v: FpdmParam(X=v, Y=np.zeros((1, 1)), alpha=0.5)),
+    ("alpha", lambda v: FpdmParam(X=np.eye(1), Y=np.zeros((1, 1)), alpha=v)),
+    ("M", lambda v: congruence(FpdmParam(X=np.eye(1), Y=np.zeros((1, 1)),
+                                         alpha=0.5), v)),
+    ("alpha", lambda v: system_from_dict(_plant_doc(v))),
+    ("alpha", lambda v: DescriptorSystem(**_plant_doc(v))),
+    ("gain K", lambda v: closed_loop(benchmark(0.6), ("state", v))),
+    ("gain F", lambda v: closed_loop(benchmark(0.6), ("output", v))),
+    ("gain L", lambda v: closed_loop(benchmark(0.6),
+                                     ("observer", GAINS_06["K"], v))),
+)
+
+
+class TestOneReader:
+    """Every number a caller passes in is read, and refused by name, alike."""
+
+    @pytest.mark.parametrize("name, call", READERS)
+    def test_integer_too_large_for_a_float(self, name, call):
+        for value in (10 ** 400, [[-10 ** 400]]):
+            with pytest.raises(InputError, match=f"^{name} contains a number "
+                               "too large for a float$"):
+                call(value)
+
+    @pytest.mark.parametrize("name, call", READERS)
+    def test_string(self, name, call):
+        # A scalar is not called a matrix.
+        with pytest.raises(InputError,
+                           match=f"^{name} is not a number: 'one'$"):
+            call("one")
+        with pytest.raises(InputError, match=f"^{name} must be a rectangular "
+                           "matrix of numbers$"):
+            call([["one"]])
+
+    @pytest.mark.parametrize("name, call", READERS)
+    def test_not_finite(self, name, call):
+        with pytest.raises(InputError, match=f"^{name} must be finite, got nan$"):
+            call(np.nan)
+        with pytest.raises(InputError, match=f"^{name} must be finite$"):
+            call([[np.inf]])
 
 
 class TestAnnihilators:

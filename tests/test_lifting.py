@@ -164,9 +164,12 @@ class TestLiftedAnalysis:
         ctrl = ("observer", K3, np.vstack([np.ones((6, 1)), L[3:]]))
         assert coordinates(bench12, ctrl) == (3, ctrl)
         # Any other shape is left as it is, for closed_loop to refuse.
-        for gain in (np.ones((1, 4)), np.ones((1, 3)), K.ravel(), 0.5,
-                     [[1.0, 0.0], [0.0]]):
+        for gain in (np.ones((1, 4)), np.ones((1, 3)), K.ravel(), 0.5):
             assert coordinates(bench12, ("state", gain)) == (1, ("state", gain))
+        # A ragged gain is refused here, with closed_loop's message.
+        with pytest.raises(InputError, match="^gain K must be a rectangular "
+                           "matrix of numbers$"):
+            coordinates(bench12, ("state", [[1.0, 0.0], [0.0]]))
 
     def test_as_plant_refuses_a_disagreeing_k(self, bench12):
         # A gain sized for no lift of the plant is refused by its shape.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from sfos.errors import (GainRecoverySingular, InputError, LmiNumericalError,
 from sfos.lifting import lift
 from sfos.lmi import (AffineExpr, VariableRegistry, block_of,
                       solve_feasibility, sym_of)
+from sfos.simulator import SimConfig, simulate
 from sfos.synthesis import (admissible_via_lmi, closed_loop,
                             solve_output_injection, solve_state_feedback,
                             synth_observer, synth_output_feedback)
@@ -930,6 +932,23 @@ class TestClosedLoop:
                               np.hstack([K, -K]))
         with pytest.raises(InputError, match="unknown controller"):
             closed_loop(bench06, ("pid", K))
+
+    def test_tuple_length_fits_its_kind(self, bench06, bench12):
+        # A missing gain is refused by name, not left to raise IndexError;
+        # an extra one is refused, not ignored.
+        K, L, F = GAINS_06["K"], GAINS_06["L"], GAINS_06["F"]
+        cfg = SimConfig(h=1e-2, T=0.1, x0=[1.0, 0.0, 1.0])
+        for ctrl, form in ((("observer", K), "('observer', K, L)"),
+                           (("state",), "('state', K)"),
+                           (("output", F, L), "('output', F)"),
+                           (("none", 1), "('none')")):
+            message = (rf"^controller must be {re.escape(form)}, got a tuple "
+                       f"of length {len(ctrl)}$")
+            for plant in (bench06, bench12):
+                for call in (closed_loop, lifting.verify_loop,
+                             lambda p, c: simulate(p, c, cfg)):
+                    with pytest.raises(InputError, match=message):
+                        call(plant, ctrl)
 
 
 class TestAnyOrder:
